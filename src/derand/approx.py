@@ -7,6 +7,13 @@ the index sets.  The L1 norm (sum of |coefficients|) is the complexity
 measure that transfers fooling from characters to the represented
 function: a pair of polynomials squeezing f pointwise with expected gap
 g yields |E_D[f] - E[f]| <= g + L1 * bias for any bias-bounded D.
+
+Sandwich verification is exact and exhaustive up to
+EXHAUSTIVE_POINT_LIMIT variables, in O(n 2^n) rather than O(4^n): the
+coefficients are scaled by their least common denominator, and one
+integer Walsh-Hadamard transform then yields the polynomial's values on
+every point of {-1,+1}^n.  ``MultilinearPoly.evaluate`` stays as the
+point-by-point oracle and serves the statistical mode above that limit.
 """
 
 from __future__ import annotations
@@ -14,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable, Sequence, Tuple
+
+import numpy as np
+
+from .signs import walsh_hadamard
 
 EXHAUSTIVE_POINT_LIMIT = 20
 
@@ -260,34 +272,64 @@ class SandwichReport:
     worst_violation: Fraction
 
 
+def _scaled_values(poly: MultilinearPoly) -> tuple:
+    """(values, d): d * poly at every point of {-1,1}^n as Python ints.
+
+    d is the least common denominator of the coefficients.  The values
+    come from one integer Walsh-Hadamard transform of the scaled
+    coefficients, O(n 2^n), listed in itertools.product((-1, 1), repeat=n)
+    order.
+    """
+    d = lcm(*(c.denominator for c in poly.terms.values()))
+    vec = np.zeros(1 << poly.n, dtype=object)
+    for idx, coeff in poly.terms.items():
+        vec[sum(1 << i for i in idx)] = coeff.numerator * (d // coeff.denominator)
+    # entry m is the point with x_i = -1 iff bit i of m is set; reversing the
+    # axes puts x_0 first and reversing the order puts -1 before +1
+    values = walsh_hadamard(vec).reshape((2,) * poly.n).T.ravel()[::-1]
+    return values.tolist(), d
+
+
 def verify_sandwich(target: Callable, pair: SandwichPair, n: int,
                     bias: Fraction | None = None, sample_points: int = 4096,
                     rng=None) -> SandwichReport:
     """Check lower <= target <= upper, report the gap and norms.
 
-    Exhaustive for n <= EXHAUSTIVE_POINT_LIMIT; otherwise a declared-
-    size random sample (statistical mode).  ``target`` maps a sign
-    tuple to a number.
+    Exhaustive for n <= EXHAUSTIVE_POINT_LIMIT: each polynomial's values
+    on all 2^n points come from one exact Walsh-Hadamard transform, and
+    ``target`` is called once per point.  Otherwise a declared-size
+    random sample (statistical mode), evaluated point by point.
+    ``target`` maps a sign tuple to a number.
     """
     exhaustive = n <= EXHAUSTIVE_POINT_LIMIT
+    ok = True
+    worst = Fraction(0)
     if exhaustive:
-        points = product((-1, 1), repeat=n)
+        if pair.lower.n != n or pair.upper.n != n:
+            raise ValueError("assignment length mismatch")
+        lower, lo_den = _scaled_values(pair.lower)
+        upper, hi_den = _scaled_values(pair.upper)
+        for x, lo, hi in zip(product((-1, 1), repeat=n), lower, upper):
+            tv = Fraction(target(x))
+            num, den = tv.numerator, tv.denominator
+            # lo / lo_den > tv  or  tv > hi / hi_den, in integers
+            if lo * den > num * lo_den or num * hi_den > hi * den:
+                ok = False
+                worst = max(worst, Fraction(lo, lo_den) - tv, tv - Fraction(hi, hi_den))
         count = 1 << n
     else:
         import random
 
         rng = rng or random.Random(0)
-        points = (tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(sample_points))
+        for _ in range(sample_points):
+            x = tuple(rng.choice((-1, 1)) for _ in range(n))
+            lo = pair.lower.evaluate(x)
+            hi = pair.upper.evaluate(x)
+            tv = Fraction(target(x))
+            if lo > tv or tv > hi:
+                ok = False
+                worst = max(worst, lo - tv, tv - hi)
         count = sample_points
-    ok = True
-    worst = Fraction(0)
-    for x in points:
-        lo = pair.lower.evaluate(x)
-        hi = pair.upper.evaluate(x)
-        tv = Fraction(target(x))
-        if lo > tv or tv > hi:
-            ok = False
-            worst = max(worst, lo - tv, tv - hi)
     return SandwichReport(
         pointwise_ok=ok,
         gap=pair.upper.expectation() - pair.lower.expectation(),

@@ -690,7 +690,6 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
     for t in range(instances):
         k = rng.randint(1, 3)
         blocks = []
-        pols = []
         base = 0
         for _i in range(k):
             width = rng.randint(1, 4)
@@ -699,10 +698,10 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
             base += width
         n = base
         eps = Fraction(rng.randint(0, 4), 100)
+        cnfs = [ReadOnceCnf(n, (lits,)) for lits in blocks]
         pairs = []
-        for lits in blocks:
-            poly = rcnf_poly(ReadOnceCnf(n, (lits,)))
-            pols.append(poly)
+        for f in cnfs:
+            poly = rcnf_poly(f)
             if eps:
                 pairs.append(SandwichPair.of(poly - eps / 2, poly + eps / 2))
             else:
@@ -710,15 +709,10 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
         table = [Fraction(rng.randint(0, 4), 4) for _ in range(1 << k)]
         out = xor_compose(n, table, pairs)
 
-        def target(x, pols=pols, table=table, k=k):
-            mask_vals = [p.evaluate(x) for p in pols]
-            acc = Fraction(0)
-            for mask in range(1 << k):
-                termv = Fraction(1)
-                for i in range(k):
-                    termv *= mask_vals[i] if (mask >> i) & 1 else 1 - mask_vals[i]
-                acc += table[mask] * termv
-            return acc
+        def target(x, cnfs=cnfs, table=table):
+            # the combiner's multilinear extension at the 0/1 block values
+            # is the table entry of their bitmask
+            return table[sum(f.evaluate(x) << i for i, f in enumerate(cnfs))]
 
         rep = verify_sandwich(target, out, n)
         t_norm = max(p.max_l1() for p in pairs)

@@ -86,6 +86,28 @@ def pack_block_array(signs: np.ndarray) -> np.ndarray:
     return bits @ weights
 
 
+def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n vector.
+
+    Entry m of the result is sum_j (-1)^popcount(j & m) * vec[j], so a
+    vector of monomial coefficients indexed by bitmask transforms into
+    the polynomial's values, entry m being the point whose coordinate i
+    is -1 iff bit i of m is set; a histogram over such packed points
+    transforms into its character sums.  The arithmetic stays in the
+    input's dtype: exact for integers, with Python ints (object dtype)
+    when int64 could overflow.  Returns a new array.
+    """
+    h = np.array(vec)
+    if h.ndim != 1 or h.size == 0 or h.size & (h.size - 1):
+        raise ValueError("Walsh-Hadamard input must be a vector of length 2^n")
+    for i in range(h.size.bit_length() - 1):
+        h = h.reshape(-1, 2, 1 << i)
+        top = h[:, 0, :].copy()
+        h[:, 0, :] = top + h[:, 1, :]
+        h[:, 1, :] = top - h[:, 1, :]
+    return h.reshape(-1)
+
+
 def seed_bits_from_bytes(data: bytes, nbits: int) -> int:
     """Decode a little-endian seed: bit 0 of byte 0 is seed bit 0."""
     expect = (nbits + 7) // 8

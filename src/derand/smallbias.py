@@ -28,7 +28,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .signs import SignVector
+from .signs import SignVector, walsh_hadamard
 
 EXHAUSTIVE_N_LIMIT = 20
 EXHAUSTIVE_SEED_BITS_LIMIT = 24
@@ -242,11 +242,18 @@ def outputs_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np
 
     Vectorized counterpart of generate_biased; agrees with it bit for
     bit.  Intended for moderate seed spaces (the generator presets);
-    use output_mask_histogram for the large exhaustive sweeps.
+    use output_mask_histogram for the large exhaustive sweeps.  Seed
+    spaces above EXHAUSTIVE_SEED_BITS_LIMIT bits raise ValueError before
+    anything is allocated.
     """
     m = spec.n if positions is None else positions
     if m > spec.n:
         raise ValueError("cannot request more positions than the spec length")
+    if spec.seed_bits > EXHAUSTIVE_SEED_BITS_LIMIT:
+        raise ValueError(
+            f"seed space of {spec.seed_bits} bits is too large to enumerate "
+            f"(limit {EXHAUSTIVE_SEED_BITS_LIMIT} bits)"
+        )
     if spec.uniform:
         seeds = np.arange(1 << spec.seed_bits, dtype=np.uint64)
         bits = (seeds[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)
@@ -354,15 +361,7 @@ def exact_bias(spec: BiasedSpaceSpec) -> tuple:
             f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {EXHAUSTIVE_SEED_BITS_LIMIT}); "
             "use a statistical estimate instead"
         )
-    counts = output_mask_histogram(spec, spec.n)
-    h = counts.copy()
-    for i in range(spec.n):
-        h = h.reshape(-1, 2, 1 << i)
-        top = h[:, 0, :].copy()
-        h[:, 0, :] = top + h[:, 1, :]
-        h[:, 1, :] = top - h[:, 1, :]
-    h = h.reshape(-1)
-    mags = np.abs(h)
+    mags = np.abs(walsh_hadamard(output_mask_histogram(spec, spec.n)))
     mags[0] = -1  # exclude the empty set
     idx = int(np.argmax(mags))
     witness = frozenset(i for i in range(spec.n) if (idx >> i) & 1)

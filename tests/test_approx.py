@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from derand.approx import (MultilinearPoly, SandwichPair, and_of_parities_poly,
-                           clause_poly, rcnf_poly, verify_sandwich, xor_compose)
+from derand.approx import (EXHAUSTIVE_POINT_LIMIT, MultilinearPoly, SandwichPair,
+                           and_of_parities_poly, clause_poly, rcnf_poly, verify_sandwich,
+                           xor_compose)
 from derand.models import Literal, ReadOnceCnf
+from derand.signs import walsh_hadamard
 from derand.smallbias import BiasedSpaceSpec, exact_bias, outputs_all_seeds
 
 
@@ -127,3 +130,83 @@ def test_serialization_roundtrip():
     p = MultilinearPoly.build(5, [((0, 3), Fraction(2, 3)), ((), Fraction(-1, 7))])
     data = json.loads(json.dumps(p.to_json()))
     assert MultilinearPoly.from_json(5, data) == p
+
+
+def _random_poly(rng, n, terms):
+    return MultilinearPoly.build(n, [
+        (tuple(rng.sample(range(n), rng.randint(0, n))),
+         Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12, 64))))
+        for _ in range(terms)])
+
+
+def _pointwise_oracle(target, pair, n):
+    ok, worst = True, Fraction(0)
+    for x in product((-1, 1), repeat=n):
+        lo, hi, tv = pair.lower.evaluate(x), pair.upper.evaluate(x), Fraction(target(x))
+        if lo > tv or tv > hi:
+            ok = False
+            worst = max(worst, lo - tv, tv - hi)
+    return ok, worst
+
+
+def test_walsh_hadamard_matches_evaluate():
+    rng = random.Random(41)
+    polys = [MultilinearPoly(3, {}), MultilinearPoly.constant(4, Fraction(-5, 3))]
+    polys += [_random_poly(rng, n, rng.randint(1, 10)) for n in range(8) for _ in range(6)]
+    for poly in polys:
+        n = poly.n
+        vec = np.zeros(1 << n, dtype=object)
+        for idx, coeff in poly.terms.items():
+            vec[sum(1 << i for i in idx)] = coeff
+        values = walsh_hadamard(vec)
+        for m in range(1 << n):
+            x = tuple(-1 if (m >> i) & 1 else 1 for i in range(n))
+            assert values[m] == poly.evaluate(x)
+
+
+def test_walsh_hadamard_keeps_int64():
+    counts = np.arange(16, dtype=np.int64)
+    out = walsh_hadamard(counts)
+    assert out.dtype == np.int64 and out[0] == counts.sum()
+    assert (counts == np.arange(16)).all()  # the input is not modified
+    for bad in (np.zeros(6, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            walsh_hadamard(bad)
+
+
+def test_verify_sandwich_exact_pairs_on_random_polys():
+    rng = random.Random(42)
+    for n in range(8):
+        poly = _random_poly(rng, n, rng.randint(0, 10))
+        rep = verify_sandwich(poly.evaluate, SandwichPair.exact(poly), n)
+        assert rep.pointwise_ok and rep.worst_violation == 0
+        assert rep.exhaustive and rep.points_checked == 1 << n
+
+
+def test_verify_sandwich_planted_violation_matches_oracle():
+    rng = random.Random(43)
+    for n in range(1, 8):
+        lower = _random_poly(rng, n, 6)
+        upper = lower + Fraction(1, 3)
+        pair = SandwichPair.of(lower, upper)
+        bad = tuple(rng.choice((-1, 1)) for _ in range(n))
+        kick = Fraction(rng.randint(1, 9), rng.choice((5, 7, 8)))
+        sign = rng.choice((-1, 1))
+
+        def target(x, lower=lower, bad=bad, kick=kick, sign=sign):
+            mid = lower.evaluate(x) + Fraction(1, 6)
+            return mid + sign * (Fraction(1, 6) + kick) if x == bad else mid
+
+        rep = verify_sandwich(target, pair, n)
+        ok, worst = _pointwise_oracle(target, pair, n)
+        assert not rep.pointwise_ok and not ok
+        assert rep.worst_violation == worst == kick
+
+
+def test_verify_sandwich_statistical_above_point_limit():
+    n = EXHAUSTIVE_POINT_LIMIT + 1
+    pair = SandwichPair.of(MultilinearPoly.constant(n, 0), MultilinearPoly.constant(n, 1))
+    rep = verify_sandwich(lambda x: Fraction(1, 2), pair, n, sample_points=64)
+    assert not rep.exhaustive and rep.points_checked == 64
+    assert rep.pointwise_ok and rep.gap == 1

@@ -150,6 +150,16 @@ def test_cli_check_exit_code():
     assert '"pass": true' in proc.stdout
 
 
+def test_cli_advantage_refuses_unenumerable_seed_space():
+    # one-round derived parameters with 54-bit z and y seed spaces
+    proc = subprocess.run([sys.executable, "-m", "derand.cli", "advantage",
+                           "--preset", "derived", "--n", "4", "--eps", "1/4"],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert "too large to enumerate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_statistical_interval_contains_exhaustive_value():
     # spot check: run the same instance both ways; the declared interval
     # around the sampled mean must contain the exhaustive mean
