@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from .models import Literal, Robp, Term, XorCnf
-from .rcnf_prg import RcnfGenParams, hsg_inner_preset, sample
+from .rcnf_prg import RcnfGenParams, hsg_inner_preset, sample, sample_batch
 from .signs import SignVector
 
 
@@ -718,6 +718,14 @@ def hsg_seed_bits(n: int, params: RcnfGenParams | None = None) -> int:
     return max(1, (n - 1).bit_length()) + params.seed_bits
 
 
+def _hsg_inner(n: int, params: RcnfGenParams | None) -> tuple:
+    """The inner generator and the number of low seed bits that code the prefix."""
+    params = params or hsg_inner_preset(n)
+    if params.n != n:
+        raise ValueError("inner generator must cover n positions")
+    return params, max(1, (n - 1).bit_length())
+
+
 def hsg_sample(n: int, epsilon, seed: int, params: RcnfGenParams | None = None) -> SignVector:
     """Zero prefix of decoded length, then the parity-CNF generator's
     output truncated to the remaining positions.
@@ -725,13 +733,25 @@ def hsg_sample(n: int, epsilon, seed: int, params: RcnfGenParams | None = None) 
     The prefix length is the low bits reduced mod n (the decode bias at
     small n is measured by the harness, not ignored).
     """
-    params = params or hsg_inner_preset(n)
-    if params.n != n:
-        raise ValueError("inner generator must cover n positions")
-    rbits = max(1, (n - 1).bit_length())
+    params, rbits = _hsg_inner(n, params)
     total = rbits + params.seed_bits
     if seed < 0 or seed >> total:
         raise ValueError(f"seed must fit in {total} bits")
     r = (seed & ((1 << rbits) - 1)) % n
     inner = sample(params, seed >> rbits)
     return SignVector((-1,) * r + inner.values[: n - r])
+
+
+def hsg_sample_batch(n: int, seeds, params: RcnfGenParams | None = None) -> np.ndarray:
+    """Outputs of a batch of seeds (len(seeds) x n, int8); row j equals
+    hsg_sample(n, epsilon, seeds[j], params)."""
+    params, rbits = _hsg_inner(n, params)
+    total = rbits + params.seed_bits
+    seeds = list(seeds)
+    if any(seed < 0 or seed >> total for seed in seeds):
+        raise ValueError(f"seeds must fit in {total} bits")
+    prefix = np.array([(seed & ((1 << rbits) - 1)) % n for seed in seeds], dtype=np.int64)
+    inner = sample_batch(params, [seed >> rbits for seed in seeds])
+    source = np.arange(n)[None, :] - prefix[:, None]  # output i reads inner i - r
+    shifted = np.take_along_axis(inner, np.maximum(source, 0), axis=1)
+    return np.where(source < 0, np.int8(-1), shifted)

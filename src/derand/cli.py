@@ -89,10 +89,11 @@ def cmd_advantage(args) -> int:
         instances = [(args.formula, formats.load_path(args.formula))]
     else:
         instances = harness.landmark_formulas(params.n)
+    tables = harness.round_tables(params)
     reports = []
     for name, f in instances:
         reports.append(harness.rcnf_structured_advantage(params, f, name=name,
-                                                         workers=args.workers))
+                                                         workers=args.workers, tables=tables))
     for rep in reports:
         print(f"{rep.instance}\tadvantage={float(rep.advantage):.6g}")
     if args.csv:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .models import CombRect
 from .signs import SignVector, pack_block
-from .smallbias import BiasedSpaceSpec, GF2k, generate_biased
+from .smallbias import BiasedSpaceSpec, PoweringSeed, generate_biased
 
 DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
 
@@ -97,8 +97,11 @@ class CrGenParams:
         }
 
 
-def asymptotic_stop_width(delta: Fraction) -> float:
-    return 50 * math.log2(max(2.0, math.log2(1 / float(delta))))
+def _stage_lengths(m: int, sched: Tuple[int, ...]) -> list:
+    """String length of each inner stage's matrix, then of the direct stage."""
+    t = len(sched) - 1
+    return ([(1 << sched[j]) * m * sched[j - 1] for j in range(1, t)]
+            + [m * (sched[t - 1] if t >= 1 else sched[0])])
 
 
 def derive_cr_params(m: int, w: int, delta, constants: CrConstants = CrConstants(),
@@ -110,7 +113,6 @@ def derive_cr_params(m: int, w: int, delta, constants: CrConstants = CrConstants
     if not 0 < d < 1 or w < 1 or m < 1:
         raise ValueError("need m, w >= 1 and delta in (0,1)")
     sched = width_schedule(w, stop_width)
-    t = len(sched) - 1
     hits = []
     eps1 = d**constants.inner_exp
     if bias_floor is not None and eps1 < bias_floor:
@@ -123,12 +125,9 @@ def derive_cr_params(m: int, w: int, delta, constants: CrConstants = CrConstants
     if bias_floor is not None and eps2 < bias_floor:
         eps2 = bias_floor
         hits.append("epsilon2")
-    specs = []
-    for j in range(1, t):
-        length = (1 << sched[j]) * m * sched[j - 1]
-        specs.append(BiasedSpaceSpec.for_bias(length, eps1))
-    direct_w = sched[t - 1] if t >= 1 else sched[0]
-    specs.append(BiasedSpaceSpec.for_bias(m * direct_w, eps2))
+    lengths = _stage_lengths(m, sched)
+    specs = [BiasedSpaceSpec.for_bias(n, eps1) for n in lengths[:-1]]
+    specs.append(BiasedSpaceSpec.for_bias(lengths[-1], eps2))
     return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=stop_width,
                        stage_specs=tuple(specs), constants=constants,
                        floor_hits=tuple(hits))
@@ -143,12 +142,7 @@ def explicit_cr_params(m: int, w: int, delta, degrees, stop_width: int = 4,
     expect = max(t, 1)
     if len(degrees) != expect:
         raise ValueError(f"schedule {sched} needs {expect} stage degrees")
-    specs = []
-    for j in range(1, t):
-        length = (1 << sched[j]) * m * sched[j - 1]
-        specs.append(BiasedSpaceSpec.with_degree(length, degrees[j - 1]))
-    direct_w = sched[t - 1] if t >= 1 else sched[0]
-    specs.append(BiasedSpaceSpec.with_degree(m * direct_w, degrees[-1]))
+    specs = [BiasedSpaceSpec.with_degree(n, k) for n, k in zip(_stage_lengths(m, sched), degrees)]
     return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=stop_width,
                        stage_specs=tuple(specs), constants=constants, preset=preset)
 
@@ -174,11 +168,6 @@ class LookupMatrix:
     entry_width: int
     packed: np.ndarray  # shape (rows, cols), int64 of big-endian packed entries
 
-    def entry_signs(self, row: int, col: int) -> tuple:
-        v = int(self.packed[row, col])
-        return tuple(1 if (v >> (self.entry_width - 1 - q)) & 1 else -1
-                     for q in range(self.entry_width))
-
 
 def pack_matrix(signs: np.ndarray, rows: int, cols: int, entry_width: int) -> LookupMatrix:
     """Pack a stage's sign string into its lookup matrix.
@@ -203,32 +192,11 @@ def materialize_matrix(spec: BiasedSpaceSpec, seed: int, rows: int, cols: int,
     return pack_matrix(signs, rows, cols, entry_width)
 
 
-def _lazy_positions(spec: BiasedSpaceSpec, seed: int, start: int, count: int) -> list:
-    """Signs at positions start..start+count-1 without expanding the string."""
-    if spec.uniform:
-        return [-1 if (seed >> (start + i)) & 1 else 1 for i in range(count)]
-    k = spec.field_degree
-    gf = GF2k(k)
-    mask = (1 << k) - 1
-    r = seed & mask
-    s = (seed >> k) & mask
-    power = gf.pow(s, start)
-    out = []
-    for _ in range(count):
-        out.append(-1 if bin(r & power).count("1") & 1 else 1)
-        power = gf.mul(power, s)
-    return out
-
-
 def split_cr_seed(params: CrGenParams, seed: int) -> list:
     if seed < 0 or seed >> params.seed_bits:
         raise ValueError(f"seed must fit in {params.seed_bits} bits")
-    parts = []
-    pos = 0
-    for spec in params.stage_specs:
-        parts.append((seed >> pos) & ((1 << spec.seed_bits) - 1))
-        pos += spec.seed_bits
-    return parts
+    bits = [spec.seed_bits for spec in params.stage_specs]
+    return [(seed >> sum(bits[:i])) & ((1 << b) - 1) for i, b in enumerate(bits)]
 
 
 def sample_cr_levels(params: CrGenParams, seed: int) -> list:
@@ -240,22 +208,15 @@ def sample_cr_levels(params: CrGenParams, seed: int) -> list:
     previous stage's matrix in their own column.
     """
     parts = split_cr_seed(params, seed)
-    t = len(params.stage_specs)
-    direct_spec = params.stage_specs[-1]
     dw = params.direct_width
-    direct = generate_biased(direct_spec, parts[-1])
-    blocks = [pack_block(direct.values[i * dw:(i + 1) * dw]) for i in range(params.m)]
+    direct = generate_biased(params.stage_specs[-1], parts[-1]).values
+    blocks = [pack_block(direct[i * dw:(i + 1) * dw]) for i in range(params.m)]
     levels = [tuple(blocks)]
-    for stage in range(t - 2, -1, -1):
+    for stage in range(params.stages - 2, -1, -1):
         rows, entry_w = params.stage_geometry(stage)
-        spec = params.stage_specs[stage]
-        nxt = []
-        for i in range(params.m):
-            row = blocks[i]
-            start = i * (rows * entry_w) + row * entry_w
-            signs = _lazy_positions(spec, parts[stage], start, entry_w)
-            nxt.append(pack_block(signs))
-        blocks = nxt
+        stage_seed = PoweringSeed(params.stage_specs[stage], parts[stage])
+        blocks = [pack_block(stage_seed.signs(i * rows * entry_w + row * entry_w, entry_w))
+                  for i, row in enumerate(blocks)]
         levels.append(tuple(blocks))
     return levels
 

@@ -25,11 +25,13 @@ import numpy as np
 from . import bp3, cr_prg, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
-from .signs import SignVector
+from .signs import SignVector, bit_rows
 from .smallbias import outputs_all_seeds, subsets_all_seeds
 
 EXHAUSTIVE_SEED_LIMIT_BITS = 26
 STATISTICAL_SAMPLES = 1 << 14
+BATCH_SEEDS = 2048  # seeds expanded and scored at once by exhaustive_advantage
+_PLUS_IF_SET = np.array([-1, 1], dtype=np.int8)  # bit -> sign, 1 meaning true
 
 
 # ---------------------------------------------------------------------------
@@ -38,37 +40,45 @@ STATISTICAL_SAMPLES = 1 << 14
 
 @dataclass(frozen=True)
 class GeneratorHandle:
+    """A generator as the advantage walk sees it: ``sample_batch`` maps a
+    sequence of seeds to their outputs, one int8 sign row per seed."""
+
     name: str
     seed_bits: int
-    sample: Callable[[int], SignVector]
+    sample_batch: Callable[[Sequence[int]], np.ndarray]
 
 
 def uniform_generator(n: int) -> GeneratorHandle:
     return GeneratorHandle(name=f"uniform{n}", seed_bits=n,
-                           sample=lambda seed: SignVector.from_int(seed, n))
+                           sample_batch=lambda seeds: _PLUS_IF_SET[bit_rows(seeds, n)])
 
 
 def constant_generator(signs: SignVector) -> GeneratorHandle:
-    return GeneratorHandle(name="constant", seed_bits=0, sample=lambda _seed: signs)
+    row = signs.as_array()
+    return GeneratorHandle(name="constant", seed_bits=0,
+                           sample_batch=lambda seeds: np.tile(row, (len(seeds), 1)))
 
 
 def rcnf_generator(params: rcnf_prg.RcnfGenParams) -> GeneratorHandle:
     name = params.preset or f"rcnf{params.n}"
     return GeneratorHandle(name=name, seed_bits=params.seed_bits,
-                           sample=lambda seed: rcnf_prg.sample(params, seed))
+                           sample_batch=lambda seeds: rcnf_prg.sample_batch(params, seeds))
 
 
 def cr_generator(params: cr_prg.CrGenParams) -> GeneratorHandle:
     name = params.preset or f"cr{params.m}x{params.w}"
-    return GeneratorHandle(name=name, seed_bits=params.seed_bits,
-                           sample=lambda seed: cr_prg.sample_cr(params, seed))
+
+    def sample_batch(seeds):
+        rows = [cr_prg.sample_cr(params, seed).values for seed in seeds]
+        return np.array(rows, dtype=np.int8).reshape(len(rows), params.m * params.w)
+    return GeneratorHandle(name=name, seed_bits=params.seed_bits, sample_batch=sample_batch)
 
 
 def hsg_generator(n: int, epsilon, params: rcnf_prg.RcnfGenParams | None = None) -> GeneratorHandle:
     params = params or rcnf_prg.hsg_inner_preset(n)
     return GeneratorHandle(
         name=f"hsg{n}", seed_bits=bp3.hsg_seed_bits(n, params),
-        sample=lambda seed: bp3.hsg_sample(n, epsilon, seed, params))
+        sample_batch=lambda seeds: bp3.hsg_sample_batch(n, seeds, params))
 
 
 # ---------------------------------------------------------------------------
@@ -126,30 +136,33 @@ def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
                          limit_bits: int = EXHAUSTIVE_SEED_LIMIT_BITS,
                          workers: int = 1, rng_seed: int = 0) -> AdvantageReport:
     """Walk every seed (or sample when over the limit) and compare the
-    induced acceptance to the exact expectation."""
+    induced acceptance to the exact expectation.
+
+    Seeds are expanded and scored BATCH_SEEDS at a time; the statistical
+    branch draws the same ``rng.getrandbits`` seeds in the same order as
+    a one-at-a-time walk would.  ``workers`` has no effect.
+    """
     klass, n, m, w = _instance_shape(f)
     exact = f.exact_expectation()
-    width = f.n  # longer generators serve narrower instances by prefix
+
+    def accepted(seeds) -> int:
+        # longer generators serve narrower instances by prefix
+        return int(f.eval_batch(gen.sample_batch(seeds)[:, :f.n]).sum())
+
     t0 = time.monotonic()
     if gen.seed_bits <= limit_bits:
         total = 1 << gen.seed_bits
-        hits = 0
-        chunk = max(1, total // max(workers, 1))
-        start = 0
-        while start < total:  # chunked deterministically; order never matters
-            stop = min(start + chunk, total)
-            hits += sum(f.evaluate(gen.sample(seed).values[:width])
-                        for seed in range(start, stop))
-            start = stop
+        hits = sum(accepted(range(start, min(start + BATCH_SEEDS, total)))
+                   for start in range(0, total, BATCH_SEEDS))
         mean = Fraction(hits, total)
         mode, samples = "exhaustive", total
         confidence, half = 1.0, 0.0
     else:
         rng = random.Random(rng_seed)
         samples = STATISTICAL_SAMPLES
-        hits = sum(
-            f.evaluate(gen.sample(rng.getrandbits(gen.seed_bits)).values[:width])
-            for _ in range(samples))
+        hits = sum(accepted([rng.getrandbits(gen.seed_bits)
+                             for _ in range(min(BATCH_SEEDS, samples - done))])
+                   for done in range(0, samples, BATCH_SEEDS))
         mean = Fraction(hits, samples)
         mode = "statistical"
         confidence = 0.99
@@ -171,14 +184,33 @@ def _term_views(f) -> List[Tuple[str, Tuple[Tuple[int, bool], ...], int]]:
     raise TypeError("structured advantage needs a read-once or parity formula")
 
 
+@dataclass(frozen=True)
+class RoundTables:
+    """Every seed's output of the three sources of a one-round generator,
+    in seed order: z and y sign matrices and the J membership masks."""
+
+    z: np.ndarray
+    y: np.ndarray
+    j: np.ndarray
+
+
+def round_tables(params: rcnf_prg.RcnfGenParams) -> RoundTables:
+    if params.rounds != 1:
+        raise ValueError("the structured walk supports one-round parameters")
+    return RoundTables(z=outputs_all_seeds(params.z_spec), y=outputs_all_seeds(params.y_spec),
+                       j=subsets_all_seeds(params.subset_spec))
+
+
 def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "",
-                              workers: int = 1) -> AdvantageReport:
+                              workers: int = 1,
+                              tables: RoundTables | None = None) -> AdvantageReport:
     """Exact exhaustive advantage of the one-round restriction generator
     on a read-once or parity formula, via the seed product structure.
 
     Agrees with the naive seed walk bit for bit (the tests cross-check);
     the speedup is that the (z, y) grid only materializes for clauses
-    split across both sources.
+    split across both sources.  A sweep over many formulas expands
+    ``tables`` once and passes them in.
     """
     if params.rounds != 1:
         raise ValueError("the structured walk supports one-round parameters")
@@ -187,9 +219,8 @@ def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "",
     klass, n, m, w = _instance_shape(f)
     exact = f.exact_expectation()
     t0 = time.monotonic()
-    zout = outputs_all_seeds(params.z_spec)
-    yout = outputs_all_seeds(params.y_spec)
-    jmasks = subsets_all_seeds(params.subset_spec)
+    tables = tables or round_tables(params)
+    zout, yout, jmasks = tables.z, tables.y, tables.j
     Z, Y = zout.shape[0], yout.shape[0]
     total = Z * Y * len(jmasks)
     if getattr(f, "is_false", False):
@@ -765,7 +796,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> List[AdvantageRepo
         make = random_read_once_cnf if spec.target_class == "rcnf" else random_xorcnf
         instances = [(f"{spec.target_class}-{i}", make(rng, spec.corpus_n))
                      for i in range(spec.corpus_count)]
-    return [rcnf_structured_advantage(params, f, name=name, workers=workers)
+    tables = round_tables(params)
+    return [rcnf_structured_advantage(params, f, name=name, workers=workers, tables=tables)
             for name, f in instances]
 
 

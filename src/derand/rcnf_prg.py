@@ -5,6 +5,8 @@ sign string z^t from a small-bias space; the freshly covered indices
 I_t = J_t minus earlier rounds get their z^t signs.  After T rounds the
 remaining indices are filled from one final small-bias string y.  The
 same generator serves formulas with parity terms unchanged.
+``sample`` expands one seed; ``sample_batch`` gives the same rows for a
+batch of seeds, any number of rounds.
 
 Two parameterization paths exist:
 
@@ -26,9 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+import numpy as np
+
 from .signs import SignVector
 from .smallbias import (BiasedSpaceSpec, SubsetSamplerSpec, generate_biased,
-                        sample_subset)
+                        powering_signs, sample_subset, subset_members)
 
 DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
 
@@ -192,20 +196,24 @@ def hsg_inner_preset(n: int) -> RcnfGenParams:
                            rounds=1, bits_per_index=5, preset=f"hsg{n}")
 
 
-def split_seed(params: RcnfGenParams, seed: int):
+def _seed_layout(params: RcnfGenParams) -> list:
+    """(offset, bits) of z_1..z_T, then J_1..J_T, then y within a seed."""
+    sizes = ([params.z_spec.seed_bits] * params.rounds
+             + [params.subset_spec.seed_bits] * params.rounds + [params.y_spec.seed_bits])
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    return list(zip(offsets, sizes))
+
+
+def _check_seed(params: RcnfGenParams, seed: int) -> None:
     if seed < 0 or seed >> params.seed_bits:
         raise ValueError(f"seed must fit in {params.seed_bits} bits")
-    zs = []
-    js = []
-    pos = 0
-    for _ in range(params.rounds):
-        zs.append((seed >> pos) & ((1 << params.z_spec.seed_bits) - 1))
-        pos += params.z_spec.seed_bits
-    for _ in range(params.rounds):
-        js.append((seed >> pos) & ((1 << params.subset_spec.seed_bits) - 1))
-        pos += params.subset_spec.seed_bits
-    y = (seed >> pos) & ((1 << params.y_spec.seed_bits) - 1)
-    return zs, js, y
+
+
+def split_seed(params: RcnfGenParams, seed: int):
+    _check_seed(params, seed)
+    fields = [(seed >> offset) & ((1 << bits) - 1) for offset, bits in _seed_layout(params)]
+    t = params.rounds
+    return fields[:t], fields[t:2 * t], fields[2 * t]
 
 
 def restriction_trace(params: RcnfGenParams, seed: int):
@@ -238,6 +246,21 @@ def sample(params: RcnfGenParams, seed: int) -> SignVector:
     return SignVector(tuple(out))
 
 
-# The parity-CNF acceptance suite binds to the same generator: parities
-# are handled at the small-bias level, no pipeline change needed.
-sample_for_xorcnf = sample
+def sample_batch(params: RcnfGenParams, seeds) -> np.ndarray:
+    """Outputs of a batch of seeds (len(seeds) x n, int8); row j equals
+    sample(params, seeds[j]).  Every round's z, J and the fill y are
+    expanded for the whole batch at once."""
+    seeds = list(seeds)
+    for seed in seeds:
+        _check_seed(params, seed)
+    blocks = [[(seed >> offset) & ((1 << bits) - 1) for seed in seeds]
+              for offset, bits in _seed_layout(params)]
+    t = params.rounds
+    out = powering_signs(params.y_spec, blocks[2 * t])
+    covered = np.zeros(out.shape, dtype=bool)
+    for r in range(t):
+        z = powering_signs(params.z_spec, blocks[r])
+        fresh = subset_members(params.subset_spec, blocks[t + r]) & ~covered
+        out[fresh] = z[fresh]
+        covered |= fresh
+    return out

@@ -74,16 +74,14 @@ def pack_block(signs: Sequence[int]) -> int:
     return acc
 
 
-def unpack_block(value: int, width: int) -> tuple:
-    return tuple(1 if (value >> (width - 1 - q)) & 1 else -1 for q in range(width))
-
-
-def pack_block_array(signs: np.ndarray) -> np.ndarray:
-    """Vectorized pack_block over the last axis of an int8 sign array."""
-    width = signs.shape[-1]
-    bits = (signs == 1).astype(np.int64)
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits @ weights
+def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """uint8 matrix whose row j holds bits 0..width-1 of values[j]
+    (little-endian: column i is bit i).  Values may exceed 64 bits."""
+    nbytes = (width + 7) // 8
+    mask = (1 << width) - 1
+    raw = np.frombuffer(b"".join((v & mask).to_bytes(nbytes, "little") for v in values),
+                        dtype=np.uint8).reshape(len(values), nbytes)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:

@@ -16,7 +16,16 @@ are -1, so a uniform underlying string gives inclusion probability
 Field elements are integers whose binary digits are polynomial
 coefficients over GF(2), reduced modulo the lexicographically smallest
 irreducible polynomial of the given degree (computed once and cached,
-so outputs are bit-exact across runs and platforms).
+so outputs are bit-exact across runs and platforms); degrees 1..64.
+
+One kernel maps (r, s) to <r, s^i>.  Multiplying by a fixed s is
+GF(2)-linear: ``PoweringSeed`` (one seed) tabulates it once, one
+256-entry table per byte of the operand, jumps to a start position by
+square and multiply (squaring is tabulated once per degree) and takes
+parities with ``int.bit_count``.  A batch (``powering_signs``) or every
+seed (``outputs_all_seeds``, ``output_mask_histogram``) builds the power
+table s^0..s^(m-1) once per distinct s with ``GF2k.mul_vec`` and gathers
+it.  The bit-serial ``GF2k.mul`` and ``pow`` are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -24,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .signs import SignVector, walsh_hadamard
+from .signs import SignVector, bit_rows, walsh_hadamard
 
 EXHAUSTIVE_N_LIMIT = 20
 EXHAUSTIVE_SEED_BITS_LIMIT = 24
@@ -56,23 +65,10 @@ def _poly_mod(a: int, mod: int) -> int:
     return a
 
 
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(poly: int, k: int) -> bool:
     # Irreducible over GF(2) iff x^(2^k) == x mod poly and, for every
-    # prime p | k, gcd(x^(2^(k/p)) - x, poly) = 1.
+    # prime p | k, gcd(x^(2^(k/p)) - x, poly) = 1.  Checking every divisor
+    # d > 1 of k is equivalent: GF(2^(k/d)) lies in GF(2^(k/p)) for p | d.
     def powx(e: int) -> int:
         v = _poly_mod(2, poly)
         for _ in range(e):
@@ -86,10 +82,8 @@ def _is_irreducible(poly: int, k: int) -> bool:
 
     if powx(k) != _poly_mod(2, poly):
         return False
-    for p in _prime_factors(k):
-        if gcd(powx(k // p) ^ _poly_mod(2, poly), poly) != 1:
-            return False
-    return True
+    return all(gcd(powx(k // d) ^ _poly_mod(2, poly), poly) == 1
+               for d in range(2, k + 1) if k % d == 0)
 
 
 @lru_cache(maxsize=None)
@@ -130,18 +124,14 @@ class GF2k:
         return self.pow(a, self.order - 2)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized mul; degree <= 31 so intermediate products fit in uint64."""
-        if self.k > 31:
-            raise ValueError("vectorized field ops support degree <= 31")
+        """Vectorized mul (broadcasting), any degree up to 64."""
         a2, b2 = np.broadcast_arrays(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
         acc = np.zeros(a2.shape, dtype=np.uint64)
-        one = np.uint64(1)
-        for bit in range(self.k):
-            mask = ((b2 >> np.uint64(bit)) & one).astype(bool)
-            acc[mask] ^= a2[mask] << np.uint64(bit)
-        for bit in range(2 * self.k - 2, self.k - 1, -1):
-            mask = ((acc >> np.uint64(bit)) & one).astype(bool)
-            acc[mask] ^= np.uint64(self.modulus << (bit - self.k))
+        top, low = np.uint64(self.k - 1), np.uint64(self.modulus ^ self.order)
+        for j in range(self.k):
+            acc ^= b2 * ((a2 >> np.uint64(j)) & np.uint64(1))
+            # b2 * x, reduced at once so it stays below 2^k <= 2^64
+            b2 = ((b2 << np.uint64(1)) & np.uint64(self.order - 1)) ^ ((b2 >> top) * low)
         return acc
 
 
@@ -218,37 +208,137 @@ class BiasedSpaceSpec:
         return data
 
 
+# ---------------------------------------------------------------------------
+# The powering kernel: (r, s) -> <r, s^i>
+# ---------------------------------------------------------------------------
+
+HISTOGRAM_CHUNK = 1 << 20  # seed masks output_mask_histogram holds at once
+_SIGN = np.array([1, -1], dtype=np.int8)  # parity bit -> sign
+
+
+def _byte_tables(images: list) -> list:
+    """Tables of the GF(2)-linear map sending basis bit j to images[j]:
+    table q maps byte q of the operand to its share of the image."""
+    tables = []
+    for q in range(0, len(images), 8):
+        table = [0]
+        for image in images[q:q + 8]:
+            table += [v ^ image for v in table]
+        tables.append(table)
+    return tables
+
+
+def _apply(tables: list, a: int) -> int:
+    out = 0
+    for table in tables:
+        out ^= table[a & 0xFF]
+        a >>= 8
+    return out
+
+
+def _times_tables(gf: GF2k, s: int) -> list:
+    images = [s]
+    for _ in range(gf.k - 1):
+        s = (s << 1) ^ (gf.modulus if s >> (gf.k - 1) else 0)
+        images.append(s)
+    return _byte_tables(images)
+
+
+@lru_cache(maxsize=None)
+def _squaring_tables(k: int) -> list:
+    mod = irreducible_poly(k)
+    return _byte_tables([_poly_mod(1 << (2 * j), mod) for j in range(k)])
+
+
+def _count(spec: BiasedSpaceSpec, positions: int | None) -> int:
+    m = spec.n if positions is None else positions
+    if m > spec.n:
+        raise ValueError("cannot request more positions than the spec length")
+    return m
+
+
+class PoweringSeed:
+    """One seed of a biased space, read at any run of positions; the
+    tables are built once per seed, however many runs are read."""
+
+    def __init__(self, spec: BiasedSpaceSpec, seed: int):
+        if seed < 0 or seed >> spec.seed_bits:
+            raise ValueError(f"seed must fit in {spec.seed_bits} bits")
+        self.spec = spec
+        self.seed = seed
+        if not spec.uniform:
+            k = spec.field_degree
+            self._r = seed & ((1 << k) - 1)
+            self._times_s = _times_tables(GF2k(k), seed >> k)
+
+    def signs(self, start: int = 0, count: int | None = None) -> list:
+        """Signs at positions start..start+count-1 (count defaults to the rest)."""
+        n = self.spec.n
+        count = n - start if count is None else count
+        if start < 0 or count < 0 or start + count > n:
+            raise ValueError(f"positions {start}..{start + count - 1} are outside 0..{n - 1}")
+        if self.spec.uniform:
+            return [-1 if (self.seed >> i) & 1 else 1 for i in range(start, start + count)]
+        times_s, r, power = self._times_s, self._r, 1
+        if start:
+            square = _squaring_tables(self.spec.field_degree)
+            for bit in bin(start)[2:]:  # left to right: s^(2e), then s^(2e+1)
+                power = _apply(square, power)
+                if bit == "1":
+                    power = _apply(times_s, power)
+        out = []
+        for _ in range(count):
+            out.append(-1 if (r & power).bit_count() & 1 else 1)
+            power = _apply(times_s, power)
+        return out
+
+
 def generate_biased(spec: BiasedSpaceSpec, seed: int) -> SignVector:
     """Deterministically expand a seed into n signs."""
-    if seed < 0 or seed >> spec.seed_bits:
-        raise ValueError(f"seed must fit in {spec.seed_bits} bits")
+    return SignVector(tuple(PoweringSeed(spec, seed).signs()))
+
+
+def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
+    """(len(s), count) uint64 table of s^0..s^(count-1) for every s."""
+    table = np.empty((len(s), count), dtype=np.uint64)
+    power = np.ones(len(s), dtype=np.uint64)
+    for i in range(count):
+        table[:, i] = power
+        power = gf.mul_vec(power, s)
+    return table
+
+
+def powering_signs(spec: BiasedSpaceSpec, seeds, positions: int | None = None) -> np.ndarray:
+    """Sign matrix (len(seeds) x positions, int8) of a batch of seeds.
+
+    Row j agrees with generate_biased(spec, seeds[j]); the power table
+    is built once per distinct s in the batch and gathered.
+    """
+    m = _count(spec, positions)
+    seeds = list(seeds)
+    if any(seed < 0 or seed >> spec.seed_bits for seed in seeds):
+        raise ValueError(f"seeds must fit in {spec.seed_bits} bits")
     if spec.uniform:
-        return SignVector(tuple(-1 if (seed >> i) & 1 else 1 for i in range(spec.n)))
+        return _SIGN[bit_rows(seeds, m)]
     k = spec.field_degree
-    gf = GF2k(k)
-    mask = (1 << k) - 1
-    r = seed & mask
-    s = (seed >> k) & mask
-    out = []
-    power = 1  # s^0
-    for _ in range(spec.n):
-        out.append(-1 if bin(r & power).count("1") & 1 else 1)
-        power = gf.mul(power, s)
-    return SignVector(tuple(out))
+    r = np.array([seed & ((1 << k) - 1) for seed in seeds], dtype=np.uint64)
+    row_of = {s: i for i, s in enumerate(dict.fromkeys(seed >> k for seed in seeds))}
+    which = np.array([row_of[seed >> k] for seed in seeds], dtype=np.intp)
+    powers = _power_table(GF2k(k), np.array(list(row_of), dtype=np.uint64), m)
+    out = np.empty((len(seeds), m), dtype=np.int8)
+    for i in range(m):  # one position at a time keeps the gathered powers small
+        out[:, i] = _SIGN[np.bitwise_count(powers[which, i] & r) & 1]
+    return out
 
 
 def outputs_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np.ndarray:
     """Sign matrix (2^seed_bits x positions), row index = seed value, int8.
 
-    Vectorized counterpart of generate_biased; agrees with it bit for
-    bit.  Intended for moderate seed spaces (the generator presets);
-    use output_mask_histogram for the large exhaustive sweeps.  Seed
-    spaces above EXHAUSTIVE_SEED_BITS_LIMIT bits raise ValueError before
-    anything is allocated.
+    Agrees with generate_biased bit for bit.  For the generator presets;
+    use output_mask_histogram for large sweeps.  Seed spaces above
+    EXHAUSTIVE_SEED_BITS_LIMIT bits raise ValueError before allocating.
     """
-    m = spec.n if positions is None else positions
-    if m > spec.n:
-        raise ValueError("cannot request more positions than the spec length")
+    m = _count(spec, positions)
     if spec.seed_bits > EXHAUSTIVE_SEED_BITS_LIMIT:
         raise ValueError(
             f"seed space of {spec.seed_bits} bits is too large to enumerate "
@@ -256,93 +346,39 @@ def outputs_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np
         )
     if spec.uniform:
         seeds = np.arange(1 << spec.seed_bits, dtype=np.uint64)
-        bits = (seeds[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)
-        return np.where(bits == 1, -1, 1).astype(np.int8)
-    k = spec.field_degree
-    gf = GF2k(k)
-    order = 1 << k
-    r = np.arange(order, dtype=np.uint64)
-    s = np.arange(order, dtype=np.uint64)
-    out = np.empty((order * order, m), dtype=np.int8)
-    power = np.ones(order, dtype=np.uint64)  # s^i per s value
-    for i in range(m):
-        par = np.bitwise_count(r[None, :] & power[:, None]).astype(np.uint8) & 1
-        # row (s, r) corresponds to seed r + (s << k)
-        out[:, i] = np.where(par, -1, 1).reshape(-1)
-        power = gf.mul_vec(power, s)
+        return _SIGN[(seeds[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)]
+    gf = GF2k(spec.field_degree)
+    field = np.arange(gf.order, dtype=np.uint64)
+    powers = _power_table(gf, field, m)
+    out = np.empty((gf.order * gf.order, m), dtype=np.int8)
+    for i in range(m):  # one position at a time; row (s, r) is seed r + (s << k)
+        out[:, i] = _SIGN[np.bitwise_count(powers[:, i, None] & field[None, :]) & 1].reshape(-1)
     return out
 
 
-class BiasedSpaceEnumerator:
-    """Fast per-seed output extraction for repeated sweeps of one spec.
-
-    Precomputes the power sequence s^0..s^(positions-1) for every field
-    element s, after which any seed's signs are one vectorized parity.
-    Agrees with generate_biased bit for bit.
-    """
-
-    def __init__(self, spec: BiasedSpaceSpec, positions: int | None = None):
-        self.spec = spec
-        self.positions = spec.n if positions is None else positions
-        if self.positions > spec.n:
-            raise ValueError("cannot request more positions than the spec length")
-        if not spec.uniform:
-            gf = GF2k(spec.field_degree)
-            order = 1 << spec.field_degree
-            table = np.empty((order, self.positions), dtype=np.uint64)
-            for s in range(order):
-                p = 1
-                for i in range(self.positions):
-                    table[s, i] = p
-                    p = gf.mul(p, s)
-            self._powers = table
-
-    def signs(self, seed: int) -> np.ndarray:
-        if seed < 0 or seed >> self.spec.seed_bits:
-            raise ValueError(f"seed must fit in {self.spec.seed_bits} bits")
-        if self.spec.uniform:
-            bits = (np.uint64(seed) >> np.arange(self.positions, dtype=np.uint64)) & np.uint64(1)
-            return np.where(bits == 1, -1, 1).astype(np.int8)
-        k = self.spec.field_degree
-        r = np.uint64(seed & ((1 << k) - 1))
-        s = seed >> k
-        par = np.bitwise_count(self._powers[s] & r).astype(np.uint8) & 1
-        return np.where(par, -1, 1).astype(np.int8)
-
-
 def output_mask_histogram(spec: BiasedSpaceSpec, positions: int) -> np.ndarray:
-    """Histogram over packed outputs for every seed, memory-bounded.
-
-    Returns int64 counts of length 2^positions where the packed value
-    has bit i set iff output sign i is -1.  Walks the seed space in
-    s-slices so the full sign matrix is never materialized.
-    """
+    """int64 counts of length 2^positions of the packed outputs of every
+    seed, bit i set iff sign i is -1.  The packed value is GF(2)-linear
+    in r: the XOR over set bits j of r of row (s, j), positions i where
+    bit j of s^i is set.  Masks are built by doubling over the bits of r
+    across s, in chunks of at most HISTOGRAM_CHUNK masks."""
     if spec.uniform:
         if positions != spec.n:
             raise ValueError("uniform histogram expects the full width")
         return np.ones(1 << spec.n, dtype=np.int64)
     k = spec.field_degree
     gf = GF2k(k)
-    order = 1 << k
+    powers = _power_table(gf, np.arange(gf.order, dtype=np.uint64), positions)
+    bits = (powers[:, None, :] >> np.arange(k, dtype=np.uint64)[None, :, None]) & np.uint64(1)
+    rows = (bits << np.arange(positions, dtype=np.uint64)).sum(axis=2).astype(np.int64)  # (s, j)
     counts = np.zeros(1 << positions, dtype=np.int64)
-    r = np.arange(order, dtype=np.int64)
-    rbits = [((r >> j) & 1).astype(bool) for j in range(k)]
-    for s in range(order):
-        powers = []
-        p = 1
-        for _ in range(positions):
-            powers.append(p)
-            p = gf.mul(p, s)
-        # row_j: mask over output positions toggled by bit j of r
-        masks = np.zeros(order, dtype=np.int64)
+    step = max(1, HISTOGRAM_CHUNK >> k)
+    for lo in range(0, gf.order, step):
+        part = rows[lo:lo + step]
+        masks = np.zeros((len(part), gf.order), dtype=np.int64)  # (s, r)
         for j in range(k):
-            row = 0
-            for i, pw in enumerate(powers):
-                if (pw >> j) & 1:
-                    row |= 1 << i
-            if row:
-                masks[rbits[j]] ^= row
-        counts += np.bincount(masks, minlength=1 << positions)
+            masks[:, 1 << j:2 << j] = masks[:, :1 << j] ^ part[:, j, None]
+        counts += np.bincount(masks.reshape(-1), minlength=1 << positions)
     return counts
 
 
@@ -437,19 +473,24 @@ class SubsetSamplerSpec:
 
 
 def sample_subset(spec: SubsetSamplerSpec, seed: int) -> frozenset:
-    signs = generate_biased(spec.base, seed)
+    signs = PoweringSeed(spec.base, seed).signs()
     b = spec.bits_per_index
-    return frozenset(
-        i for i in range(spec.n)
-        if all(signs[i * b + q] == -1 for q in range(b))
-    )
+    return frozenset(i for i in range(spec.n) if 1 not in signs[i * b:(i + 1) * b])
+
+
+def _members(spec: SubsetSamplerSpec, signs: np.ndarray) -> np.ndarray:
+    return (signs.reshape(len(signs), spec.n, spec.bits_per_index) == -1).all(axis=2)
+
+
+def subset_members(spec: SubsetSamplerSpec, seeds) -> np.ndarray:
+    """Membership rows (len(seeds) x n, bool) of a batch of seeds; row j
+    holds sample_subset(spec, seeds[j])."""
+    return _members(spec, powering_signs(spec.base, seeds, spec.n * spec.bits_per_index))
 
 
 def subsets_all_seeds(spec: SubsetSamplerSpec) -> np.ndarray:
     """Membership masks (bit i set iff i in I) for every seed, in seed order."""
-    signs = outputs_all_seeds(spec.base, positions=spec.n * spec.bits_per_index)
-    blocks = signs.reshape(signs.shape[0], spec.n, spec.bits_per_index)
-    member = (blocks == -1).all(axis=2)
+    member = _members(spec, outputs_all_seeds(spec.base, positions=spec.n * spec.bits_per_index))
     return (member.astype(np.int64) << np.arange(spec.n, dtype=np.int64)).sum(axis=1)
 
 
@@ -463,15 +504,11 @@ def exact_joint_deviation(spec: SubsetSamplerSpec, max_indices: int) -> Fraction
     worst = Fraction(0)
     for arity in range(2, max_indices + 1):
         for tup in combinations(range(spec.n), arity):
-            sub = np.zeros(total, dtype=np.int64)
-            for j, i in enumerate(tup):
-                sub |= ((masks >> i) & 1) << j
-            joint = np.bincount(sub, minlength=1 << arity)
-            for pattern in product((0, 1), repeat=arity):
-                idx = sum(b << j for j, b in enumerate(pattern))
-                pr = Fraction(int(joint[idx]), total)
+            joint = np.bincount(sum(((masks >> i) & 1) << j for j, i in enumerate(tup)),
+                                minlength=1 << arity)
+            for pattern in range(1 << arity):  # bit j: index tup[j] included
                 prod = Fraction(1)
                 for j, i in enumerate(tup):
-                    prod *= marg[i] if pattern[j] else 1 - marg[i]
-                worst = max(worst, abs(pr - prod))
+                    prod *= marg[i] if (pattern >> j) & 1 else 1 - marg[i]
+                worst = max(worst, abs(Fraction(int(joint[pattern]), total) - prod))
     return worst

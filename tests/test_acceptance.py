@@ -90,8 +90,8 @@ def test_criterion_6_cr_sampler():
     rng = random.Random(106)
     rects = [random_rect(rng, rng.randint(1, 8), 8) for _ in range(20)]
     inner_spec, direct_spec = params.stage_specs
-    from derand.smallbias import BiasedSpaceEnumerator, outputs_all_seeds
-    enum = BiasedSpaceEnumerator(inner_spec)
+    from derand.smallbias import outputs_all_seeds
+    inner_out = outputs_all_seeds(inner_spec)
     rows, entry_w = params.stage_geometry(0)
     direct_out = outputs_all_seeds(direct_spec)
     dw = params.direct_width
@@ -104,7 +104,7 @@ def test_criterion_6_cr_sampler():
         tables = [np.array([(rect.tables[i] >> a) & 1 for a in range(1 << rect.w)],
                            dtype=bool) for i in range(rect.m)]
         for inner_seed in range(1 << inner_spec.seed_bits):
-            matrix = cr_prg.pack_matrix(enum.signs(inner_seed)[: rows * rect.m * entry_w],
+            matrix = cr_prg.pack_matrix(inner_out[inner_seed, : rows * rect.m * entry_w],
                                         rows, rect.m, entry_w)
             restricted = cr_prg.restrict_rect(rect, matrix)
             left = np.ones(direct_out.shape[0], dtype=bool)

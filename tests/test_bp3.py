@@ -7,7 +7,7 @@ import pytest
 
 from derand.bp3 import (DecisionList, ParityLeaf, Width2Bp, bad_state_analysis,
                         bad_states, bad_visit_counts, dl_to_cnfx, full_reduce,
-                        hsg_inner_preset, hsg_sample, hsg_seed_bits,
+                        hsg_inner_preset, hsg_sample, hsg_sample_batch, hsg_seed_bits,
                         intersection_reduce, make_rejecting, pipeline_exponent,
                         pow2_leq, sudden_death_reduce, width2_to_decision_list)
 from derand.harness import bad_heavy_program, random_width3
@@ -328,6 +328,23 @@ def test_hsg_decode_edges():
     assert out2.values[n - 1] == inner.values[0]
     with pytest.raises(ValueError):
         hsg_sample(n, Fraction(1, 4), 1 << bits, params)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 16])
+def test_hsg_sample_batch_equals_per_seed(n):
+    params = hsg_inner_preset(n)
+    bits = hsg_seed_bits(n, params)
+    rng = random.Random(200 + n)
+    rbits = max(1, (n - 1).bit_length())
+    inner = rng.getrandbits(params.seed_bits) << rbits
+    # every prefix code, including those that wrap past n
+    seeds = [inner | r for r in range(1 << rbits)] + [rng.getrandbits(bits) for _ in range(200)]
+    batch = hsg_sample_batch(n, seeds, params)
+    assert batch.dtype == np.int8 and batch.shape == (len(seeds), n)
+    assert [tuple(row) for row in batch] == \
+        [hsg_sample(n, Fraction(1, 4), seed, params).values for seed in seeds]
+    with pytest.raises(ValueError):
+        hsg_sample_batch(n, [1 << bits], params)
 
 
 def test_width2_validation():

@@ -15,8 +15,8 @@ from derand.cr_prg import (CrGenParams, LookupMatrix, bias_function_cr,
 from derand.harness import random_rect
 from derand.models import CombRect
 from derand.signs import pack_block
-from derand.smallbias import (BiasedSpaceEnumerator, BiasedSpaceSpec,
-                              generate_biased, outputs_all_seeds)
+from derand.smallbias import (BiasedSpaceSpec, PoweringSeed, generate_biased,
+                              outputs_all_seeds)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -103,7 +103,7 @@ def test_composition_identity_every_seed_on_one_rectangle():
     rect = random_rect(rng, params.m, params.w)
     inner_spec = params.stage_specs[0]
     direct_spec = params.stage_specs[1]
-    enum = BiasedSpaceEnumerator(inner_spec)
+    inner_out = outputs_all_seeds(inner_spec)
     direct_out = outputs_all_seeds(direct_spec)
     rows, entry_w = params.stage_geometry(0)
     dw = params.direct_width
@@ -112,7 +112,7 @@ def test_composition_identity_every_seed_on_one_rectangle():
         ((direct_out[:, i * dw:(i + 1) * dw] == 1).astype(np.int64) * weights).sum(axis=1)
         for i in range(params.m)], axis=1)
     for inner_seed in range(1 << inner_spec.seed_bits):
-        matrix = pack_matrix(enum.signs(inner_seed), rows, params.m, entry_w)
+        matrix = pack_matrix(inner_out[inner_seed], rows, params.m, entry_w)
         restricted = restrict_rect(rect, matrix)
         # left side: evaluate the original rectangle on the looked-up entries
         left = np.ones(direct_out.shape[0], dtype=bool)
@@ -166,15 +166,17 @@ def test_deeper_chain_identity():
 
 
 def test_lazy_positions_match_full_expansion():
-    from derand.cr_prg import _lazy_positions
+    # the sampler reads runs of a stage string through one PoweringSeed
     spec = BiasedSpaceSpec.with_degree(200, 6)
     rng = random.Random(56)
     for _ in range(10):
         seed = rng.randrange(1 << spec.seed_bits)
         full = generate_biased(spec, seed)
-        start = rng.randrange(150)
-        count = rng.randint(1, 40)
-        assert _lazy_positions(spec, seed, start, count) == list(full.values[start:start + count])
+        expansion = PoweringSeed(spec, seed)
+        for _ in range(5):
+            start = rng.randrange(150)
+            count = rng.randint(1, 40)
+            assert expansion.signs(start, count) == list(full.values[start:start + count])
 
 
 def test_final_stage_cnf_fallback_cross_check():

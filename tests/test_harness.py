@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derand import rcnf_prg
-from derand.harness import (AdvantageReport, CorpusDescriptor, check_approx,
-                            check_models, check_smallbias, check_sympoly,
-                            constant_generator, corpus_generate,
-                            exhaustive_advantage, hsg_hit_stats,
+from derand import bp3, cr_prg, rcnf_prg
+from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
+                            check_approx, check_models, check_smallbias, check_sympoly,
+                            constant_generator, corpus_generate, cr_generator,
+                            exhaustive_advantage, hsg_generator, hsg_hit_stats,
                             landmark_formulas, random_read_once_cnf,
                             rcnf_generator, rcnf_output_histogram,
                             rcnf_structured_advantage, render_scatter_svg,
@@ -170,6 +170,40 @@ def test_statistical_interval_contains_exhaustive_value():
     sampled = exhaustive_advantage(rcnf_generator(params), f, limit_bits=10)
     assert sampled.mode == "statistical" and full.mode == "exhaustive"
     assert abs(float(sampled.gen_e) - float(full.gen_e)) <= sampled.ci_half_width
+
+
+def test_statistical_batches_equal_per_seed_average():
+    # the batched walk draws the same seeds in the same order as a
+    # one-at-a-time average of rcnf_prg.sample over random.Random(rng_seed)
+    params = rcnf_prg.explicit_params(16, Fraction(1, 4), k_subset=2, k_z=3, k_y=6)
+    f = random_read_once_cnf(random.Random(74), 16)
+    rep = exhaustive_advantage(rcnf_generator(params), f, limit_bits=16, rng_seed=75)
+    rng = random.Random(75)
+    hits = sum(f.evaluate(rcnf_prg.sample(params, rng.getrandbits(params.seed_bits)).values)
+               for _ in range(STATISTICAL_SAMPLES))
+    assert rep.mode == "statistical" and rep.samples == STATISTICAL_SAMPLES
+    assert rep.gen_e == Fraction(hits, STATISTICAL_SAMPLES)
+
+
+def test_exhaustive_walk_over_several_batches():
+    # 2^13 seeds span four batches; the uniform generator is unbiased
+    f = random_read_once_cnf(random.Random(76), 13)
+    rep = exhaustive_advantage(uniform_generator(13), f)
+    assert rep.samples == 1 << 13 and rep.gen_e == f.exact_expectation()
+
+
+def test_generator_batches_match_per_seed_outputs():
+    params = cr_prg.desk_cr_preset()
+    rng = random.Random(77)
+    seeds = [rng.getrandbits(params.seed_bits) for _ in range(20)]
+    assert [tuple(r) for r in cr_generator(params).sample_batch(seeds)] == \
+        [cr_prg.sample_cr(params, s).values for s in seeds]
+    hsg = hsg_generator(9, Fraction(1, 4))
+    seeds = [rng.getrandbits(hsg.seed_bits) for _ in range(20)]
+    assert [tuple(r) for r in hsg.sample_batch(seeds)] == \
+        [bp3.hsg_sample(9, Fraction(1, 4), s).values for s in seeds]
+    assert [tuple(r) for r in uniform_generator(5).sample_batch([0, 19])] == \
+        [SignVector.from_int(0, 5).values, SignVector.from_int(19, 5).values]
 
 
 def test_all_accepting_program_hit_fraction_one():

@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derand import rcnf_prg
@@ -12,7 +13,7 @@ from derand.harness import (exhaustive_advantage, landmark_formulas,
 from derand.models import Literal, Term, XorCnf, apply_restriction, Restriction
 from derand.rcnf_prg import (GenConstants, derive_params, desk_preset,
                              explicit_params, restriction_trace, sample,
-                             sample_for_xorcnf, shrink_size_bound, split_seed)
+                             sample_batch, shrink_size_bound, split_seed)
 from derand.smallbias import GF2k
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -154,8 +155,25 @@ def test_pure_parity_fooled_at_small_bias_level():
     assert rep.advantage <= Fraction(1, 10)
 
 
-def test_xorcnf_alias_binds_to_same_generator():
-    assert sample_for_xorcnf is sample
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_sample_batch_equals_per_seed_sample(rounds):
+    # T = 3 lets later rounds find indices already covered
+    params = explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
+                             rounds=rounds, bits_per_index=1)
+    rng = random.Random(45 + rounds)
+    seeds = [rng.getrandbits(params.seed_bits) for _ in range(300)] + [0]
+    batch = sample_batch(params, seeds)
+    assert batch.dtype == np.int8 and batch.shape == (len(seeds), params.n)
+    assert [tuple(row) for row in batch] == [sample(params, seed).values for seed in seeds]
+    assert sample_batch(params, []).shape == (0, params.n)
+
+
+def test_sample_batch_equals_sample_at_derived_degrees():
+    params = derive_params(64, Fraction(1, 16))
+    rng = random.Random(47)
+    seeds = [rng.getrandbits(params.seed_bits) for _ in range(6)]
+    assert [tuple(row) for row in sample_batch(params, seeds)] == \
+        [sample(params, seed).values for seed in seeds]
 
 
 def test_shrinkage_and_bias_preservation_reports():

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derand.smallbias import (BiasedSpaceEnumerator, BiasedSpaceSpec, GF2k,
+from derand.smallbias import (BiasedSpaceSpec, GF2k, PoweringSeed,
                               SubsetSamplerSpec, ceil_log2_fraction, exact_bias,
                               exact_joint_deviation, generate_biased,
-                              irreducible_poly, outputs_all_seeds, sample_subset,
-                              subsets_all_seeds)
+                              irreducible_poly, output_mask_histogram,
+                              outputs_all_seeds, powering_signs, sample_subset,
+                              subset_members, subsets_all_seeds)
 
 
 def test_irreducible_polys_match_reference_table():
@@ -54,11 +55,9 @@ def test_default_degree_gives_bias_bound():
 def test_generate_matches_vectorized_and_is_pure():
     spec = BiasedSpaceSpec.with_degree(7, 4)
     mat = outputs_all_seeds(spec)
-    enum = BiasedSpaceEnumerator(spec)
     for seed in range(1 << spec.seed_bits):
         out = generate_biased(spec, seed)
         assert tuple(mat[seed]) == out.values
-        assert tuple(enum.signs(seed)) == out.values
         assert generate_biased(spec, seed).values == out.values  # purity
 
 
@@ -143,7 +142,6 @@ def test_sampler_marginals_all_uniform_strings():
 
 
 def test_enumerator_matches_histogram_total():
-    from derand.smallbias import output_mask_histogram
     spec = BiasedSpaceSpec.with_degree(6, 4)
     hist = output_mask_histogram(spec, 6)
     assert int(hist.sum()) == 1 << spec.seed_bits
@@ -152,6 +150,103 @@ def test_enumerator_matches_histogram_total():
     masks = ((mat == -1).astype(np.int64) << np.arange(6)).sum(axis=1)
     ref = np.bincount(masks, minlength=64)
     assert (hist == ref).all()
+
+
+def _oracle_signs(k, seed, start, count):
+    """The powering construction through the bit-serial GF2k.mul loop."""
+    gf = GF2k(k)
+    r, s = seed & ((1 << k) - 1), seed >> k
+    power = gf.pow(s, start)
+    out = []
+    for _ in range(count):
+        out.append(-1 if bin(r & power).count("1") & 1 else 1)
+        power = gf.mul(power, s)
+    return out
+
+
+KERNEL_DEGREES = [1, 2, 3, 7, 8, 9, 31, 34, 37, 63]
+
+
+@pytest.mark.parametrize("k", KERNEL_DEGREES)
+def test_powering_kernel_matches_mul_loop(k):
+    spec = BiasedSpaceSpec.with_degree(70, k)
+    rng = random.Random(k)
+    seeds = [rng.getrandbits(2 * k) for _ in range(12)]
+    seeds += [0, (1 << (2 * k)) - 1, 1 << k, ((1 << k) - 1) << k]  # s = 0 and s = 1 among them
+    for seed in seeds:
+        full = _oracle_signs(k, seed, 0, spec.n)
+        assert list(generate_biased(spec, seed).values) == full
+        expansion = PoweringSeed(spec, seed)
+        for start in (0, 1, 2, rng.randrange(3, 69), 69):
+            count = rng.randint(0, spec.n - start)
+            assert expansion.signs(start, count) == _oracle_signs(k, seed, start, count)
+    batch = powering_signs(spec, seeds, positions=41)
+    assert batch.dtype == np.int8 and batch.shape == (len(seeds), 41)
+    assert [list(row) for row in batch] == [_oracle_signs(k, s, 0, 41) for s in seeds]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9])
+def test_all_seeds_paths_match_mul_loop(k):
+    spec = BiasedSpaceSpec.with_degree(12, k)
+    mat = outputs_all_seeds(spec)
+    rng = random.Random(100 + k)
+    rows = range(1 << spec.seed_bits) if k <= 3 else rng.sample(range(1 << spec.seed_bits), 200)
+    for seed in rows:
+        assert list(mat[seed]) == _oracle_signs(k, seed, 0, spec.n)
+    for width in (1, 7, 12):
+        packed = ((mat[:, :width] == -1).astype(np.int64) << np.arange(width)).sum(axis=1)
+        assert (output_mask_histogram(spec, width) ==
+                np.bincount(packed, minlength=1 << width)).all()
+
+
+def test_histogram_masks_in_chunks(monkeypatch):
+    # chunks of one s value at a time give the same counts as one chunk
+    from derand import smallbias
+    spec = BiasedSpaceSpec.with_degree(10, 6)
+    whole = output_mask_histogram(spec, 10)
+    monkeypatch.setattr(smallbias, "HISTOGRAM_CHUNK", 1)
+    assert (output_mask_histogram(spec, 10) == whole).all()
+
+
+def test_powering_seed_refuses_bad_positions_and_seeds():
+    spec = BiasedSpaceSpec.with_degree(10, 4)
+    with pytest.raises(ValueError):
+        PoweringSeed(spec, 1 << spec.seed_bits)
+    with pytest.raises(ValueError):
+        PoweringSeed(spec, 3).signs(5, 6)
+    with pytest.raises(ValueError):
+        powering_signs(spec, [1, -1])
+    with pytest.raises(ValueError):
+        powering_signs(spec, [1], positions=11)
+    assert powering_signs(spec, []).shape == (0, 10)
+
+
+def test_uniform_space_batch_and_runs():
+    spec = BiasedSpaceSpec.uniform_space(70)
+    rng = random.Random(9)
+    seeds = [rng.getrandbits(70) for _ in range(20)]
+    want = [[-1 if (seed >> i) & 1 else 1 for i in range(70)] for seed in seeds]
+    assert [list(row) for row in powering_signs(spec, seeds)] == want
+    assert [PoweringSeed(spec, seed).signs(3, 60) for seed in seeds] == [w[3:63] for w in want]
+
+
+def test_mul_vec_matches_mul_above_31_bits():
+    rng = random.Random(31)
+    for k in (31, 32, 34, 37, 63, 64):
+        gf = GF2k(k)
+        a = [rng.getrandbits(k) for _ in range(50)]
+        b = [rng.getrandbits(k) for _ in range(50)]
+        got = gf.mul_vec(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert [int(v) for v in got] == [gf.mul(x, y) for x, y in zip(a, b)]
+
+
+def test_subset_members_match_sample_subset():
+    spec = SubsetSamplerSpec.with_degree(9, 3, 5)
+    rng = random.Random(12)
+    seeds = [rng.getrandbits(spec.seed_bits) for _ in range(200)]
+    rows = subset_members(spec, seeds)
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in rows] == \
+        [sample_subset(spec, seed) for seed in seeds]
 
 
 def test_field_axioms_exhaustive_k8_vectorized():
