@@ -90,10 +90,8 @@ def cmd_advantage(args) -> int:
     else:
         instances = harness.landmark_formulas(params.n)
     tables = harness.round_tables(params)
-    reports = []
-    for name, f in instances:
-        reports.append(harness.rcnf_structured_advantage(params, f, name=name,
-                                                         workers=args.workers, tables=tables))
+    reports = [harness.rcnf_structured_advantage(params, f, name=name, tables=tables)
+               for name, f in instances]
     for rep in reports:
         print(f"{rep.instance}\tadvantage={float(rep.advantage):.6g}")
     if args.csv:
@@ -167,7 +165,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = harness.desk_advantage_sweep(workers=args.workers)
+    reports = harness.desk_advantage_sweep()
     harness.report(reports, args.csv, args.svg, keep_time=args.timing)
     print(f"wrote {args.csv}" + (f" and {args.svg}" if args.svg else ""))
     return 0
@@ -203,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--constants")
     a.add_argument("--formula", help="single formula file instead of the landmarks")
     a.add_argument("--csv")
-    a.add_argument("--workers", type=int, default=1)
     a.add_argument("--timing", action="store_true",
                    help="keep wall-clock times in the CSV (non-reproducible)")
     a.set_defaults(func=cmd_advantage)
@@ -239,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="desk sweep to CSV and SVG")
     p.add_argument("--csv", required=True)
     p.add_argument("--svg")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_report)
     return top

@@ -2,13 +2,14 @@
 
 Exhaustive advantage walks a generator's entire seed space and compares
 the induced acceptance to the exact expectation; the result is a
-rational, reproducible across runs and worker chunk counts.  For the
-one-round restriction generator the walk exploits the product structure
-of the seed (subset block x fill blocks): per subset seed, clauses
-split into a part answered by the z string and a part answered by y,
-and the count over the (z, y) grid is a broadcast of per-source
-satisfaction vectors.  Seed spaces too large to walk fall back to a
-declared-size random sample.
+rational, reproducible across runs.  The one-round restriction
+generator is walked through its seed's product structure on tables
+expanded once per sweep, y packed 64 seeds to a word: per subset seed
+J, a term with no z-literal narrows a packed y vector, one with no
+y-literal a z vector, and only split terms meet the (live z) x y-words
+grid, counted by popcount.  Its output histogram is, per J, the outer
+product of the z-part and y-part counts.  Seed spaces too large to
+walk fall back to a declared-size random sample.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ def _instance_shape(f) -> tuple:
 
 def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
                          limit_bits: int = EXHAUSTIVE_SEED_LIMIT_BITS,
-                         workers: int = 1, rng_seed: int = 0) -> AdvantageReport:
+                         rng_seed: int = 0) -> AdvantageReport:
     """Walk every seed (or sample when over the limit) and compare the
     induced acceptance to the exact expectation.
 
     Seeds are expanded and scored BATCH_SEEDS at a time; the statistical
     branch draws the same ``rng.getrandbits`` seeds in the same order as
-    a one-at-a-time walk would.  ``workers`` has no effect.
+    a one-at-a-time walk would.
     """
     klass, n, m, w = _instance_shape(f)
     exact = f.exact_expectation()
@@ -175,120 +176,123 @@ def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
                            ci_half_width=half)
 
 
-def _term_views(f) -> List[Tuple[str, Tuple[Tuple[int, bool], ...], int]]:
-    if isinstance(f, ReadOnceCnf):
-        return [("or", tuple((l.index, l.negated) for l in c), 1) for c in f.clauses]
-    if isinstance(f, XorCnf):
-        return [(t.kind, tuple((l.index, l.negated) for l in t.literals), t.target)
-                for t in f.terms]
-    raise TypeError("structured advantage needs a read-once or parity formula")
-
-
 @dataclass(frozen=True)
 class RoundTables:
-    """Every seed's output of the three sources of a one-round generator,
-    in seed order: z and y sign matrices and the J membership masks."""
+    """All seeds' outputs of the one-round generator ``params``: ``z[v, s]``
+    true iff output v of z-seed s is true, ``y`` the same for the y-seeds
+    packed into (n, ceil(Y/64)) uint64 words (seed 64w + b at bit b of
+    word w) with ``y_valid`` setting the bits that are seeds, ``j`` the
+    subset membership masks in seed order."""
 
+    params: rcnf_prg.RcnfGenParams
     z: np.ndarray
     y: np.ndarray
+    y_valid: np.ndarray
     j: np.ndarray
+
+
+def _pack_seeds(bits: np.ndarray) -> np.ndarray:
+    """(seeds, n) bool -> (n, ceil(seeds/64)) uint64, seed s at bit s % 64 of word s // 64."""
+    packed = np.packbits(bits, axis=0, bitorder="little")  # (ceil(seeds/8), n) bytes
+    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
+    return np.ascontiguousarray(packed.T).view("<u8").astype(np.uint64)
 
 
 def round_tables(params: rcnf_prg.RcnfGenParams) -> RoundTables:
     if params.rounds != 1:
         raise ValueError("the structured walk supports one-round parameters")
-    return RoundTables(z=outputs_all_seeds(params.z_spec), y=outputs_all_seeds(params.y_spec),
+    ytrue = outputs_all_seeds(params.y_spec) == 1
+    return RoundTables(params=params,
+                       z=np.ascontiguousarray((outputs_all_seeds(params.z_spec) == 1).T),
+                       y=_pack_seeds(ytrue), y_valid=_pack_seeds(np.ones_like(ytrue[:, :1]))[0],
                        j=subsets_all_seeds(params.subset_spec))
 
 
+def _ones_where(flags: np.ndarray) -> np.ndarray:
+    return np.where(flags, np.uint64(0xFFFF_FFFF_FFFF_FFFF), np.uint64(0))
+
+
+def _term_rows(f, tables: RoundTables) -> list:
+    """Per OR or parity term: its reduction (bitwise OR or XOR), its
+    literals' bits and their truth rows in z and in packed y.  A parity
+    term with target 0 is read as one with target 1 and its first
+    literal negated, so every term is satisfied when its reduction is 1."""
+    if isinstance(f, ReadOnceCnf):
+        terms = [("or", c, 1) for c in f.clauses]
+    elif isinstance(f, XorCnf):
+        terms = [(t.kind, t.literals, t.target) for t in f.terms]
+    else:
+        raise TypeError("structured advantage needs a read-once or parity formula")
+    rows = []
+    for kind, lits, target in terms:
+        var = np.array([l.index for l in lits], dtype=np.intp)
+        neg = np.array([l.negated for l in lits], dtype=bool)
+        neg[0] ^= kind == "xor" and target == 0
+        rows.append((np.bitwise_or if kind == "or" else np.bitwise_xor,
+                     np.uint64(1) << var.astype(np.uint64),
+                     tables.z[var] ^ neg[:, None], tables.y[var] ^ _ones_where(neg)[:, None]))
+    return rows
+
+
+def _structured_count(f, tables: RoundTables) -> int:
+    """Accepted seeds over the (J, z, y) product, each distinct J once.
+    Per live z, a split term with y-part X allows all of y (an OR term z
+    satisfies), X or ~X (the y parity must be 1 xor the z parity)."""
+    terms = _term_rows(f, tables)
+    term_masks = np.array([np.bitwise_or.reduce(bits) for _op, bits, _z, _y in terms], np.uint64)
+    y_only = np.array([op.reduce(y, axis=0) for op, _bits, _z, y in terms],
+                      dtype=np.uint64).reshape(len(terms), tables.y.shape[1])
+    masks, mult = np.unique(tables.j.view(np.uint64), return_counts=True)
+    count = 0
+    for jm, times in zip(masks, mult):
+        touched = (term_masks & jm) != 0
+        vec_y = tables.y_valid & np.bitwise_and.reduce(y_only[~touched], axis=0)
+        vec_z = np.ones(tables.z.shape[1], dtype=bool)
+        split = []
+        for op, bits, zrows, yrows in (terms[t] for t in np.flatnonzero(touched)):
+            in_z = (bits & jm) != 0
+            zpart = op.reduce(zrows[in_z], axis=0)
+            if in_z.all():
+                vec_z &= zpart
+            else:
+                split.append((op, zpart, op.reduce(yrows[~in_z], axis=0)))
+        live = np.flatnonzero(vec_z)
+        if not split:
+            hits = len(live) * int(np.bitwise_count(vec_y).sum())
+        else:
+            grid = np.tile(vec_y, (len(live), 1))
+            for op, zpart, ypart in split:
+                grid &= op(ypart, _ones_where(zpart[live])[:, None])
+            hits = int(np.bitwise_count(grid).sum())
+        count += int(times) * hits
+    return count
+
+
 def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "",
-                              workers: int = 1,
                               tables: RoundTables | None = None) -> AdvantageReport:
     """Exact exhaustive advantage of the one-round restriction generator
     on a read-once or parity formula, via the seed product structure.
 
-    Agrees with the naive seed walk bit for bit (the tests cross-check);
-    the speedup is that the (z, y) grid only materializes for clauses
-    split across both sources.  A sweep over many formulas expands
-    ``tables`` once and passes them in.
+    Agrees with the naive seed walk bit for bit (the tests cross-check).
+    A sweep over many formulas expands ``tables`` once and passes them
+    in; tables of other parameters raise ValueError.
     """
-    if params.rounds != 1:
-        raise ValueError("the structured walk supports one-round parameters")
     if f.n > params.n:
         raise ValueError("formula is wider than the generator output")
     klass, n, m, w = _instance_shape(f)
     exact = f.exact_expectation()
     t0 = time.monotonic()
-    tables = tables or round_tables(params)
-    zout, yout, jmasks = tables.z, tables.y, tables.j
-    Z, Y = zout.shape[0], yout.shape[0]
-    total = Z * Y * len(jmasks)
-    if getattr(f, "is_false", False):
-        ms = int((time.monotonic() - t0) * 1000)
-        return AdvantageReport(instance=name, klass=klass, n=n, m=m, w=w,
-                               eps=params.epsilon, seed_bits=params.seed_bits,
-                               exact_e=exact, gen_e=Fraction(0), advantage=abs(exact),
-                               mode="exhaustive", samples=total, time_ms=ms)
-    terms = _term_views(f)
-
-    def lit_vec(out, var, neg):
-        return out[:, var] == (-1 if neg else 1)
-
-    count = 0
-    chunk = max(1, len(jmasks) // max(workers, 1))
-    for cstart in range(0, len(jmasks), chunk):
-        for jm in jmasks[cstart:cstart + chunk]:
-            jm = int(jm)
-            vec_z = np.ones(Z, dtype=bool)
-            vec_y = np.ones(Y, dtype=bool)
-            grid = None
-            for kind, lits, target in terms:
-                in_z = [(v, neg) for v, neg in lits if (jm >> v) & 1]
-                in_y = [(v, neg) for v, neg in lits if not (jm >> v) & 1]
-                if kind == "or":
-                    if not in_z:
-                        sat = np.zeros(Y, dtype=bool)
-                        for v, neg in in_y:
-                            sat |= lit_vec(yout, v, neg)
-                        vec_y &= sat
-                    elif not in_y:
-                        sat = np.zeros(Z, dtype=bool)
-                        for v, neg in in_z:
-                            sat |= lit_vec(zout, v, neg)
-                        vec_z &= sat
-                    else:
-                        satz = np.zeros(Z, dtype=bool)
-                        for v, neg in in_z:
-                            satz |= lit_vec(zout, v, neg)
-                        saty = np.zeros(Y, dtype=bool)
-                        for v, neg in in_y:
-                            saty |= lit_vec(yout, v, neg)
-                        g = satz[:, None] | saty[None, :]
-                        grid = g if grid is None else (grid & g)
-                else:
-                    parz = np.zeros(Z, dtype=np.int8)
-                    for v, neg in in_z:
-                        parz ^= ((zout[:, v] == 1) != neg).astype(np.int8)
-                    pary = np.zeros(Y, dtype=np.int8)
-                    for v, neg in in_y:
-                        pary ^= ((yout[:, v] == 1) != neg).astype(np.int8)
-                    if not in_z:
-                        vec_y &= pary == target
-                    elif not in_y:
-                        vec_z &= parz == target
-                    else:
-                        g = (parz[:, None] ^ pary[None, :]) == target
-                        grid = g if grid is None else (grid & g)
-            if grid is None:
-                count += int(vec_z.sum()) * int(vec_y.sum())
-            else:
-                count += int((grid & vec_z[:, None] & vec_y[None, :]).sum())
-    mean = Fraction(count, total)
+    if tables is None:
+        tables = round_tables(params)
+    elif tables.params != params:
+        raise ValueError("round tables were expanded from other generator parameters")
+    count = 0 if getattr(f, "is_false", False) else _structured_count(f, tables)
+    mean = Fraction(count, 1 << params.seed_bits)
     ms = int((time.monotonic() - t0) * 1000)
     return AdvantageReport(instance=name, klass=klass, n=n, m=m, w=w,
                            eps=params.epsilon, seed_bits=params.seed_bits,
                            exact_e=exact, gen_e=mean, advantage=abs(mean - exact),
-                           mode="exhaustive", samples=total, time_ms=ms)
+                           mode="exhaustive", samples=1 << params.seed_bits, time_ms=ms)
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +302,24 @@ def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "",
 def rcnf_output_histogram(params: rcnf_prg.RcnfGenParams) -> np.ndarray:
     """Counts of every output pattern over the full seed space, packed
     little-endian with bit i set iff output i is true; needs one-round
-    parameters and n small enough for a 2^n table."""
-    if params.rounds != 1:
-        raise ValueError("histogram walk supports one-round parameters")
+    parameters and n small enough for a 2^n table.
+
+    Per subset mask J the z and y parts of an output occupy disjoint
+    bits, so the counts are the outer product of the z-part and y-part
+    counts, each pattern a distinct sum."""
     if params.n > 24:
         raise ValueError("output histogram needs n <= 24")
-    n = params.n
-    zbits = (outputs_all_seeds(params.z_spec) == 1).astype(np.int64)
-    ybits = (outputs_all_seeds(params.y_spec) == 1).astype(np.int64)
-    jmasks = subsets_all_seeds(params.subset_spec)
-    weights = 1 << np.arange(n, dtype=np.int64)
-    hist = np.zeros(1 << n, dtype=np.int64)
-    for jm in jmasks:
-        jm = int(jm)
-        zsel = np.array([(jm >> i) & 1 for i in range(n)], dtype=np.int64)
-        zpart = (zbits * (weights * zsel)).sum(axis=1)
-        ypart = (ybits * (weights * (1 - zsel))).sum(axis=1)
-        grid = zpart[:, None] | ypart[None, :]
-        hist += np.bincount(grid.reshape(-1), minlength=1 << n)
+    tables = round_tables(params)
+    weights = np.int64(1) << np.arange(params.n, dtype=np.int64)
+    ybits = np.unpackbits(tables.y.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    zfull = weights @ tables.z
+    yfull = (weights @ ybits)[:1 << params.y_spec.seed_bits]
+    hist = np.zeros(1 << params.n, dtype=np.int64)
+    masks, mult = np.unique(tables.j, return_counts=True)
+    for jm, times in zip(masks, mult):
+        zpat, zcount = np.unique(zfull & jm, return_counts=True)
+        ypat, ycount = np.unique(yfull & ~jm, return_counts=True)
+        hist[(zpat[:, None] | ypat).ravel()] += times * np.outer(zcount, ycount).ravel()
     return hist
 
 
@@ -787,7 +791,7 @@ class ExperimentSpec:
                              "use the desk preset or statistical mode")
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> List[AdvantageReport]:
+def run_experiment(spec: ExperimentSpec) -> List[AdvantageReport]:
     params = rcnf_prg.desk_preset()
     if spec.target_class == "landmarks":
         instances = landmark_formulas(params.n)
@@ -797,11 +801,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> List[AdvantageRepo
         instances = [(f"{spec.target_class}-{i}", make(rng, spec.corpus_n))
                      for i in range(spec.corpus_count)]
     tables = round_tables(params)
-    return [rcnf_structured_advantage(params, f, name=name, workers=workers, tables=tables)
+    return [rcnf_structured_advantage(params, f, name=name, tables=tables)
             for name, f in instances]
 
 
-def desk_advantage_sweep(workers: int = 1) -> List[AdvantageReport]:
+def desk_advantage_sweep() -> List[AdvantageReport]:
     """The frozen landmark sweep at the exhaustive desk preset."""
-    return run_experiment(ExperimentSpec(target_class="landmarks", generator="desk"),
-                          workers=workers)
+    return run_experiment(ExperimentSpec(target_class="landmarks", generator="desk"))

@@ -93,17 +93,19 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     is -1 iff bit i of m is set; a histogram over such packed points
     transforms into its character sums.  The arithmetic stays in the
     input's dtype: exact for integers, with Python ints (object dtype)
-    when int64 could overflow.  Returns a new array.
+    when int64 could overflow.  Returns a new array; the butterflies
+    run in place on that one copy.
     """
     h = np.array(vec)
     if h.ndim != 1 or h.size == 0 or h.size & (h.size - 1):
         raise ValueError("Walsh-Hadamard input must be a vector of length 2^n")
     for i in range(h.size.bit_length() - 1):
-        h = h.reshape(-1, 2, 1 << i)
-        top = h[:, 0, :].copy()
-        h[:, 0, :] = top + h[:, 1, :]
-        h[:, 1, :] = top - h[:, 1, :]
-    return h.reshape(-1)
+        pairs = h.reshape(-1, 2, 1 << i)
+        top, bottom = pairs[:, 0, :], pairs[:, 1, :]
+        top += bottom      # (a, b) -> (a + b, a - b) with no temporary,
+        bottom *= -2       # as a - b = (a + b) - 2b
+        bottom += top
+    return h
 
 
 def seed_bits_from_bytes(data: bytes, nbits: int) -> int:

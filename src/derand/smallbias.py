@@ -397,7 +397,8 @@ def exact_bias(spec: BiasedSpaceSpec) -> tuple:
             f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {EXHAUSTIVE_SEED_BITS_LIMIT}); "
             "use a statistical estimate instead"
         )
-    mags = np.abs(walsh_hadamard(output_mask_histogram(spec, spec.n)))
+    mags = walsh_hadamard(output_mask_histogram(spec, spec.n))
+    np.abs(mags, out=mags)
     mags[0] = -1  # exclude the empty set
     idx = int(np.argmax(mags))
     witness = frozenset(i for i in range(spec.n) if (idx >> i) & 1)

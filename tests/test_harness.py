@@ -10,14 +10,14 @@ import pytest
 
 from derand import bp3, cr_prg, rcnf_prg
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
-                            check_approx, check_models, check_smallbias, check_sympoly,
-                            constant_generator, corpus_generate, cr_generator,
-                            exhaustive_advantage, hsg_generator, hsg_hit_stats,
-                            landmark_formulas, random_read_once_cnf,
+                            GeneratorHandle, check_approx, check_models, check_smallbias,
+                            check_sympoly, constant_generator, corpus_generate,
+                            cr_generator, exhaustive_advantage, hsg_generator,
+                            hsg_hit_stats, landmark_formulas, random_read_once_cnf,
                             rcnf_generator, rcnf_output_histogram,
-                            rcnf_structured_advantage, render_scatter_svg,
-                            report, uniform_generator, width3_corpus, write_csv)
-from derand.models import Literal, ReadOnceCnf, Robp, and_chain_program
+                            rcnf_structured_advantage, render_scatter_svg, report,
+                            round_tables, uniform_generator, width3_corpus, write_csv)
+from derand.models import Literal, ReadOnceCnf, Robp, Term, XorCnf, and_chain_program
 from derand.signs import SignVector
 
 
@@ -43,16 +43,61 @@ def test_statistical_fallback_over_limit():
     assert rep.mode == "statistical"
 
 
-def test_worker_chunking_never_changes_results():
-    params = rcnf_prg.explicit_params(16, Fraction(1, 8), k_subset=2, k_z=2, k_y=3)
+def _mixed_formula(rng: random.Random, n: int):
+    """A read-once or parity CNF on a random subset of [n]: widths 1..4,
+    random negations, OR and parity terms with both targets."""
+    vars_ = rng.sample(range(n), rng.randint(1, n))
+    groups = []
+    while vars_:
+        width = rng.randint(1, 4)
+        groups.append([Literal(v, rng.random() < 0.5) for v in vars_[:width]])
+        vars_ = vars_[width:]
+    if rng.random() < 0.3:
+        return ReadOnceCnf(n, tuple(tuple(g) for g in groups))
+    return XorCnf(n, tuple(Term(rng.choice(("or", "xor")), tuple(g), rng.randrange(2))
+                           for g in groups))
+
+
+def test_structured_walk_matches_naive_walk():
+    # tiny6 has 16 y-seeds, fewer than one word; the others have 4 words.
+    # With one bit per index about half the variables join J, so terms
+    # fall inside J, outside it and across it.
     rng = random.Random(72)
-    f = random_read_once_cnf(rng, 16)
-    base = rcnf_structured_advantage(params, f, name="x", workers=1)
-    for workers in (2, 3, 7):
-        other = rcnf_structured_advantage(params, f, name="x", workers=workers)
-        assert other.gen_e == base.gen_e
-    naive = exhaustive_advantage(rcnf_generator(params), f, workers=5)
-    assert naive.gen_e == base.gen_e
+    kinds = set()
+    for params in (
+        rcnf_prg.explicit_params(6, Fraction(1, 4), k_subset=2, k_z=2, k_y=2, bits_per_index=1),
+        rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=2, k_y=4),
+        rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=2, k_y=4, bits_per_index=1),
+    ):
+        tables = round_tables(params)
+        rows = rcnf_prg.sample_batch(params, range(1 << params.seed_bits))
+        # the naive walk, its generator outputs expanded once
+        naive = GeneratorHandle("rows", params.seed_bits,
+                                lambda seeds, rows=rows: rows[np.array(seeds, dtype=np.int64)])
+        formulas = [_mixed_formula(rng, params.n) for _ in range(66)]
+        formulas += [ReadOnceCnf.constant_zero(params.n), XorCnf.constant_zero(params.n)]
+        for f in formulas:
+            fast = rcnf_structured_advantage(params, f, tables=tables)
+            assert fast.gen_e == exhaustive_advantage(naive, f).gen_e, f
+            assert fast.samples == 1 << params.seed_bits
+            terms = f.terms if isinstance(f, XorCnf) else XorCnf.from_rcnf(f).terms
+            for jm in map(int, tables.j):
+                for term in terms:
+                    inside = sum((jm >> lit.index) & 1 for lit in term.literals)
+                    kinds.add("y" if not inside else
+                              "z" if inside == len(term.literals) else "split")
+    assert kinds == {"y", "z", "split"}
+
+
+def test_structured_walk_refuses_tables_of_other_parameters():
+    params = rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=2, k_y=3)
+    other = rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=3, k_y=3)
+    f = random_read_once_cnf(random.Random(78), 8)
+    tables = round_tables(params)
+    assert rcnf_structured_advantage(params, f, tables=tables).gen_e == \
+        rcnf_structured_advantage(params, f).gen_e
+    with pytest.raises(ValueError, match="other generator parameters"):
+        rcnf_structured_advantage(other, f, tables=tables)
 
 
 def test_histogram_matches_direct_enumeration():
@@ -63,6 +108,14 @@ def test_histogram_matches_direct_enumeration():
         out = rcnf_prg.sample(params, seed)
         ref[sum((1 << i) for i, v in enumerate(out.values) if v == 1)] += 1
     assert (hist == ref).all()
+    # a bincount of every seed's output at other widths, index rates and
+    # y-seed counts (16, 64 and 256: within one word and across words)
+    for n, bits_per_index, k_y in ((2, 1, 2), (5, 5, 3), (11, 1, 4), (14, 5, 4)):
+        params = rcnf_prg.explicit_params(n, Fraction(1, 4), k_subset=2, k_z=2, k_y=k_y,
+                                          bits_per_index=bits_per_index)
+        rows = rcnf_prg.sample_batch(params, range(1 << params.seed_bits))
+        packed = ((rows == 1) << np.arange(n)).sum(axis=1)
+        assert (rcnf_output_histogram(params) == np.bincount(packed, minlength=1 << n)).all()
 
 
 def test_hit_stats_basics():
@@ -134,10 +187,9 @@ def test_cli_reproducible_outputs(tmp_path):
     out2 = tmp_path / "r2.csv"
     svg1 = tmp_path / "r1.svg"
     svg2 = tmp_path / "r2.svg"
-    for out, svg, workers in ((out1, svg1, "1"), (out2, svg2, "3")):
+    for out, svg in ((out1, svg1), (out2, svg2)):
         subprocess.run([sys.executable, "-m", "derand.cli", "report",
-                        "--csv", str(out), "--svg", str(svg),
-                        "--workers", workers],
+                        "--csv", str(out), "--svg", str(svg)],
                        capture_output=True, text=True, env=env, check=True)
     assert out1.read_bytes() == out2.read_bytes()
     assert svg1.read_bytes() == svg2.read_bytes()
