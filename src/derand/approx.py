@@ -8,20 +8,25 @@ measure that transfers fooling from characters to the represented
 function: a pair of polynomials squeezing f pointwise with expected gap
 g yields |E_D[f] - E[f]| <= g + L1 * bias for any bias-bounded D.
 
-Sandwich verification is exact and exhaustive up to
-EXHAUSTIVE_POINT_LIMIT variables, in O(n 2^n) rather than O(4^n): the
-coefficients are scaled by their least common denominator, and one
-integer Walsh-Hadamard transform then yields the polynomial's values on
-every point of {-1,+1}^n.  ``MultilinearPoly.evaluate`` stays as the
-point-by-point oracle and serves the statistical mode above that limit.
+Composition and verification are exact and run on integer coefficient
+vectors indexed by bitmask, scaled by their least common denominator.
+Composing k sandwich pairs on disjoint blocks of w variables in all
+takes Kronecker products of per-block vectors, O(2^k 2^w).  Verifying a
+pair, exhaustively up to EXHAUSTIVE_POINT_LIMIT variables, takes one
+Walsh-Hadamard transform per polynomial for its values on every point
+of {-1,+1}^n, O(n 2^n) rather than O(4^n).  ``MultilinearPoly.__mul__``
+and ``evaluate`` stay as the oracles; ``evaluate`` also serves the
+statistical mode above that limit.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -59,43 +64,31 @@ class MultilinearPoly:
     def variable(cls, n: int, i: int) -> "MultilinearPoly":
         return cls.build(n, [((i,), Fraction(1))])
 
-    def coefficient(self, idx: Iterable[int]) -> Fraction:
-        return self.terms.get(frozenset(idx), Fraction(0))
-
     def l1(self) -> Fraction:
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
 
     def expectation(self) -> Fraction:
         """E over uniform signs: only the empty monomial survives."""
-        return self.coefficient(())
+        return self.terms.get(frozenset(), Fraction(0))
 
     def evaluate(self, x) -> Fraction:
         if len(x) != self.n:
             raise ValueError("assignment length mismatch")
-        total = Fraction(0)
-        for idx, coeff in self.terms.items():
-            sign = 1
-            for i in idx:
-                sign *= x[i]
-            total += coeff * sign
-        return total
+        return sum((coeff * prod(x[i] for i in idx) for idx, coeff in self.terms.items()),
+                   Fraction(0))
 
-    def _binop(self, other: "MultilinearPoly", sub: bool) -> "MultilinearPoly":
-        if self.n != other.n:
-            raise ValueError("ambient variable counts differ")
-        acc = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            acc[idx] = acc.get(idx, Fraction(0)) + (-coeff if sub else coeff)
-        return MultilinearPoly(self.n, {k: v for k, v in acc.items() if v != 0})
-
-    def __add__(self, other):
+    def _binop(self, other, sub: bool) -> "MultilinearPoly":
         if isinstance(other, (int, Fraction)):
             other = MultilinearPoly.constant(self.n, other)
+        if self.n != other.n:
+            raise ValueError("ambient variable counts differ")
+        return MultilinearPoly.build(self.n, [*self.terms.items(), *(
+            (idx, -coeff if sub else coeff) for idx, coeff in other.terms.items())])
+
+    def __add__(self, other):
         return self._binop(other, sub=False)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultilinearPoly.constant(self.n, other)
         return self._binop(other, sub=True)
 
     def __rsub__(self, other):
@@ -105,9 +98,7 @@ class MultilinearPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MultilinearPoly(self.n, {})
-            return MultilinearPoly(self.n, {k: v * other for k, v in self.terms.items()})
+            return MultilinearPoly(self.n, {k: v * other for k, v in self.terms.items() if other})
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
         acc: dict = {}
@@ -120,10 +111,7 @@ class MultilinearPoly:
     __rmul__ = __mul__
 
     def variables(self) -> frozenset:
-        out: set = set()
-        for idx in self.terms:
-            out |= idx
-        return frozenset(out)
+        return frozenset().union(*self.terms)
 
     def to_json(self) -> list:
         return [
@@ -212,6 +200,17 @@ def rcnf_poly(f) -> MultilinearPoly:
 # Sandwich composition through a multilinear combiner
 # ---------------------------------------------------------------------------
 
+def _scaled_coeffs(terms: dict, pos) -> tuple:
+    """(vec, d): d times each coefficient as a Python int, at the bitmask
+    with bit pos[i] set for each index i of its monomial; vec has
+    2^len(pos) entries and d is the least common denominator."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    vec = np.zeros(1 << len(pos), dtype=object)
+    for idx, coeff in terms.items():
+        vec[sum(1 << pos[i] for i in idx)] = coeff.numerator * (d // coeff.denominator)
+    return vec, d
+
+
 def xor_compose(n: int, combiner_table: Sequence, pairs: Sequence[SandwichPair]) -> SandwichPair:
     """Compose per-block sandwich pairs through a multilinear combiner.
 
@@ -221,39 +220,46 @@ def xor_compose(n: int, combiner_table: Sequence, pairs: Sequence[SandwichPair])
     ``eps``-sandwiching components of L1 norm at most t, the output is
     (16^k eps)-sandwiching with L1 norm at most 4^k (t+1)^k; callers
     verify those guarantees numerically rather than trusting them.
+
+    With U_mask the product over blocks of upper_i (bit i of mask set)
+    or 1 - lower_i, the output is sum c_mask U_mask over
+    sum c_mask (1 - sum U + U_mask).  Each U_mask, and sum U, is a
+    Kronecker product of integer vectors over the blocks' own variables:
+    O(2^k 2^w) integer operations for w block variables.
     """
     k = len(pairs)
     if len(combiner_table) != 1 << k:
         raise ValueError("combiner table must have 2^k entries")
-    if any(not 0 <= Fraction(v) <= 1 for v in combiner_table):
+    table = [Fraction(v) for v in combiner_table]
+    if any(not 0 <= v <= 1 for v in table):
         raise ValueError("combiner values must lie in [0,1]")
-    blocks = [p.lower.variables() | p.upper.variables() for p in pairs]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if blocks[i] & blocks[j]:
-                raise ValueError("component blocks must be on disjoint variables")
+    if any(p.lower.n != n or p.upper.n != n for p in pairs):
+        raise ValueError("ambient variable counts differ")
+    blocks = [sorted(p.lower.variables() | p.upper.variables()) for p in pairs]
+    order = [v for block in blocks for v in block]  # bit j of an output index is order[j]
+    if len(set(order)) != len(order):
+        raise ValueError("component blocks must be on disjoint variables")
 
-    one = MultilinearPoly.constant(n, 1)
-    uppers: dict = {}
-    for mask in range(1 << k):
-        m = one
-        for i in range(k):
-            m = m * (pairs[i].upper if (mask >> i) & 1 else one - pairs[i].lower)
-        uppers[mask] = m
-    sum_uppers = one * 0
-    for mask in range(1 << k):
-        sum_uppers = sum_uppers + uppers[mask]
-    lowers = {mask: one - (sum_uppers - uppers[mask]) for mask in range(1 << k)}
+    t_den = lcm(*(v.denominator for v in table))
+    weights = [v.numerator * (t_den // v.denominator) for v in table]
+    factors, d_blocks = [], 1  # per block: (1 - lower_i, upper_i) times one denominator
+    for p, block in zip(pairs, blocks):
+        pos = {v: j for j, v in enumerate(block)}
+        (miss, d_miss), (hit, d_hit) = (_scaled_coeffs(q.terms, pos) for q in (1 - p.lower, p.upper))
+        d = lcm(d_miss, d_hit)
+        factors.append((miss * (d // d_miss), hit * (d // d_hit)))
+        d_blocks *= d
 
-    h_u = one * 0
-    h_l = one * 0
-    for mask in range(1 << k):
-        c = Fraction(combiner_table[mask])
-        if c == 0:
-            continue
-        h_u = h_u + c * uppers[mask]
-        h_l = h_l + c * lowers[mask]
-    return SandwichPair.of(h_l, h_u)
+    def kron(vecs):  # the first block takes the low bits
+        return reduce(lambda out, vec: np.multiply.outer(vec, out).ravel(), vecs, np.ones(1, object))
+
+    h_u = sum((w * kron(f[mask >> i & 1] for i, f in enumerate(factors))
+               for mask, w in enumerate(weights) if w), np.zeros(1 << len(order), object))
+    h_l = h_u - sum(weights) * kron(miss + hit for miss, hit in factors)
+    h_l[0] += sum(weights) * d_blocks
+    return SandwichPair.of(*(MultilinearPoly(n, {
+        frozenset(v for j, v in enumerate(order) if m >> j & 1): Fraction(c, t_den * d_blocks)
+        for m, c in enumerate(vec.tolist()) if c}) for vec in (h_l, h_u)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +281,11 @@ class SandwichReport:
 def _scaled_values(poly: MultilinearPoly) -> tuple:
     """(values, d): d * poly at every point of {-1,1}^n as Python ints.
 
-    d is the least common denominator of the coefficients.  The values
-    come from one integer Walsh-Hadamard transform of the scaled
-    coefficients, O(n 2^n), listed in itertools.product((-1, 1), repeat=n)
-    order.
+    The values come from one integer Walsh-Hadamard transform of the
+    scaled coefficients, O(n 2^n), listed in
+    itertools.product((-1, 1), repeat=n) order.
     """
-    d = lcm(*(c.denominator for c in poly.terms.values()))
-    vec = np.zeros(1 << poly.n, dtype=object)
-    for idx, coeff in poly.terms.items():
-        vec[sum(1 << i for i in idx)] = coeff.numerator * (d // coeff.denominator)
+    vec, d = _scaled_coeffs(poly.terms, range(poly.n))
     # entry m is the point with x_i = -1 iff bit i of m is set; reversing the
     # axes puts x_0 first and reversing the order puts -1 before +1
     values = walsh_hadamard(vec).reshape((2,) * poly.n).T.ravel()[::-1]
@@ -318,8 +320,6 @@ def verify_sandwich(target: Callable, pair: SandwichPair, n: int,
                 worst = max(worst, Fraction(lo, lo_den) - tv, tv - Fraction(hi, hi_den))
         count = 1 << n
     else:
-        import random
-
         rng = rng or random.Random(0)
         for _ in range(sample_points):
             x = tuple(rng.choice((-1, 1)) for _ in range(n))

@@ -29,7 +29,17 @@ import numpy as np
 
 from .models import Literal, Robp, Term, XorCnf
 from .rcnf_prg import RcnfGenParams, hsg_inner_preset, sample, sample_batch
-from .signs import SignVector
+from .signs import SignVector, all_sign_rows
+
+
+class BoundViolation(ValueError):
+    """A proven bound or invariant of the reduction chain failed; raised
+    in every interpreter mode, ``python -O`` included."""
+
+
+def _require(ok: bool, bound: str) -> None:
+    if not ok:
+        raise BoundViolation(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def normalize_sudden_death(prog: Robp) -> Robp:
             perm[dead_slot[t]], perm[bottom] = bottom, dead_slot[t]
         perms.append(perm)
     out = relabel_layers(rewired, perms)
-    assert out.is_sudden_death()
+    _require(out.is_sudden_death(), "normalized program is not sudden-death")
     return out
 
 
@@ -214,7 +224,7 @@ def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
     converted = make_rejecting(bp, conv)
     g = normalize_sudden_death(converted)
     e_g = g.exact_expectation()
-    assert e_g >= eps * eps / (4 * f.n), "sudden-death acceptance below the proven bound"
+    _require(e_g >= eps * eps / (4 * f.n), "sudden-death acceptance below eps^2/(4n)")
     return SuddenDeathResult(k=k, program=g, expectation=e_g,
                              source_expectation=e_src, arrival_layer=jstar,
                              arrival_prob=q[jstar], cut_layer=lstar)
@@ -269,13 +279,13 @@ def bad_state_analysis(g: Robp) -> BadStateReport:
         raise ValueError("bad-state analysis undefined at zero acceptance")
     q0 = g.conditional_visit_probs()
     gs = sort_interior_layers(g, q0)
-    assert gs.is_sudden_death()
+    _require(gs.is_sudden_death(), "q-sorted program is not sudden-death")
     q = gs.conditional_visit_probs()
     bad = bad_states(gs)
     small = frozenset(v for v in bad if q[v[0]][v[1]] < Fraction(1, 4))
     large = bad - small
     # |bad_large| <= 8 log2(2/e), exactly: 2^(|large|/8) <= 2/e
-    assert pow2_leq(Fraction(len(large), 8), 2 / e), "large-bad count exceeds the theorem bound"
+    _require(pow2_leq(Fraction(len(large), 8), 2 / e), "large-bad count above 8 log2(2/E)")
     return BadStateReport(program=gs, bad=bad, bad_small=small, bad_large=large,
                           q=tuple(tuple(row) for row in q), expectation=e)
 
@@ -389,7 +399,8 @@ def intersection_reduce(g: Robp) -> IntersectionResult:
     survival = Fraction(1)
     for (t, i) in sorted(report.bad_small):
         survival *= 1 - Fraction(4, 3) * report.q[t][i]
-    assert e1 >= p_before * survival, "small-bad conversion dropped below the product bound"
+    _require(e1 >= p_before * survival,
+             "small-bad conversion below E * prod (1 - 4q/3)")
 
     fix_vars = sorted({gs.order[t] for (t, _i) in report.bad_large})
     if len(fix_vars) > MAX_FIXED_VARS:
@@ -402,10 +413,10 @@ def intersection_reduce(g: Robp) -> IntersectionResult:
         if e > best_e:
             best_e, best_bits = e, forced
     b2 = hardwire(b1, best_bits)
-    assert best_e >= e1, "argmax fixing fell below the averaging bound"
+    _require(best_e >= e1, "argmax fixing below the averaging bound")
     e_total = best_e * Fraction(1, 1 << len(fix_vars))
     p = g.exact_expectation()
-    assert e_total >= (p / 2) ** 13, "intersection acceptance below the theorem bound"
+    _require(e_total >= (p / 2) ** 13, "intersection acceptance below (p/2)^13")
     segments = carve_segments(b2)
     return IntersectionResult(fixed_bits=best_bits, segments=tuple(segments),
                               expectation=e_total, hardwired_expectation=best_e,
@@ -425,7 +436,7 @@ def carve_segments(prog: Robp) -> List[Width2Bp]:
     if any(len(states) > 2 for states in live):
         raise ValueError("more than two live states per layer; not width-2 carvable")
     cuts = [t for t in range(prog.n + 1) if len(live[t]) <= 1]
-    assert 0 in cuts and prog.n in cuts
+    _require(0 in cuts and prog.n in cuts, "carving cuts miss the first or last layer")
     segments = []
     for ca, cb in zip(cuts, cuts[1:]):
         entry = live[ca][0]
@@ -583,9 +594,9 @@ def dl_to_cnfx(dl: DecisionList) -> TermExtraction:
             if dl.default.is_constant(1):
                 return TermExtraction(terms=(), expectation=Fraction(1),
                                       source_expectation=e, branch="one")
-        assert exits, "a non-1 first leaf is impossible at expectation >= 5/6"
+        _require(bool(exits), "non-1 first leaf at expectation >= 5/6")
         g_e = 1 - Fraction(1, 1 << len(exits))
-        assert g_e >= e**9, "OR extraction fell below the ninth-power bound"
+        _require(g_e >= e**9, "OR extraction below E^9")
         return TermExtraction(terms=(Term("or", tuple(exits)),),
                               expectation=g_e, source_expectation=e, branch="or")
     # highest leaf that is not constant 0
@@ -610,8 +621,8 @@ def dl_to_cnfx(dl: DecisionList) -> TermExtraction:
                        target=1 ^ chosen.constant),)
         h_e /= 2
     else:
-        assert chosen.constant == 1
-    assert h_e >= e / 3, "AND-parity extraction fell below the one-third bound"
+        _require(chosen.constant == 1, "variable-free leaf is not constant 1")
+    _require(h_e >= e / 3, "AND-parity extraction below E/3")
     return TermExtraction(terms=terms, expectation=h_e,
                           source_expectation=e, branch="and-xor")
 
@@ -629,23 +640,10 @@ class ReductionCertificate:
     formula_expectation: Fraction
     provenance: dict = field(compare=False)
 
-    def lift_input(self, suffix_signs) -> tuple:
-        """Full source input: the first k read positions false, the rest
-        from the suffix assignment."""
-        n = len(self.read_order)
-        out = [0] * n
-        for t in range(self.k):
-            out[self.read_order[t]] = -1
-        for t, s in enumerate(suffix_signs):
-            out[self.read_order[self.k + t]] = s
-        return tuple(out)
-
     def verify_subset(self, f: Robp) -> bool:
         """Exhaustively check accepted suffixes map into f's acceptance."""
         n2 = self.formula.n
-        total = 1 << n2
-        masks = np.arange(total, dtype=np.int64)
-        signs = np.where(((masks[:, None] >> np.arange(n2)) & 1) == 1, 1, -1).astype(np.int8)
+        signs = all_sign_rows(n2)
         good = self.formula.eval_batch(signs)
         if not good.any():
             return self.formula_expectation == 0
@@ -680,8 +678,8 @@ def full_reduce(f: Robp, epsilon) -> ReductionCertificate:
         segment_bound *= ext.expectation
     formula = XorCnf(n=stage1.program.n, terms=tuple(terms))
     e_formula = formula.exact_expectation()
-    assert e_formula == segment_bound
-    assert e_formula > 0
+    _require(e_formula == segment_bound, "formula expectation differs from the segment product")
+    _require(e_formula > 0, "formula expectation is not positive")
     cert = ReductionCertificate(
         k=stage1.k, formula=formula, read_order=f.order,
         source_expectation=stage1.source_expectation,

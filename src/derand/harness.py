@@ -26,7 +26,7 @@ import numpy as np
 from . import bp3, cr_prg, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
-from .signs import SignVector, bit_rows
+from .signs import SignVector, all_sign_rows, bit_rows
 from .smallbias import outputs_all_seeds, subsets_all_seeds
 
 EXHAUSTIVE_SEED_LIMIT_BITS = 26
@@ -697,7 +697,7 @@ def check_models(per_class: int = 100, seed: int = 13, n_max: int = 14) -> dict:
     for t in range(per_class):
         n = rng.randint(2, n_max)
         f = random_read_once_cnf(rng, n)
-        signs = _all_sign_rows(n)
+        signs = all_sign_rows(n)
         if Fraction(int(f.eval_batch(signs).sum()), 1 << n) != f.exact_expectation():
             return {"name": "models", "pass": False, "detail": f"rcnf mismatch {t}"}
         g = random_xorcnf(rng, n)
@@ -712,7 +712,7 @@ def check_models(per_class: int = 100, seed: int = 13, n_max: int = 14) -> dict:
         m, w = rng.randint(1, 3), rng.randint(1, 4)
         if m * w <= n_max:
             r = random_rect(rng, m, w)
-            signs_r = _all_sign_rows(m * w)
+            signs_r = all_sign_rows(m * w)
             if Fraction(int(r.eval_batch(signs_r).sum()), 1 << (m * w)) != r.exact_expectation():
                 return {"name": "models", "pass": False, "detail": f"rect mismatch {t}"}
     return {"name": "models", "pass": True, "detail": f"{per_class} instances per class"}
@@ -758,11 +758,6 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
         if max(rep.l1_lower, rep.l1_upper) > Fraction(4) ** k * (t_norm + 1) ** k:
             return {"name": "approx", "pass": False, "detail": f"l1 budget failure {t}"}
     return {"name": "approx", "pass": True, "detail": f"{instances} compositions verified"}
-
-
-def _all_sign_rows(n: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.int64)
-    return np.where(((masks[:, None] >> np.arange(n)) & 1) == 1, 1, -1).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

@@ -478,12 +478,6 @@ class Restriction:
         idx = tuple(sorted(assignment))
         return cls(indices=idx, signs=tuple(assignment[i] for i in idx))
 
-    def sign_of(self, i: int):
-        try:
-            return self.signs[self.indices.index(i)]
-        except ValueError:
-            return None
-
     def as_dict(self) -> dict:
         return dict(zip(self.indices, self.signs))
 

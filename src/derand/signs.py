@@ -15,7 +15,7 @@ Two serialization orders appear, both fixed for reproducibility:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,24 +43,12 @@ class SignVector:
         return iter(self.values)
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "SignVector":
-        return cls(tuple(1 if b else -1 for b in bits))
-
-    @classmethod
     def from_int(cls, value: int, n: int) -> "SignVector":
         """Unpack little-endian: bit i of ``value`` is coordinate i."""
         return cls(tuple(1 if (value >> i) & 1 else -1 for i in range(n)))
 
     def bits(self) -> tuple:
         return tuple(1 if v == 1 else 0 for v in self.values)
-
-    def to_int(self) -> int:
-        """Pack little-endian (coordinate i -> bit i)."""
-        acc = 0
-        for i, v in enumerate(self.values):
-            if v == 1:
-                acc |= 1 << i
-        return acc
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int8)
@@ -82,6 +70,12 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     raw = np.frombuffer(b"".join((v & mask).to_bytes(nbytes, "little") for v in values),
                         dtype=np.uint8).reshape(len(values), nbytes)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
+
+
+def all_sign_rows(n: int) -> np.ndarray:
+    """int8 matrix (2^n x n) of every point of {-1,+1}^n: row m unpacks m
+    little-endian, coordinate i being +1 iff bit i of m is set."""
+    return bit_rows(range(1 << n), n).astype(np.int8) * 2 - 1
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:

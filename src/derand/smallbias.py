@@ -24,8 +24,10 @@ GF(2)-linear: ``PoweringSeed`` (one seed) tabulates it once, one
 square and multiply (squaring is tabulated once per degree) and takes
 parities with ``int.bit_count``.  A batch (``powering_signs``) or every
 seed (``outputs_all_seeds``, ``output_mask_histogram``) builds the power
-table s^0..s^(m-1) once per distinct s with ``GF2k.mul_vec`` and gathers
-it.  The bit-serial ``GF2k.mul`` and ``pow`` are the tests' oracle.
+table s^0..s^(m-1) once per distinct s, each power the XOR of the images
+s x^j picked by the bits of the previous one, and gathers it.  The
+bit-serial ``GF2k.mul`` and ``pow`` and the vectorized ``GF2k.mul_vec``
+are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -299,12 +301,23 @@ def generate_biased(spec: BiasedSpaceSpec, seed: int) -> SignVector:
 
 
 def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
-    """(len(s), count) uint64 table of s^0..s^(count-1) for every s."""
+    """(len(s), count) uint64 table of s^0..s^(count-1) for every s.
+
+    The images s * x^j (j < k) are built once; each next power is the
+    XOR of the images selected by the bits of the current one."""
+    images = [np.asarray(s, np.uint64)]
+    top, low = np.uint64(gf.k - 1), np.uint64(gf.modulus ^ gf.order)
+    for _ in range(gf.k - 1):  # times x, reduced at once
+        b = images[-1]
+        images.append(((b << np.uint64(1)) & np.uint64(gf.order - 1)) ^ ((b >> top) * low))
     table = np.empty((len(s), count), dtype=np.uint64)
     power = np.ones(len(s), dtype=np.uint64)
     for i in range(count):
         table[:, i] = power
-        power = gf.mul_vec(power, s)
+        acc = np.zeros(len(s), dtype=np.uint64)
+        for j, img in enumerate(images):
+            acc ^= img * ((power >> np.uint64(j)) & np.uint64(1))
+        power = acc
     return table
 
 

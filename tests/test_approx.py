@@ -91,10 +91,73 @@ def test_xor_compose_validation():
     n = 4
     p1 = SandwichPair.exact(rcnf_poly(ReadOnceCnf(n, ((Literal(0),),))))
     p2 = SandwichPair.exact(rcnf_poly(ReadOnceCnf(n, ((Literal(0),),))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disjoint"):
         xor_compose(n, [0, 0, 0, 1], [p1, p2])  # overlapping blocks
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lie in"):
         xor_compose(n, [0, 2], [p1])  # combiner value outside [0,1]
+    with pytest.raises(ValueError, match="lie in"):
+        xor_compose(n, [0, Fraction(-1, 3)], [p1])
+    with pytest.raises(ValueError, match="2\\^k entries"):
+        xor_compose(n, [0, 1, 0], [p1])
+
+
+def _product_compose(n, table, pairs):
+    """The composition by dense polynomial products: the oracle."""
+    one = MultilinearPoly.constant(n, 1)
+    uppers = []
+    for mask in range(len(table)):
+        m = one
+        for i, p in enumerate(pairs):
+            m = m * (p.upper if mask >> i & 1 else one - p.lower)
+        uppers.append(m)
+    total = sum(uppers, one * 0)
+    h_u = h_l = one * 0
+    for c, u in zip(table, uppers):
+        h_u = h_u + Fraction(c) * u
+        h_l = h_l + Fraction(c) * (one - (total - u))
+    return SandwichPair.of(h_l, h_u)
+
+
+def _random_block_pair(rng, n, block, eps):
+    kind = rng.choice(("cnf", "cnf", "poly", "false", "constant"))
+    if kind == "false":
+        return SandwichPair.exact(rcnf_poly(ReadOnceCnf.constant_zero(n)))
+    if kind == "constant":
+        return SandwichPair.of(MultilinearPoly.constant(n, Fraction(rng.randint(-3, 0), 4)),
+                               MultilinearPoly.constant(n, Fraction(rng.randint(4, 7), 4)))
+    if kind == "poly":
+        return SandwichPair.of(*(MultilinearPoly.build(n, [
+            (rng.sample(block, rng.randint(0, len(block))),
+             Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 12))))
+            for _ in range(5)]) for _ in range(2)))
+    cuts = sorted(rng.sample(range(1, len(block)), rng.randint(0, len(block) - 1)))
+    clauses = tuple(tuple(Literal(v, rng.random() < 0.5) for v in block[a:b])
+                    for a, b in zip([0] + cuts, cuts + [len(block)]))
+    poly = rcnf_poly(ReadOnceCnf(n, clauses))
+    return SandwichPair.of(poly - eps / 2, poly + eps) if eps else SandwichPair.exact(poly)
+
+
+def test_xor_compose_matches_product_oracle():
+    rng = random.Random(44)
+    kinds = set()
+    for trial in range(240):
+        k = 1 + trial % 3
+        widths = [rng.randint(1, 4) for _ in range(k)]
+        n = sum(widths) + rng.randint(0, 3)  # ambient variables outside every block
+        shuffled = rng.sample(range(n), n)   # blocks interleaved, not contiguous
+        blocks = [shuffled[sum(widths[:i]):sum(widths[:i + 1])] for i in range(k)]
+        eps = rng.choice((Fraction(0), Fraction(1, 64), Fraction(rng.randint(1, 9), 100)))
+        pairs = [_random_block_pair(rng, n, block, eps) for block in blocks]
+        table = [Fraction(rng.randint(0, 4), rng.choice((1, 4, 6))) if rng.random() < 0.7 else 0
+                 for _ in range(1 << k)]
+        table = [min(v, 1) for v in table] if trial % 7 else [0] * (1 << k)
+        kinds.add((sum(table) == 0, any(not p.lower.variables() for p in pairs)))
+        got = xor_compose(n, table, pairs)
+        want = _product_compose(n, table, pairs)
+        assert got.lower.terms == want.lower.terms, trial
+        assert got.upper.terms == want.upper.terms, trial
+        assert got.gap == want.gap and got == want, trial
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_verify_sandwich_trivial_cases():

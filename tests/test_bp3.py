@@ -1,11 +1,13 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from derand.bp3 import (DecisionList, ParityLeaf, Width2Bp, bad_state_analysis,
+from derand.bp3 import (BoundViolation, DecisionList, ParityLeaf, Width2Bp, bad_state_analysis,
                         bad_states, bad_visit_counts, dl_to_cnfx, full_reduce,
                         hsg_inner_preset, hsg_sample, hsg_sample_batch, hsg_seed_bits,
                         intersection_reduce, make_rejecting, pipeline_exponent,
@@ -13,6 +15,7 @@ from derand.bp3 import (DecisionList, ParityLeaf, Width2Bp, bad_state_analysis,
 from derand.harness import bad_heavy_program, random_width3
 from derand.models import Robp, XorCnf, and_chain_program, parity_program
 from derand.rcnf_prg import sample
+from derand.signs import all_sign_rows
 
 
 def rand_width2(length, rng):
@@ -163,8 +166,7 @@ def test_sudden_death_subset_property_corpus():
         f = random_width3(rng, n, Fraction(1, 4))
         res = sudden_death_reduce(f, Fraction(1, 4))
         g = res.program
-        masks = np.arange(1 << g.n)
-        signs = np.where(((masks[:, None] >> np.arange(g.n)) & 1) == 1, 1, -1).astype(np.int8)
+        signs = all_sign_rows(g.n)
         gacc = g.eval_batch(signs)
         if not gacc.any():
             continue
@@ -278,6 +280,26 @@ def test_intersection_conjunction_below_source():
                 all(seg.evaluate_bits(bits) for seg in inter.segments)
             signs = tuple(1 if bits[v] else -1 for v in range(g.n))
             assert int(value) <= g.evaluate(signs)
+
+
+PLANTED_BOUND_VIOLATION = """
+import sys
+from derand import bp3
+from derand.harness import bad_heavy_program
+bp3.pow2_leq = lambda x, bound: False  # every large-bad count now exceeds its bound
+try:
+    bp3.intersection_reduce(bad_heavy_program(8))
+except bp3.BoundViolation as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_bound_violation_raised_under_python_O():
+    assert issubclass(BoundViolation, ValueError)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", PLANTED_BOUND_VIOLATION],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split(maxsplit=1) == [str(len(flags)), "large-bad count above 8 log2(2/E)\n"]
 
 
 def test_full_reduce_and_chain_keeps_everything():

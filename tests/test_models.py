@@ -9,10 +9,22 @@ from derand.harness import random_read_once_cnf, random_width3, random_xorcnf
 from derand.models import (CombRect, Literal, ReadOnceCnf, Restriction, Robp,
                            Term, XorCnf, and_chain_program, apply_restriction,
                            bias_function, parity_program, tribes)
+from derand.signs import SignVector, all_sign_rows
 
 
 def all_signs(n):
     return list(product((-1, 1), repeat=n))
+
+
+def test_all_sign_rows_matches_where_construction():
+    for n in range(7):
+        masks = np.arange(1 << n, dtype=np.int64)
+        want = np.where(((masks[:, None] >> np.arange(n)) & 1) == 1, 1, -1).astype(np.int8)
+        got = all_sign_rows(n)
+        assert got.dtype == np.int8 and got.shape == (1 << n, n)
+        assert (got == want).all()
+        assert [tuple(row) for row in got.tolist()] == \
+            [SignVector.from_int(m, n).values for m in range(1 << n)]
 
 
 def test_eval_basic_examples():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from derand.smallbias import (BiasedSpaceSpec, GF2k, PoweringSeed,
-                              SubsetSamplerSpec, ceil_log2_fraction, exact_bias,
+                              SubsetSamplerSpec, _power_table, ceil_log2_fraction, exact_bias,
                               exact_joint_deviation, generate_biased,
                               irreducible_poly, output_mask_histogram,
                               outputs_all_seeds, powering_signs, sample_subset,
@@ -238,6 +238,21 @@ def test_mul_vec_matches_mul_above_31_bits():
         b = [rng.getrandbits(k) for _ in range(50)]
         got = gf.mul_vec(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
         assert [int(v) for v in got] == [gf.mul(x, y) for x, y in zip(a, b)]
+
+
+def test_power_table_matches_mul_vec():
+    # each power is mul_vec(previous, s) and the last one the scalar pow;
+    # degrees 1 and 2 have the shortest reduction step
+    rng = random.Random(33)
+    for k, count in ((1, 5), (2, 9), (5, 40), (12, 64), (34, 70), (63, 20), (64, 20)):
+        gf = GF2k(k)
+        s = [0, 1, gf.order - 1] + [rng.getrandbits(k) for _ in range(60)]
+        s_vec = np.array(s, dtype=np.uint64)
+        table = _power_table(gf, s_vec, count)
+        assert table.shape == (len(s), count) and (table[:, 0] == 1).all()
+        for i in range(1, count):
+            assert (table[:, i] == gf.mul_vec(table[:, i - 1], s_vec)).all()
+        assert [int(v) for v in table[:, -1]] == [gf.pow(x, count - 1) for x in s]
 
 
 def test_subset_members_match_sample_subset():
