@@ -279,31 +279,3 @@ def bias_function_cr(rect: CombRect, matrix: LookupMatrix) -> Fraction:
         hits = sum(rect.coordinate_accepts(i, int(col[a])) for a in range(matrix.rows))
         acc *= Fraction(hits, matrix.rows)
     return acc
-
-
-def rect_as_cnf_clauses(rect: CombRect) -> list:
-    """The rectangle as a plain CNF: one width-w clause per rejecting
-    block pattern per coordinate (general CNF, not read-once)."""
-    clauses = []
-    for i in range(rect.m):
-        for a in range(1 << rect.w):
-            if not rect.coordinate_accepts(i, a):
-                clause = []
-                for q in range(rect.w):
-                    var = i * rect.w + q
-                    bit = (a >> (rect.w - 1 - q)) & 1
-                    clause.append((var, bit == 1))  # literal true iff x differs from a
-                clauses.append(tuple(clause))
-    return clauses
-
-
-def eval_cnf_clauses(clauses: list, x) -> int:
-    for clause in clauses:
-        sat = False
-        for var, negated in clause:
-            if (x[var] == 1) != negated:
-                sat = True
-                break
-        if not sat:
-            return 0
-    return 1

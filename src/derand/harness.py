@@ -27,9 +27,10 @@ from . import bp3, cr_prg, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
 from .signs import SignVector, all_sign_rows, bit_rows
-from .smallbias import outputs_all_seeds, subsets_all_seeds
+from .smallbias import parity_bits_all_seeds, subsets_all_seeds
+from .smallbias import outputs_all_seeds  # noqa: F401 (perfbench/selftest.py traces it here)
 
-EXHAUSTIVE_SEED_LIMIT_BITS = 26
+NAIVE_WALK_SEED_BITS_LIMIT = 26  # generator seed bits exhaustive_advantage walks one by one
 STATISTICAL_SAMPLES = 1 << 14
 BATCH_SEEDS = 2048  # seeds expanded and scored at once by exhaustive_advantage
 _PLUS_IF_SET = np.array([-1, 1], dtype=np.int8)  # bit -> sign, 1 meaning true
@@ -134,10 +135,11 @@ def _instance_shape(f) -> tuple:
 
 
 def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
-                         limit_bits: int = EXHAUSTIVE_SEED_LIMIT_BITS,
+                         limit_bits: int = NAIVE_WALK_SEED_BITS_LIMIT,
                          rng_seed: int = 0) -> AdvantageReport:
-    """Walk every seed (or sample when over the limit) and compare the
-    induced acceptance to the exact expectation.
+    """Walk every seed (or sample when the generator has more than
+    ``limit_bits`` seed bits) and compare the induced acceptance to the
+    exact expectation.
 
     Seeds are expanded and scored BATCH_SEEDS at a time; the statistical
     branch draws the same ``rng.getrandbits`` seeds in the same order as
@@ -192,19 +194,21 @@ class RoundTables:
 
 
 def _pack_seeds(bits: np.ndarray) -> np.ndarray:
-    """(seeds, n) bool -> (n, ceil(seeds/64)) uint64, seed s at bit s % 64 of word s // 64."""
-    packed = np.packbits(bits, axis=0, bitorder="little")  # (ceil(seeds/8), n) bytes
-    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
-    return np.ascontiguousarray(packed.T).view("<u8").astype(np.uint64)
+    """(n, seeds) bool -> (n, ceil(seeds/64)) uint64, seed s at bit s % 64 of word s // 64."""
+    packed = np.packbits(bits, axis=1, bitorder="little")  # (n, ceil(seeds/8)) bytes
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return packed.view("<u8").astype(np.uint64)
 
 
 def round_tables(params: rcnf_prg.RcnfGenParams) -> RoundTables:
+    """The z, y and J tables of one-round parameters, each read
+    position-major from smallbias.parity_bits_all_seeds (parity 1 is
+    sign -1, so an output is true where the bit is clear)."""
     if params.rounds != 1:
         raise ValueError("the structured walk supports one-round parameters")
-    ytrue = outputs_all_seeds(params.y_spec) == 1
-    return RoundTables(params=params,
-                       z=np.ascontiguousarray((outputs_all_seeds(params.z_spec) == 1).T),
-                       y=_pack_seeds(ytrue), y_valid=_pack_seeds(np.ones_like(ytrue[:, :1]))[0],
+    ytrue = ~parity_bits_all_seeds(params.y_spec)
+    return RoundTables(params=params, z=~parity_bits_all_seeds(params.z_spec),
+                       y=_pack_seeds(ytrue), y_valid=_pack_seeds(np.ones_like(ytrue[:1]))[0],
                        j=subsets_all_seeds(params.subset_spec))
 
 
@@ -274,8 +278,11 @@ def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "",
     on a read-once or parity formula, via the seed product structure.
 
     Agrees with the naive seed walk bit for bit (the tests cross-check).
-    A sweep over many formulas expands ``tables`` once and passes them
-    in; tables of other parameters raise ValueError.
+    It enumerates only the z, y and subset seed spaces, so the limit is
+    smallbias.TABLE_SEED_BITS_LIMIT on each of them, not the naive
+    walk's NAIVE_WALK_SEED_BITS_LIMIT on their sum.  A sweep over many
+    formulas expands ``tables`` once and passes them in; tables of other
+    parameters raise ValueError.
     """
     if f.n > params.n:
         raise ValueError("formula is wider than the generator output")
@@ -348,8 +355,9 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon,
     params_for = params_for or rcnf_prg.hsg_inner_preset
     by_n: Dict[int, list] = {}
     for name, prog in programs:
-        if prog.exact_expectation() >= eps:
-            by_n.setdefault(prog.n, []).append((name, prog))
+        expectation = prog.exact_expectation()
+        if expectation >= eps:
+            by_n.setdefault(prog.n, []).append((name, prog, expectation))
     out: List[HitStats] = []
     for n, progs in sorted(by_n.items()):
         params = params_for(n)
@@ -368,11 +376,10 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon,
             idx = np.arange(1 << low, dtype=np.int64) << r
             final[idx] += rweight[r] * trunc
         total = (1 << rbits) * (1 << params.seed_bits)
-        for name, prog in progs:
+        for name, prog, expectation in progs:
             acc = prog.eval_all()
             hits = int(final[acc].sum())
-            out.append(HitStats(instance=name, n=n,
-                                expectation=prog.exact_expectation(),
+            out.append(HitStats(instance=name, n=n, expectation=expectation,
                                 hit_fraction=Fraction(hits, total),
                                 seed_bits=seed_bits))
     return out
@@ -778,7 +785,7 @@ class ExperimentSpec:
     corpus_n: int = 16
     corpus_seed: int = 1
     mode: str = "exhaustive"
-    seed_limit_bits: int = EXHAUSTIVE_SEED_LIMIT_BITS
+    seed_limit_bits: int = NAIVE_WALK_SEED_BITS_LIMIT
 
     def __post_init__(self):
         if self.mode == "exhaustive" and self.generator == "derived":

@@ -370,14 +370,20 @@ class Robp:
             state = np.where(bit, n1[state], n0[state])
         return state == self.ACC
 
-    def accept_probabilities(self) -> list:
-        """p(v) for every state: exact probability of reaching Acc."""
-        p = [[Fraction(0)] * self.d for _ in range(self.n + 1)]
-        p[self.n][self.ACC] = Fraction(1)
+    def _accept_counts(self) -> list:
+        """c[t][i]: how many assignments of the variables read by layers
+        t..n-1 lead from state (t, i) to Acc; an integer DP."""
+        c = [[0] * self.d for _ in range(self.n + 1)]
+        c[self.n][self.ACC] = 1
         for t in range(self.n - 1, -1, -1):
-            for i in range(self.d):
-                p[t][i] = (p[t + 1][self.next0[t][i]] + p[t + 1][self.next1[t][i]]) / 2
-        return p
+            c[t] = [c[t + 1][a] + c[t + 1][b] for a, b in zip(self.next0[t], self.next1[t])]
+        return c
+
+    def accept_probabilities(self) -> list:
+        """p(v) for every state: exact probability of reaching Acc,
+        p[t][i] = c[t][i] / 2^(n-t) from _accept_counts."""
+        return [[Fraction(v, 1 << (self.n - t)) for v in row]
+                for t, row in enumerate(self._accept_counts())]
 
     def accept_probabilities_float(self) -> np.ndarray:
         """Float fast path of the same backward recurrence."""
@@ -413,7 +419,7 @@ class Robp:
         ]
 
     def exact_expectation(self) -> Fraction:
-        return self.accept_probabilities()[0][0]
+        return Fraction(self._accept_counts()[0][0], 1 << self.n)
 
     def is_sudden_death(self) -> bool:
         """Bottom slot absorbs into the bottom slot at every interior layer."""

@@ -22,12 +22,16 @@ One kernel maps (r, s) to <r, s^i>.  Multiplying by a fixed s is
 GF(2)-linear: ``PoweringSeed`` (one seed) tabulates it once, one
 256-entry table per byte of the operand, jumps to a start position by
 square and multiply (squaring is tabulated once per degree) and takes
-parities with ``int.bit_count``.  A batch (``powering_signs``) or every
-seed (``outputs_all_seeds``, ``output_mask_histogram``) builds the power
-table s^0..s^(m-1) once per distinct s, each power the XOR of the images
-s x^j picked by the bits of the previous one, and gathers it.  The
-bit-serial ``GF2k.mul`` and ``pow`` and the vectorized ``GF2k.mul_vec``
-are the tests' oracles.
+parities with ``int.bit_count``.  A batch or every seed builds one
+position-major power table, row i holding s^i for each distinct s, by
+doubling: the rows after s^h are the rows before it times s^h.
+``powering_signs`` gathers a batch's rows from it and
+``output_mask_histogram`` reads it transposed.  For every seed,
+``parity_bits_all_seeds`` gathers the 2^k x 2^k table of parity(a & r)
+by it once; the structured walk reads that as it is, ``subsets_all_seeds``
+ANDs its b rows per index and ``outputs_all_seeds`` is its seed-major
+sign view.  The bit-serial ``GF2k.mul`` and ``pow`` and the vectorized
+``GF2k.mul_vec`` are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ import numpy as np
 from .signs import SignVector, bit_rows, walsh_hadamard
 
 EXHAUSTIVE_N_LIMIT = 20
-EXHAUSTIVE_SEED_BITS_LIMIT = 24
+# seed bits of one space enumerated whole (all-seeds tables and histograms);
+# the structured walk of harness is bounded by it on each component space
+TABLE_SEED_BITS_LIMIT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +307,30 @@ def generate_biased(spec: BiasedSpaceSpec, seed: int) -> SignVector:
 
 
 def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
-    """(len(s), count) uint64 table of s^0..s^(count-1) for every s.
+    """(count, len(s)) uint64 table of s^0..s^(count-1), row i holding s^i.
 
-    The images s * x^j (j < k) are built once; each next power is the
-    XOR of the images selected by the bits of the current one."""
-    images = [np.asarray(s, np.uint64)]
-    top, low = np.uint64(gf.k - 1), np.uint64(gf.modulus ^ gf.order)
-    for _ in range(gf.k - 1):  # times x, reduced at once
-        b = images[-1]
-        images.append(((b << np.uint64(1)) & np.uint64(gf.order - 1)) ^ ((b >> top) * low))
-    table = np.empty((len(s), count), dtype=np.uint64)
-    power = np.ones(len(s), dtype=np.uint64)
-    for i in range(count):
-        table[:, i] = power
-        acc = np.zeros(len(s), dtype=np.uint64)
-        for j, img in enumerate(images):
-            acc ^= img * ((power >> np.uint64(j)) & np.uint64(1))
-        power = acc
-    return table
+    Built by doubling: with rows 0..h known, rows h+1..2h are rows 1..h
+    times s^h, the XOR of the images s^h x^j (j < k) picked by bit j of
+    each entry, folded over the whole block; its last row is the square
+    s^(2h) the next round multiplies by.  log2(count) rounds, not count."""
+    s = np.asarray(s, np.uint64)
+    table = np.empty((max(count, 2), len(s)), dtype=np.uint64)
+    table[0], table[1] = 1, s
+    top, red = np.uint64(gf.k - 1), np.uint64(gf.modulus & 0xFFFF_FFFF_FFFF_FFFF)
+    h = 1
+    while h < count - 1:
+        block = table[1:1 + min(h, count - 1 - h)]
+        out, tmp, image = table[h + 1:h + 1 + len(block)], np.empty_like(block), table[h]
+        out[...] = 0
+        for j in range(gf.k):
+            np.right_shift(block, np.uint64(j), out=tmp)
+            tmp &= np.uint64(1)
+            tmp *= image
+            out ^= tmp
+            # times x, reduced at once; at k = 64 the shift drops x^64 itself
+            image = (image << np.uint64(1)) ^ ((image >> top) * red)
+        h += len(block)
+    return table[:count]
 
 
 def powering_signs(spec: BiasedSpaceSpec, seeds, positions: int | None = None) -> np.ndarray:
@@ -340,33 +352,43 @@ def powering_signs(spec: BiasedSpaceSpec, seeds, positions: int | None = None) -
     powers = _power_table(GF2k(k), np.array(list(row_of), dtype=np.uint64), m)
     out = np.empty((len(seeds), m), dtype=np.int8)
     for i in range(m):  # one position at a time keeps the gathered powers small
-        out[:, i] = _SIGN[np.bitwise_count(powers[which, i] & r) & 1]
+        out[:, i] = _SIGN[np.bitwise_count(powers[i, which] & r) & 1]
     return out
 
 
-def outputs_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np.ndarray:
-    """Sign matrix (2^seed_bits x positions), row index = seed value, int8.
+def parity_bits_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np.ndarray:
+    """Output bits of every seed, position-major: (positions x 2^seed_bits)
+    bool, entry [i, r + (s << k)] = parity(s^i & r), true iff sign i of
+    that seed is -1.
 
-    Agrees with generate_biased bit for bit.  For the generator presets;
-    use output_mask_histogram for large sweeps.  Seed spaces above
-    EXHAUSTIVE_SEED_BITS_LIMIT bits raise ValueError before allocating.
+    One gather of the 2^k x 2^k table of parity(a & r) by the power
+    table.  Seed spaces above TABLE_SEED_BITS_LIMIT bits raise ValueError
+    before allocating.
     """
     m = _count(spec, positions)
-    if spec.seed_bits > EXHAUSTIVE_SEED_BITS_LIMIT:
+    if spec.seed_bits > TABLE_SEED_BITS_LIMIT:
         raise ValueError(
             f"seed space of {spec.seed_bits} bits is too large to enumerate "
-            f"(limit {EXHAUSTIVE_SEED_BITS_LIMIT} bits)"
+            f"(limit {TABLE_SEED_BITS_LIMIT} bits)"
         )
     if spec.uniform:
         seeds = np.arange(1 << spec.seed_bits, dtype=np.uint64)
-        return _SIGN[(seeds[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)]
+        return ((seeds >> np.arange(m, dtype=np.uint64)[:, None]) & np.uint64(1)).astype(bool)
     gf = GF2k(spec.field_degree)
-    field = np.arange(gf.order, dtype=np.uint64)
-    powers = _power_table(gf, field, m)
-    out = np.empty((gf.order * gf.order, m), dtype=np.int8)
-    for i in range(m):  # one position at a time; row (s, r) is seed r + (s << k)
-        out[:, i] = _SIGN[np.bitwise_count(powers[:, i, None] & field[None, :]) & 1].reshape(-1)
-    return out
+    parity = np.zeros((gf.order, gf.order), dtype=bool)  # [a, r] = parity(a & r)
+    h = 1
+    while h < gf.order:  # one more bit of a and r: parity flips where both are set
+        parity[h:2 * h, :h] = parity[:h, h:2 * h] = parity[:h, :h]
+        parity[h:2 * h, h:2 * h] = ~parity[:h, :h]
+        h *= 2
+    return parity[_power_table(gf, np.arange(gf.order, dtype=np.uint64), m)].reshape(m, -1)
+
+
+def outputs_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np.ndarray:
+    """Sign matrix (2^seed_bits x positions, int8), row index = seed value:
+    the seed-major view of parity_bits_all_seeds.  Agrees with
+    generate_biased bit for bit."""
+    return _SIGN[np.ascontiguousarray(parity_bits_all_seeds(spec, positions).T).view(np.uint8)]
 
 
 def output_mask_histogram(spec: BiasedSpaceSpec, positions: int) -> np.ndarray:
@@ -381,7 +403,7 @@ def output_mask_histogram(spec: BiasedSpaceSpec, positions: int) -> np.ndarray:
         return np.ones(1 << spec.n, dtype=np.int64)
     k = spec.field_degree
     gf = GF2k(k)
-    powers = _power_table(gf, np.arange(gf.order, dtype=np.uint64), positions)
+    powers = _power_table(gf, np.arange(gf.order, dtype=np.uint64), positions).T
     bits = (powers[:, None, :] >> np.arange(k, dtype=np.uint64)[None, :, None]) & np.uint64(1)
     rows = (bits << np.arange(positions, dtype=np.uint64)).sum(axis=2).astype(np.int64)  # (s, j)
     counts = np.zeros(1 << positions, dtype=np.int64)
@@ -404,10 +426,10 @@ def exact_bias(spec: BiasedSpaceSpec) -> tuple:
     transform, so it does not rely on the construction's root-counting
     algebra.
     """
-    if spec.n > EXHAUSTIVE_N_LIMIT or spec.seed_bits > EXHAUSTIVE_SEED_BITS_LIMIT:
+    if spec.n > EXHAUSTIVE_N_LIMIT or spec.seed_bits > TABLE_SEED_BITS_LIMIT:
         raise ValueError(
             "instance too large for exhaustive bias measurement "
-            f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {EXHAUSTIVE_SEED_BITS_LIMIT}); "
+            f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {TABLE_SEED_BITS_LIMIT}); "
             "use a statistical estimate instead"
         )
     mags = walsh_hadamard(output_mask_histogram(spec, spec.n))
@@ -492,25 +514,25 @@ def sample_subset(spec: SubsetSamplerSpec, seed: int) -> frozenset:
     return frozenset(i for i in range(spec.n) if 1 not in signs[i * b:(i + 1) * b])
 
 
-def _members(spec: SubsetSamplerSpec, signs: np.ndarray) -> np.ndarray:
-    return (signs.reshape(len(signs), spec.n, spec.bits_per_index) == -1).all(axis=2)
-
-
 def subset_members(spec: SubsetSamplerSpec, seeds) -> np.ndarray:
     """Membership rows (len(seeds) x n, bool) of a batch of seeds; row j
     holds sample_subset(spec, seeds[j])."""
-    return _members(spec, powering_signs(spec.base, seeds, spec.n * spec.bits_per_index))
+    signs = powering_signs(spec.base, seeds, spec.n * spec.bits_per_index)
+    return (signs.reshape(len(signs), spec.n, spec.bits_per_index) == -1).all(axis=2)
 
 
 def subsets_all_seeds(spec: SubsetSamplerSpec) -> np.ndarray:
-    """Membership masks (bit i set iff i in I) for every seed, in seed order."""
-    member = _members(spec, outputs_all_seeds(spec.base, positions=spec.n * spec.bits_per_index))
-    return (member.astype(np.int64) << np.arange(spec.n, dtype=np.int64)).sum(axis=1)
+    """Membership masks (bit i set iff i in I) for every seed, in seed order:
+    the b bit rows of each index reduced by AND, then packed across i."""
+    bits = parity_bits_all_seeds(spec.base, spec.n * spec.bits_per_index)
+    member = bits.reshape(spec.n, spec.bits_per_index, -1).all(axis=1)
+    packed = np.packbits(member, axis=0, bitorder="little").astype(np.int64)
+    return (packed << np.arange(0, 8 * len(packed), 8, dtype=np.int64)[:, None]).sum(axis=0)
 
 
 def exact_joint_deviation(spec: SubsetSamplerSpec, max_indices: int) -> Fraction:
     """Max |Pr[joint pattern] - prod Pr[marginal]| over small index tuples."""
-    if spec.seed_bits > EXHAUSTIVE_SEED_BITS_LIMIT or spec.n > EXHAUSTIVE_N_LIMIT:
+    if spec.seed_bits > TABLE_SEED_BITS_LIMIT or spec.n > EXHAUSTIVE_N_LIMIT:
         raise ValueError("instance too large for exhaustive joint-deviation measurement")
     masks = subsets_all_seeds(spec)
     total = len(masks)

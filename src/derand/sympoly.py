@@ -8,10 +8,9 @@ tolerance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence, Tuple
 
 
@@ -274,20 +273,3 @@ def moment_sweep(variables: Sequence[BoundedVar], k: int) -> MomentReport:
         square_moment=m2,
         square_moment_bound=Fraction(2 * k) ** (3 * k) * ssq**k,
     )
-
-
-def symmetric_orthogonality_defect(variables: Sequence[BoundedVar], up_to: int) -> Fraction:
-    """Max |E[S_i * S_j]| over 0 <= i < j <= up_to for independent
-    mean-zero variables; zero is the theorem, any excess is a bug."""
-    combos = list(product(*[v.support for v in variables]))
-    worst = Fraction(0)
-    for i in range(up_to + 1):
-        for j in range(i + 1, up_to + 1):
-            acc = Fraction(0)
-            for combo in combos:
-                pr = math.prod(p for _, p in combo)
-                vals = [v for v, _ in combo]
-                S = elem_sym_all(vals, max(i, j))
-                acc += pr * S[i] * S[j]
-            worst = max(worst, abs(acc))
-    return worst

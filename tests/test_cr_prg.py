@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from derand.cr_prg import (CrGenParams, LookupMatrix, bias_function_cr,
-                           derive_cr_params, desk_cr_preset, eval_cnf_clauses,
-                           explicit_cr_params, materialize_matrix, pack_matrix,
-                           rect_as_cnf_clauses, restrict_rect, sample_cr,
+                           derive_cr_params, desk_cr_preset, explicit_cr_params,
+                           materialize_matrix, pack_matrix, restrict_rect, sample_cr,
                            split_cr_seed, stage_matrices, width_schedule)
 from derand.harness import random_rect
 from derand.models import CombRect
@@ -179,6 +178,34 @@ def test_lazy_positions_match_full_expansion():
             assert expansion.signs(start, count) == list(full.values[start:start + count])
 
 
+def _rect_as_cnf_clauses(rect: CombRect) -> list:
+    """The rectangle as a plain CNF: one width-w clause per rejecting
+    block pattern per coordinate (general CNF, not read-once)."""
+    clauses = []
+    for i in range(rect.m):
+        for a in range(1 << rect.w):
+            if not rect.coordinate_accepts(i, a):
+                clause = []
+                for q in range(rect.w):
+                    var = i * rect.w + q
+                    bit = (a >> (rect.w - 1 - q)) & 1
+                    clause.append((var, bit == 1))  # literal true iff x differs from a
+                clauses.append(tuple(clause))
+    return clauses
+
+
+def _eval_cnf_clauses(clauses: list, x) -> int:
+    for clause in clauses:
+        sat = False
+        for var, negated in clause:
+            if (x[var] == 1) != negated:
+                sat = True
+                break
+        if not sat:
+            return 0
+    return 1
+
+
 def test_final_stage_cnf_fallback_cross_check():
     # a width-v rectangle equals its clause expansion; the measured
     # advantage under the final-stage space agrees between the two forms
@@ -186,12 +213,12 @@ def test_final_stage_cnf_fallback_cross_check():
     rect = random_rect(rng, 2, 3)
     spec = BiasedSpaceSpec.with_degree(rect.n, 4)
     outs = outputs_all_seeds(spec)
-    clauses = rect_as_cnf_clauses(rect)
+    clauses = _rect_as_cnf_clauses(rect)
     rect_hits = int(rect.eval_batch(outs).sum())
-    cnf_hits = sum(eval_cnf_clauses(clauses, tuple(row)) for row in outs)
+    cnf_hits = sum(_eval_cnf_clauses(clauses, tuple(row)) for row in outs)
     assert rect_hits == cnf_hits
     for x in product((-1, 1), repeat=rect.n):
-        assert eval_cnf_clauses(clauses, x) == rect.evaluate(x)
+        assert _eval_cnf_clauses(clauses, x) == rect.evaluate(x)
 
 
 def test_degenerate_probability_coordinates():

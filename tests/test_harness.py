@@ -19,6 +19,7 @@ from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescript
                             round_tables, uniform_generator, width3_corpus, write_csv)
 from derand.models import Literal, ReadOnceCnf, Robp, Term, XorCnf, and_chain_program
 from derand.signs import SignVector
+from derand.smallbias import powering_signs, subset_members
 
 
 def test_uniform_generator_has_zero_advantage():
@@ -87,6 +88,39 @@ def test_structured_walk_matches_naive_walk():
                     kinds.add("y" if not inside else
                               "z" if inside == len(term.literals) else "split")
     assert kinds == {"y", "z", "split"}
+
+
+def _seed_major_round_tables(params):
+    """round_tables built as before the position-major kernel: seed-major
+    sign rows of the batch path, z transposed, y packed by a transposed
+    packbits, J masks summed from membership rows."""
+    def pack(bits):  # (seeds, n) bool -> (n, words)
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
+        return np.ascontiguousarray(packed.T).view("<u8").astype(np.uint64)
+
+    def rows(spec):
+        return powering_signs(spec, range(1 << spec.seed_bits)) == 1
+    ytrue = rows(params.y_spec)
+    sub = params.subset_spec
+    member = subset_members(sub, range(1 << sub.seed_bits))
+    return {"z": np.ascontiguousarray(rows(params.z_spec).T), "y": pack(ytrue),
+            "y_valid": pack(np.ones_like(ytrue[:, :1]))[0],
+            "j": (member.astype(np.int64) << np.arange(sub.n, dtype=np.int64)).sum(axis=1)}
+
+
+def test_round_tables_match_seed_major_construction():
+    # tiny6 has 16 y-seeds, under one word; desk and the hsg presets more
+    presets = [rcnf_prg.explicit_params(6, Fraction(1, 4), k_subset=2, k_z=2, k_y=2,
+                                        bits_per_index=1), rcnf_prg.desk_preset()]
+    presets += [rcnf_prg.hsg_inner_preset(n) for n in range(4, 15)]
+    for params in presets:
+        tables = round_tables(params)
+        assert tables.params == params
+        for field, want in _seed_major_round_tables(params).items():
+            got = getattr(tables, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, (params.preset, field)
+            assert (got == want).all(), (params.preset, field)
 
 
 def test_structured_walk_refuses_tables_of_other_parameters():

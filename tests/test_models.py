@@ -168,6 +168,31 @@ def test_robp_matches_brute_force_random():
         assert (batch == acc[packed]).all()
 
 
+def _fraction_accept_probabilities(prog):
+    """The backward recurrence in Fraction, p = (p0 + p1) / 2 per state."""
+    p = [[Fraction(0)] * prog.d for _ in range(prog.n + 1)]
+    p[prog.n][prog.ACC] = Fraction(1)
+    for t in range(prog.n - 1, -1, -1):
+        for i in range(prog.d):
+            p[t][i] = (p[t + 1][prog.next0[t][i]] + p[t + 1][prog.next1[t][i]]) / 2
+    return p
+
+
+def test_integer_accept_counts_match_fraction_dp():
+    rng = random.Random(17)
+    for _ in range(60):
+        n, d = rng.randint(1, 12), rng.randint(2, 4)
+        next0, next1 = ([tuple(rng.randrange(d) for _ in range(d)) for _ in range(n)]
+                        for _ in range(2))
+        order = list(range(n))
+        rng.shuffle(order)
+        prog = Robp(n=n, d=d, next0=tuple(next0), next1=tuple(next1), order=tuple(order))
+        want = _fraction_accept_probabilities(prog)
+        assert prog.accept_probabilities() == want
+        assert prog.exact_expectation() == want[0][0]
+        assert prog.exact_expectation() == Fraction(int(prog.eval_all().sum()), 1 << n)
+
+
 def test_robp_variable_order():
     base = and_chain_program(3)
     perm = Robp(n=3, d=3, next0=base.next0, next1=base.next1, order=(2, 0, 1))

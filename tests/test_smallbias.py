@@ -8,7 +8,8 @@ from derand.smallbias import (BiasedSpaceSpec, GF2k, PoweringSeed,
                               SubsetSamplerSpec, _power_table, ceil_log2_fraction, exact_bias,
                               exact_joint_deviation, generate_biased,
                               irreducible_poly, output_mask_histogram,
-                              outputs_all_seeds, powering_signs, sample_subset,
+                              outputs_all_seeds, parity_bits_all_seeds,
+                              powering_signs, sample_subset,
                               subset_members, subsets_all_seeds)
 
 
@@ -241,18 +242,43 @@ def test_mul_vec_matches_mul_above_31_bits():
 
 
 def test_power_table_matches_mul_vec():
-    # each power is mul_vec(previous, s) and the last one the scalar pow;
-    # degrees 1 and 2 have the shortest reduction step
+    # row i is mul_vec(row i - 1, s) and the last row the scalar pow;
+    # degrees 1 and 2 have the shortest reduction step, and the counts
+    # give no rows, one row, a short last doubling and 2^j + 1 rows
     rng = random.Random(33)
-    for k, count in ((1, 5), (2, 9), (5, 40), (12, 64), (34, 70), (63, 20), (64, 20)):
+    for k, count in ((1, 5), (2, 9), (5, 40), (12, 64), (34, 70), (63, 20), (64, 20),
+                     (7, 0), (7, 1), (3, 3), (9, 65), (37, 320)):
         gf = GF2k(k)
         s = [0, 1, gf.order - 1] + [rng.getrandbits(k) for _ in range(60)]
         s_vec = np.array(s, dtype=np.uint64)
         table = _power_table(gf, s_vec, count)
-        assert table.shape == (len(s), count) and (table[:, 0] == 1).all()
+        assert table.dtype == np.uint64 and table.shape == (count, len(s))
+        if count:
+            assert (table[0] == 1).all()
+            assert [int(v) for v in table[-1]] == [gf.pow(x, count - 1) for x in s]
         for i in range(1, count):
-            assert (table[:, i] == gf.mul_vec(table[:, i - 1], s_vec)).all()
-        assert [int(v) for v in table[:, -1]] == [gf.pow(x, count - 1) for x in s]
+            assert (table[i] == gf.mul_vec(table[i - 1], s_vec)).all()
+
+
+def test_parity_bits_match_powering_seed():
+    # every seed up to 12 seed bits and 300 random ones above, at the
+    # full length and at fewer positions; uniform spaces read the seed
+    rng = random.Random(35)
+    specs = [BiasedSpaceSpec.with_degree(2 if k > 10 else 9, k) for k in range(1, 13)]
+    specs += [BiasedSpaceSpec.uniform_space(n) for n in (1, 7, 12)]
+    for spec in specs:
+        total = 1 << spec.seed_bits
+        seeds = range(total) if total <= 1 << 12 else \
+            [0, 1, total - 1] + rng.sample(range(total), 300)
+        for positions in sorted({spec.n, spec.n // 2, 1}):
+            bits = parity_bits_all_seeds(spec, positions)
+            assert bits.dtype == bool and bits.shape == (positions, total)
+            got = bits[:, list(seeds)].T.tolist()
+            assert got == [[v == -1 for v in PoweringSeed(spec, seed).signs(0, positions)]
+                           for seed in seeds]
+    for spec in (BiasedSpaceSpec.with_degree(4, 13), BiasedSpaceSpec.uniform_space(25)):
+        with pytest.raises(ValueError, match="too large to enumerate"):
+            parity_bits_all_seeds(spec)
 
 
 def test_subset_members_match_sample_subset():

@@ -1,14 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from derand.sympoly import (BoundedVar, TruncationSpec, check_s1s2_bound,
                             clause_bias_variable, coin_variable, elem_sym_all,
                             elem_sym_enumerated, moment_sweep,
-                            newton_girard_residual, power_sums,
-                            symmetric_orthogonality_defect, truncated_eval,
+                            newton_girard_residual, power_sums, truncated_eval,
                             zero_variable)
 
 
@@ -140,6 +140,23 @@ def test_clause_bias_variables_match_variance_scale():
     assert rep.ok
 
 
+def _symmetric_orthogonality_defect(variables, up_to: int) -> Fraction:
+    """Max |E[S_i * S_j]| over 0 <= i < j <= up_to for independent
+    mean-zero variables; zero is the theorem, any excess is a bug."""
+    combos = list(product(*[v.support for v in variables]))
+    worst = Fraction(0)
+    for i in range(up_to + 1):
+        for j in range(i + 1, up_to + 1):
+            acc = Fraction(0)
+            for combo in combos:
+                pr = math.prod(p for _, p in combo)
+                vals = [v for v, _ in combo]
+                S = elem_sym_all(vals, max(i, j))
+                acc += pr * S[i] * S[j]
+            worst = max(worst, abs(acc))
+    return worst
+
+
 def test_symmetric_orthogonality():
     vars_ = [coin_variable(Fraction(1, 3)) for _ in range(6)]
-    assert symmetric_orthogonality_defect(vars_, 3) == 0
+    assert _symmetric_orthogonality_defect(vars_, 3) == 0
