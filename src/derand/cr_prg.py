@@ -233,18 +233,6 @@ def sample_cr(params: CrGenParams, seed: int) -> SignVector:
     return SignVector(unpack_blocks(sample_cr_levels(params, seed)[-1], params.w))
 
 
-def stage_matrices(params: CrGenParams, seed: int) -> list:
-    """All inner-stage lookup matrices for a seed (the direct stage is
-    returned by sample-side code as plain blocks)."""
-    parts = split_cr_seed(params, seed)
-    out = []
-    for stage in range(len(params.stage_specs) - 1):
-        rows, entry_w = params.stage_geometry(stage)
-        out.append(materialize_matrix(params.stage_specs[stage], parts[stage],
-                                      rows, params.m, entry_w))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Restriction by a lookup matrix
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -190,8 +191,10 @@ def desk_preset() -> RcnfGenParams:
                            rounds=1, bits_per_index=5, preset="desk64")
 
 
+@lru_cache(maxsize=None)
 def hsg_inner_preset(n: int) -> RcnfGenParams:
-    """Small preset used inside the width-3 hitting generator (n <= 16)."""
+    """Small preset used inside the width-3 hitting generator (n <= 16),
+    built once per n: every hsg_sample call reads it."""
     return explicit_params(n, Fraction(1, 4), k_subset=2, k_z=3, k_y=6,
                            rounds=1, bits_per_index=5, preset=f"hsg{n}")
 
@@ -204,34 +207,31 @@ def _seed_layout(params: RcnfGenParams) -> list:
     return list(zip(offsets, sizes))
 
 
-def _check_seed(params: RcnfGenParams, seed: int) -> None:
+def split_seed(params: RcnfGenParams, seed: int):
     if seed < 0 or seed >> params.seed_bits:
         raise ValueError(f"seed must fit in {params.seed_bits} bits")
-
-
-def split_seed(params: RcnfGenParams, seed: int):
-    _check_seed(params, seed)
     fields = [(seed >> offset) & ((1 << bits) - 1) for offset, bits in _seed_layout(params)]
     t = params.rounds
     return fields[:t], fields[t:2 * t], fields[2 * t]
 
 
 def restriction_trace(params: RcnfGenParams, seed: int):
-    """The per-round restrictions (I_t, signs on I_t) plus the fill string.
+    """The per-round restrictions (I_t, signs on I_t) plus the fill string
+    y, or None when the rounds cover every index.
 
     Reassembling the trace reproduces sample() exactly; the I_t are
-    disjoint by construction.
+    disjoint by construction.  A round's z is expanded only when it
+    covers a fresh index.
     """
     z_seeds, j_seeds, y_seed = split_seed(params, seed)
     covered: set = set()
     trace = []
     for t in range(params.rounds):
-        z = generate_biased(params.z_spec, z_seeds[t])
-        j = sample_subset(params.subset_spec, j_seeds[t])
-        fresh = frozenset(j - covered)
+        fresh = sample_subset(params.subset_spec, j_seeds[t]) - covered
+        z = generate_biased(params.z_spec, z_seeds[t]) if fresh else None
         covered |= fresh
         trace.append((fresh, {i: z[i] for i in fresh}))
-    y = generate_biased(params.y_spec, y_seed)
+    y = generate_biased(params.y_spec, y_seed) if len(covered) < params.n else None
     return trace, y
 
 
@@ -239,7 +239,7 @@ def sample(params: RcnfGenParams, seed: int) -> SignVector:
     """Generator output: restricted indices keep their round's z sign,
     the rest take y."""
     trace, y = restriction_trace(params, seed)
-    out = list(y.values)
+    out = list(y.values) if y is not None else [0] * params.n
     for _, assigned in trace:
         for i, s in assigned.items():
             out[i] = s
@@ -250,9 +250,9 @@ def sample_batch(params: RcnfGenParams, seeds) -> np.ndarray:
     """Outputs of a batch of seeds (len(seeds) x n, int8); row j equals
     sample(params, seeds[j]).  Every round's z, J and the fill y are
     expanded for the whole batch at once."""
-    seeds = list(seeds)
-    for seed in seeds:
-        _check_seed(params, seed)
+    seeds, width = list(seeds), params.seed_bits
+    if any(seed < 0 or seed >> width for seed in seeds):
+        raise ValueError(f"seed must fit in {width} bits")
     blocks = [[(seed >> offset) & ((1 << bits) - 1) for seed in seeds]
               for offset, bits in _seed_layout(params)]
     t = params.rounds

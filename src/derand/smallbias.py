@@ -18,11 +18,12 @@ coefficients over GF(2), reduced modulo the lexicographically smallest
 irreducible polynomial of the given degree (computed once and cached,
 so outputs are bit-exact across runs and platforms); degrees 1..64.
 
-One kernel maps (r, s) to <r, s^i>.  Multiplying by a fixed s is
-GF(2)-linear: ``PoweringSeed`` (one seed) tabulates it once, one
-256-entry table per byte of the operand, jumps to a start position by
-square and multiply (squaring is tabulated once per degree) and takes
-parities with ``int.bit_count``.  A batch or every seed builds one
+One kernel maps (r, s) to <r, s^i>.  ``PoweringSeed`` (one seed) reads
+blocks of b signs: with u = s^b, sign c of block j is <r_c, u^j> for r_c
+the transpose of multiplying by s^c applied to r, so a block costs one
+multiply by u.  That map is tabulated once per seed, byte by byte (in
+one numpy pass above 8 bits); a read starting at block j jumps to u^j
+by square and multiply.  A batch or every seed builds one
 position-major power table, row i holding s^i for each distinct s, by
 doubling: the rows after s^h are the rows before it times s^h.
 ``powering_signs`` gathers a batch's rows from it and
@@ -38,8 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 
@@ -224,36 +226,36 @@ HISTOGRAM_CHUNK = 1 << 20  # seed masks output_mask_histogram holds at once
 _SIGN = np.array([1, -1], dtype=np.int8)  # parity bit -> sign
 
 
-def _byte_tables(images: list) -> list:
-    """Tables of the GF(2)-linear map sending basis bit j to images[j]:
-    table q maps byte q of the operand to its share of the image."""
-    tables = []
-    for q in range(0, len(images), 8):
+def _byte_tables(images: list):
+    """Flat table of the GF(2)-linear map sending basis bit j to images[j]:
+    entry 256 q + v is the image of byte q of the operand when it is v.
+    Up to 8 images, a list; wider maps, one numpy pass that doubles the
+    bits an entry covers (1, 2, 4, 8), read through a memoryview."""
+    if len(images) <= 8:
         table = [0]
-        for image in images[q:q + 8]:
+        for image in images:
             table += [v ^ image for v in table]
-        tables.append(table)
-    return tables
+        return table
+    level = np.zeros((-(-len(images) // 8) * 8, 2), dtype=np.uint64)  # [j, bit j]
+    level[:len(images), 1] = images
+    level = level.reshape(-1, 8, 2)
+    while level.shape[1] > 1:  # entry h * size + l of a pair is high[h] ^ low[l]
+        level = level[:, 1::2, :, None] ^ level[:, 0::2, None, :]
+        level = level.reshape(len(level), level.shape[1], -1)
+    return memoryview(level.reshape(-1))
 
 
-def _apply(tables: list, a: int) -> int:
-    out = 0
-    for table in tables:
-        out ^= table[a & 0xFF]
-        a >>= 8
-    return out
-
-
-def _times_tables(gf: GF2k, s: int) -> list:
-    images = [s]
-    for _ in range(gf.k - 1):
-        s = (s << 1) ^ (gf.modulus if s >> (gf.k - 1) else 0)
-        images.append(s)
-    return _byte_tables(images)
+def _times_x_images(k: int, a: int) -> list:
+    """a x^j mod the degree-k modulus, j = 0..k-1."""
+    mod, top, images = irreducible_poly(k), 1 << (k - 1), [a]
+    for _ in range(k - 1):
+        a = a << 1 ^ mod if a & top else a << 1
+        images.append(a)
+    return images
 
 
 @lru_cache(maxsize=None)
-def _squaring_tables(k: int) -> list:
+def _squaring_tables(k: int):
     mod = irreducible_poly(k)
     return _byte_tables([_poly_mod(1 << (2 * j), mod) for j in range(k)])
 
@@ -266,38 +268,75 @@ def _count(spec: BiasedSpaceSpec, positions: int | None) -> int:
 
 
 class PoweringSeed:
-    """One seed of a biased space, read at any run of positions; the
-    tables are built once per seed, however many runs are read."""
+    """One seed of a biased space, read in blocks of ``stride`` signs:
+    sign c of block j is position j * stride + c.  With u = s^stride it
+    is parity(r_c & u^j), where r_0 = r and bit i of r_(c+1) is
+    parity(r_c & s x^i), so that <r_c, v> = <r, s^c v>.  The seed
+    tabulates one map, times u, and a block costs one multiply."""
 
-    def __init__(self, spec: BiasedSpaceSpec, seed: int):
+    def __init__(self, spec: BiasedSpaceSpec, seed: int, stride: int = 1):
         if seed < 0 or seed >> spec.seed_bits:
             raise ValueError(f"seed must fit in {spec.seed_bits} bits")
-        self.spec = spec
-        self.seed = seed
-        if not spec.uniform:
-            k = spec.field_degree
-            self._r = seed & ((1 << k) - 1)
-            self._times_s = _times_tables(GF2k(k), seed >> k)
+        if stride < 1:
+            raise ValueError("stride must be positive")
+        self.spec, self.seed, self.stride, self.blocks = spec, seed, stride, spec.n // stride
+        if spec.uniform:  # sign c of block j is bit j * stride + c of the seed
+            self._r = [seed >> c for c in range(stride)]
+            return
+        k = spec.field_degree
+        u = seed >> k
+        times_s, self._r = _times_x_images(k, u), [seed & ((1 << k) - 1)]
+        for _ in range(stride - 1):
+            r = self._r[-1]
+            self._r.append(sum(((r & a).bit_count() & 1) << i for i, a in enumerate(times_s)))
+            u = reduce(xor, (a for i, a in enumerate(times_s) if u >> i & 1), 0)  # u s
+        self._u, self._times_u = u, _byte_tables(_times_x_images(k, u) if stride > 1 else times_s)
+
+    def _powers(self, start: int, count: int):
+        """u^start .. u^(start + count - 1); a uniform seed's 2^(j stride)."""
+        if self.spec.uniform:
+            yield from (1 << j * self.stride for j in range(start, start + count))
+            return
+        k, u, t = self.spec.field_degree, self._u, self._times_u
+        power = 1
+        if start:  # square and multiply, left to right: u^(2e), then u^(2e+1)
+            square = _squaring_tables(k)
+            for bit in bin(start % ((1 << k) - 1) if u else start)[2:]:
+                for table in (square, t) if bit == "1" else (square,):
+                    v, power, q = power, 0, 0
+                    while v:
+                        power ^= table[q | v & 0xFF]
+                        v, q = v >> 8, q + 256
+        if k <= 8:
+            for _ in range(count):
+                yield power
+                power = t[power]
+        else:
+            for _ in range(count):
+                yield power
+                v, power, q = power, 0, 0
+                while v:
+                    power ^= t[q | v & 0xFF]
+                    v, q = v >> 8, q + 256
 
     def signs(self, start: int = 0, count: int | None = None) -> list:
-        """Signs at positions start..start+count-1 (count defaults to the rest)."""
-        n = self.spec.n
-        count = n - start if count is None else count
-        if start < 0 or count < 0 or start + count > n:
-            raise ValueError(f"positions {start}..{start + count - 1} are outside 0..{n - 1}")
-        if self.spec.uniform:
-            return [-1 if (self.seed >> i) & 1 else 1 for i in range(start, start + count)]
-        times_s, r, power = self._times_s, self._r, 1
-        if start:
-            square = _squaring_tables(self.spec.field_degree)
-            for bit in bin(start)[2:]:  # left to right: s^(2e), then s^(2e+1)
-                power = _apply(square, power)
-                if bit == "1":
-                    power = _apply(times_s, power)
+        """Signs of blocks start..start+count-1 in position order (count
+        defaults to the rest); at stride 1 a block is one position."""
+        count = self.blocks - start if count is None else count
+        if start < 0 or count < 0 or start + count > self.blocks:
+            raise ValueError(f"blocks {start}..{start + count - 1} are outside 0..{self.blocks - 1}")
+        return [-1 if (r & power).bit_count() & 1 else 1
+                for power in self._powers(start, count) for r in self._r]
+
+    def minus_blocks(self) -> list:
+        """Blocks whose signs are all -1, each read up to its first +1."""
         out = []
-        for _ in range(count):
-            out.append(-1 if (r & power).bit_count() & 1 else 1)
-            power = _apply(times_s, power)
+        for j, power in enumerate(self._powers(0, self.blocks)):
+            for r in self._r:
+                if not (r & power).bit_count() & 1:
+                    break
+            else:
+                out.append(j)
         return out
 
 
@@ -340,9 +379,9 @@ def powering_signs(spec: BiasedSpaceSpec, seeds, positions: int | None = None) -
     is built once per distinct s in the batch and gathered.
     """
     m = _count(spec, positions)
-    seeds = list(seeds)
-    if any(seed < 0 or seed >> spec.seed_bits for seed in seeds):
-        raise ValueError(f"seeds must fit in {spec.seed_bits} bits")
+    seeds, width = list(seeds), spec.seed_bits
+    if any(seed < 0 or seed >> width for seed in seeds):
+        raise ValueError(f"seeds must fit in {width} bits")
     if spec.uniform:
         return _SIGN[bit_rows(seeds, m)]
     k = spec.field_degree
@@ -509,9 +548,8 @@ class SubsetSamplerSpec:
 
 
 def sample_subset(spec: SubsetSamplerSpec, seed: int) -> frozenset:
-    signs = PoweringSeed(spec.base, seed).signs()
-    b = spec.bits_per_index
-    return frozenset(i for i in range(spec.n) if 1 not in signs[i * b:(i + 1) * b])
+    """The indices whose b-sign block is all -1, one multiply per index."""
+    return frozenset(PoweringSeed(spec.base, seed, spec.bits_per_index).minus_blocks())
 
 
 def subset_members(spec: SubsetSamplerSpec, seeds) -> np.ndarray:
@@ -523,7 +561,10 @@ def subset_members(spec: SubsetSamplerSpec, seeds) -> np.ndarray:
 
 def subsets_all_seeds(spec: SubsetSamplerSpec) -> np.ndarray:
     """Membership masks (bit i set iff i in I) for every seed, in seed order:
-    the b bit rows of each index reduced by AND, then packed across i."""
+    the b bit rows of each index reduced by AND, then packed across i.
+    Masks are int64, so samplers over more than 64 indices raise ValueError."""
+    if spec.n > 64:
+        raise ValueError(f"subset masks hold at most 64 indices, not {spec.n}")
     bits = parity_bits_all_seeds(spec.base, spec.n * spec.bits_per_index)
     member = bits.reshape(spec.n, spec.bits_per_index, -1).all(axis=1)
     packed = np.packbits(member, axis=0, bitorder="little").astype(np.int64)

@@ -10,7 +10,7 @@ import pytest
 from derand.cr_prg import (CrGenParams, LookupMatrix, bias_function_cr,
                            derive_cr_params, desk_cr_preset, explicit_cr_params,
                            materialize_matrix, pack_matrix, restrict_rect, sample_cr,
-                           split_cr_seed, stage_matrices, width_schedule)
+                           split_cr_seed, width_schedule)
 from derand.harness import random_rect
 from derand.models import CombRect
 from derand.signs import pack_block
@@ -18,6 +18,16 @@ from derand.smallbias import (BiasedSpaceSpec, PoweringSeed, generate_biased,
                               outputs_all_seeds)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _stage_matrices(params, seed):
+    """All inner-stage lookup matrices of a seed (the direct stage's
+    blocks come from sample_cr_levels)."""
+    parts = split_cr_seed(params, seed)
+    return [materialize_matrix(params.stage_specs[stage], parts[stage],
+                               params.stage_geometry(stage)[0], params.m,
+                               params.stage_geometry(stage)[1])
+            for stage in range(len(params.stage_specs) - 1)]
 
 
 def load_golden(name):
@@ -134,7 +144,7 @@ def test_composition_identity_matches_sample_cr():
         seed = rng.randrange(1 << params.seed_bits)
         rect = random_rect(rng, params.m, params.w)
         out = sample_cr(params, seed)
-        mats = stage_matrices(params, seed)
+        mats = _stage_matrices(params, seed)
         restricted = restrict_rect(rect, mats[0])
         parts = split_cr_seed(params, seed)
         direct = generate_biased(params.stage_specs[-1], parts[-1])
@@ -151,7 +161,7 @@ def test_deeper_chain_identity():
     for _ in range(25):
         seed = rng.randrange(1 << params.seed_bits)
         rect = random_rect(rng, 2, 16)
-        mats = stage_matrices(params, seed)
+        mats = _stage_matrices(params, seed)
         chain = [rect]
         for m in mats:
             chain.append(restrict_rect(chain[-1], m))
@@ -248,7 +258,7 @@ def test_lookup_path_matches_materialized_entries():
     for _ in range(30):
         seed = rng.randrange(1 << params.seed_bits)
         levels = sample_cr_levels(params, seed)
-        mats = stage_matrices(params, seed)
+        mats = _stage_matrices(params, seed)
         inner_blocks, out_blocks = levels[0], levels[1]
         for i in range(params.m):
             assert out_blocks[i] == int(mats[0].packed[inner_blocks[i], i])

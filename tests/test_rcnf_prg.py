@@ -73,11 +73,13 @@ def test_trace_replay_reproduces_sample():
     for _ in range(40):
         seed = rng.randrange(1 << params.seed_bits)
         trace, y = restriction_trace(params, seed)
-        out = list(y.values)
+        out = list(y.values) if y is not None else [None] * params.n
         for _part, assigned in trace:
             for i, s in assigned.items():
                 out[i] = s
         assert tuple(out) == sample(params, seed).values
+        # y is left out exactly when the rounds cover every index
+        assert (y is None) == (sum(len(part) for part, _ in trace) == params.n)
 
 
 def test_forced_extreme_subsets():
@@ -224,8 +226,18 @@ def test_constants_record_round_trip():
 
 def test_seed_length_errors():
     params = desk_preset()
-    with pytest.raises(ValueError):
+    message = f"seed must fit in {params.seed_bits} bits"
+    with pytest.raises(ValueError, match=message):
         sample(params, 1 << params.seed_bits)
+    for seeds in ([1 << params.seed_bits], [3, -1]):
+        with pytest.raises(ValueError, match=message):
+            sample_batch(params, seeds)
+
+
+def test_hsg_preset_is_built_once_per_length():
+    assert rcnf_prg.hsg_inner_preset(14) is rcnf_prg.hsg_inner_preset(14)
+    assert rcnf_prg.hsg_inner_preset(14) == explicit_params(
+        14, Fraction(1, 4), k_subset=2, k_z=3, k_y=6, preset="hsg14")
 
 
 def test_bias_function_is_fooled_at_the_small_bias_level():
@@ -254,3 +266,37 @@ def test_bias_function_is_fooled_at_the_small_bias_level():
           f"direct {float(direct_adv):.4f}, "
           f"space bias bound {float(spec.bias_bound):.4f}")
     assert restricted_adv <= Fraction(1, 16)
+
+
+def test_sample_skips_strings_no_output_reads(monkeypatch):
+    # a round whose J adds no fresh index expands no z, and a seed whose
+    # rounds cover every index expands no y; outputs still equal
+    # sample_batch, which expands every string
+    params = explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
+                             rounds=2, bits_per_index=1)
+    every, empty = 1 | 1 << 3, 0  # J seeds (r, s) = (1, 1) and (0, 0)
+    rng = random.Random(48)
+    seeds = []
+    for j1 in (every, empty, None):
+        for j2 in (every, empty, None):
+            for _ in range(8):
+                j = [rng.getrandbits(6) if v is None else v for v in (j1, j2)]
+                seeds.append(rng.getrandbits(12) | j[0] << 12 | j[1] << 18
+                             | rng.getrandbits(10) << 24)
+    calls = []
+    real = rcnf_prg.generate_biased
+    monkeypatch.setattr(rcnf_prg, "generate_biased",
+                        lambda spec, seed: calls.append(spec) or real(spec, seed))
+    kinds = set()
+    for seed, row in zip(seeds, sample_batch(params, seeds)):
+        calls.clear()
+        trace, y = restriction_trace(params, seed)
+        parts = [part for part, _ in trace]
+        want = [params.z_spec] * sum(1 for part in parts if part)
+        if sum(map(len, parts)) < params.n:
+            want.append(params.y_spec)
+        assert calls == want and (y is None) == (params.y_spec not in want)
+        kinds |= {"empty round" for part in parts if not part}
+        kinds |= {"all covered"} if y is None else set()
+        assert sample(params, seed).values == tuple(row)
+    assert kinds == {"empty round", "all covered"}

@@ -215,7 +215,7 @@ def test_powering_seed_refuses_bad_positions_and_seeds():
         PoweringSeed(spec, 1 << spec.seed_bits)
     with pytest.raises(ValueError):
         PoweringSeed(spec, 3).signs(5, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seeds must fit in 8 bits"):
         powering_signs(spec, [1, -1])
     with pytest.raises(ValueError):
         powering_signs(spec, [1], positions=11)
@@ -309,3 +309,84 @@ def test_subsets_all_seeds_ordering_matches_scalar_path():
     for seed in range(len(masks)):
         want = sum(1 << i for i in sample_subset(spec, seed))
         assert int(masks[seed]) == want
+
+
+STRIDED_DEGREES = list(range(1, 13)) + [31, 34, 37, 63, 64]
+
+
+@pytest.mark.parametrize("k", STRIDED_DEGREES)
+def test_strided_reader_matches_pow_and_powering_signs(k):
+    # blocks of every stride 1..8 against the batch rows and, at each
+    # block start, against the bit-serial pow; 70 positions carry block
+    # starts past 2^k - 1 in the small fields, where the jump is reduced
+    spec = BiasedSpaceSpec.with_degree(70, k)
+    rng = random.Random(200 + k)
+    seeds = [rng.getrandbits(k), 1 << k, ((1 << k) - 1) << k]  # s = 0, s = 1, s = -1
+    seeds += [rng.getrandbits(2 * k) for _ in range(3)]
+    rows = [list(row) for row in powering_signs(spec, seeds)]
+    for seed, full in zip(seeds, rows):
+        for stride in range(1, 9):
+            reader = PoweringSeed(spec, seed, stride)
+            blocks = spec.n // stride
+            assert reader.blocks == blocks
+            assert reader.signs() == full[:blocks * stride]
+            for start in (0, 1, rng.randrange(blocks)):
+                count = rng.randint(0, min(blocks - start, 3))
+                want = _oracle_signs(k, seed, start * stride, count * stride)
+                assert reader.signs(start, count) == want == \
+                    full[start * stride:(start + count) * stride]
+            assert reader.minus_blocks() == \
+                [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
+
+
+def test_strided_reader_on_uniform_spaces_and_bad_blocks():
+    rng = random.Random(11)
+    for n in (1, 7, 70):
+        spec = BiasedSpaceSpec.uniform_space(n)
+        for seed in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]:
+            full = [-1 if (seed >> i) & 1 else 1 for i in range(n)]
+            for stride in range(1, 9):
+                reader = PoweringSeed(spec, seed, stride)
+                blocks = n // stride
+                assert reader.signs() == full[:blocks * stride]
+                if blocks > 1:
+                    assert reader.signs(1, blocks - 1) == full[stride:blocks * stride]
+                assert reader.minus_blocks() == \
+                    [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
+    for spec in (BiasedSpaceSpec.with_degree(20, 5), BiasedSpaceSpec.uniform_space(20)):
+        reader = PoweringSeed(spec, 3, stride=3)  # six whole blocks, positions 18, 19 unread
+        assert len(reader.signs()) == 18
+        for start, count in ((5, 2), (6, 1), (-1, 1), (0, 7), (2, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                reader.signs(start, count)
+        assert reader.signs(6, 0) == []
+        with pytest.raises(ValueError):
+            PoweringSeed(spec, 3, stride=0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 34])
+def test_sample_subset_matches_subset_members(k):
+    rng = random.Random(300 + k)
+    for n, b in ((9, 3), (16, 5), (64, 1)):
+        spec = SubsetSamplerSpec.with_degree(n, b, k)
+        seeds = [rng.getrandbits(spec.seed_bits) for _ in range(150)]
+        seeds += [0, 1 | 1 << k, (1 << spec.seed_bits) - 1]  # s = 1 with r odd takes every index
+        rows = subset_members(spec, seeds)
+        got = [sample_subset(spec, seed) for seed in seeds]
+        assert got == [frozenset(np.flatnonzero(row).tolist()) for row in rows]
+        assert got[-2] == frozenset(range(n))
+
+
+def test_subset_masks_refuse_more_than_64_indices():
+    from derand.harness import round_tables
+    from derand.rcnf_prg import explicit_params
+    spec = SubsetSamplerSpec.with_degree(64, 1, 4)  # index 63 is the sign bit
+    masks = subsets_all_seeds(spec).view(np.uint64)
+    for seed in range(1 << spec.seed_bits):
+        assert int(masks[seed]) == sum(1 << i for i in sample_subset(spec, seed))
+    for n in (65, 70):
+        with pytest.raises(ValueError, match="at most 64 indices"):
+            subsets_all_seeds(SubsetSamplerSpec.with_degree(n, 1, 4))
+        with pytest.raises(ValueError, match="at most 64 indices"):
+            round_tables(explicit_params(n, Fraction(1, 4), k_subset=4, k_z=3, k_y=3,
+                                         bits_per_index=1))
