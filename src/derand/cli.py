@@ -64,14 +64,14 @@ def cmd_gen(args) -> int:
         _print_signs(cr_prg.sample_cr(params, seed))
         return 0
     if args.target == "hsg":
-        params = rcnf_prg.hsg_inner_preset(args.n)
-        bits = bp3.hsg_seed_bits(args.n, params)
+        bits = bp3.hsg_seed_bits(args.n)
         if args.dump_params:
             print(json.dumps({"n": args.n, "seedLengthBits": bits,
-                              "inner": params.to_json()}, indent=1, sort_keys=True))
+                              "inner": rcnf_prg.hsg_inner_preset(args.n).to_json()},
+                             indent=1, sort_keys=True))
             return 0
         seed = parse_seed_hex(args.seed, bits)
-        _print_signs(bp3.hsg_sample(args.n, args.eps, seed, params))
+        _print_signs(bp3.hsg_sample(args.n, args.eps, seed))
         return 0
     raise AssertionError(args.target)
 
@@ -89,9 +89,7 @@ def cmd_advantage(args) -> int:
         instances = [(args.formula, formats.load_path(args.formula))]
     else:
         instances = harness.landmark_formulas(params.n)
-    tables = harness.round_tables(params)
-    reports = [harness.rcnf_structured_advantage(params, f, name=name, tables=tables)
-               for name, f in instances]
+    reports = harness.advantage_sweep(params, instances)
     for rep in reports:
         print(f"{rep.instance}\tadvantage={float(rep.advantage):.6g}")
     if args.csv:

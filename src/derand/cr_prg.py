@@ -30,6 +30,7 @@ from .signs import SignVector, pack_block
 from .smallbias import BiasedSpaceSpec, PoweringSeed, generate_biased
 
 DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
+STOP_WIDTH = 4  # the width schedule stops at the first width <= this
 
 
 def width_schedule(w: int, stop_width: int) -> Tuple[int, ...]:
@@ -105,14 +106,13 @@ def _stage_lengths(m: int, sched: Tuple[int, ...]) -> list:
 
 
 def derive_cr_params(m: int, w: int, delta, constants: CrConstants = CrConstants(),
-                     stop_width: int = 4,
                      bias_floor: Fraction | None = DEFAULT_BIAS_FLOOR) -> CrGenParams:
     """Formula-driven parameters: inner bias delta^c1, final bias
     delta^(c2 loglog(1/delta) logloglog(1/delta)), both floor-capped."""
     d = Fraction(delta)
     if not 0 < d < 1 or w < 1 or m < 1:
         raise ValueError("need m, w >= 1 and delta in (0,1)")
-    sched = width_schedule(w, stop_width)
+    sched = width_schedule(w, STOP_WIDTH)
     hits = []
     eps1 = d**constants.inner_exp
     if bias_floor is not None and eps1 < bias_floor:
@@ -128,28 +128,28 @@ def derive_cr_params(m: int, w: int, delta, constants: CrConstants = CrConstants
     lengths = _stage_lengths(m, sched)
     specs = [BiasedSpaceSpec.for_bias(n, eps1) for n in lengths[:-1]]
     specs.append(BiasedSpaceSpec.for_bias(lengths[-1], eps2))
-    return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=stop_width,
+    return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=STOP_WIDTH,
                        stage_specs=tuple(specs), constants=constants,
                        floor_hits=tuple(hits))
 
 
-def explicit_cr_params(m: int, w: int, delta, degrees, stop_width: int = 4,
+def explicit_cr_params(m: int, w: int, delta, degrees,
                        constants: CrConstants = CrConstants(), preset: str = "") -> CrGenParams:
     """Pinned per-stage field degrees (inner stages then direct stage)."""
     d = Fraction(delta)
-    sched = width_schedule(w, stop_width)
+    sched = width_schedule(w, STOP_WIDTH)
     t = len(sched) - 1
     expect = max(t, 1)
     if len(degrees) != expect:
         raise ValueError(f"schedule {sched} needs {expect} stage degrees")
     specs = [BiasedSpaceSpec.with_degree(n, k) for n, k in zip(_stage_lengths(m, sched), degrees)]
-    return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=stop_width,
+    return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=STOP_WIDTH,
                        stage_specs=tuple(specs), constants=constants, preset=preset)
 
 
 def desk_cr_preset(m: int = 8, w: int = 8) -> CrGenParams:
     """Exhaustive-scale preset: small enough for every-seed sweeps."""
-    sched = width_schedule(w, 4)
+    sched = width_schedule(w, STOP_WIDTH)
     degrees = tuple([3] * max(len(sched) - 2, 0) + [4])
     return explicit_cr_params(m, w, Fraction(1, 16), degrees=degrees,
                               preset=f"desk-cr{m}x{w}")

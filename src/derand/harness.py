@@ -9,7 +9,9 @@ J, a term with no z-literal narrows a packed y vector, one with no
 y-literal a z vector, and only split terms meet the (live z) x y-words
 grid, counted by popcount.  Its output histogram is, per J, the outer
 product of the z-part and y-part counts.  Seed spaces too large to
-walk fall back to a declared-size random sample.
+walk fall back to a declared-size random sample.  ``advantage_sweep``
+is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
+``advantage`` command both run it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bp3, cr_prg, rcnf_prg
+from . import cr_prg, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
 from .signs import SignVector, all_sign_rows, bit_rows
@@ -76,13 +78,6 @@ def cr_generator(params: cr_prg.CrGenParams) -> GeneratorHandle:
     return GeneratorHandle(name=name, seed_bits=params.seed_bits, sample_batch=sample_batch)
 
 
-def hsg_generator(n: int, epsilon, params: rcnf_prg.RcnfGenParams | None = None) -> GeneratorHandle:
-    params = params or rcnf_prg.hsg_inner_preset(n)
-    return GeneratorHandle(
-        name=f"hsg{n}", seed_bits=bp3.hsg_seed_bits(n, params),
-        sample_batch=lambda seeds: bp3.hsg_sample_batch(n, seeds, params))
-
-
 # ---------------------------------------------------------------------------
 # Advantage measurement
 # ---------------------------------------------------------------------------
@@ -123,10 +118,9 @@ def _fmt(x) -> str:
 
 
 def _instance_shape(f) -> tuple:
-    if isinstance(f, ReadOnceCnf):
-        return "rcnf", f.n, f.size, f.width
-    if isinstance(f, XorCnf):
-        return "xorcnf", f.n, f.size, max((len(t.literals) for t in f.terms), default=0)
+    if isinstance(f, (ReadOnceCnf, XorCnf)):
+        klass = "rcnf" if isinstance(f, ReadOnceCnf) else "xorcnf"
+        return klass, f.n, f.size, max((len(t.literals) for t in f.terms), default=0)
     if isinstance(f, CombRect):
         return "rect", f.n, f.m, f.w
     if isinstance(f, Robp):
@@ -221,18 +215,14 @@ def _term_rows(f, tables: RoundTables) -> list:
     literals' bits and their truth rows in z and in packed y.  A parity
     term with target 0 is read as one with target 1 and its first
     literal negated, so every term is satisfied when its reduction is 1."""
-    if isinstance(f, ReadOnceCnf):
-        terms = [("or", c, 1) for c in f.clauses]
-    elif isinstance(f, XorCnf):
-        terms = [(t.kind, t.literals, t.target) for t in f.terms]
-    else:
+    if not isinstance(f, (ReadOnceCnf, XorCnf)):
         raise TypeError("structured advantage needs a read-once or parity formula")
     rows = []
-    for kind, lits, target in terms:
-        var = np.array([l.index for l in lits], dtype=np.intp)
-        neg = np.array([l.negated for l in lits], dtype=bool)
-        neg[0] ^= kind == "xor" and target == 0
-        rows.append((np.bitwise_or if kind == "or" else np.bitwise_xor,
+    for term in f.terms:
+        var = np.array([l.index for l in term.literals], dtype=np.intp)
+        neg = np.array([l.negated for l in term.literals], dtype=bool)
+        neg[0] ^= term.kind == "xor" and term.target == 0
+        rows.append((np.bitwise_or if term.kind == "or" else np.bitwise_xor,
                      np.uint64(1) << var.astype(np.uint64),
                      tables.z[var] ^ neg[:, None], tables.y[var] ^ _ones_where(neg)[:, None]))
     return rows
@@ -339,11 +329,9 @@ class HitStats:
     seed_bits: int
 
 
-def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon,
-                  params_for: Callable[[int], rcnf_prg.RcnfGenParams] | None = None
-                  ) -> List[HitStats]:
+def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStats]:
     """Exhaustive hitting sweep: per program, the exact fraction of
-    generator seeds whose output it accepts.
+    bp3.hsg_sample seeds whose output it accepts.
 
     Programs below the expectation threshold are excluded (the hitting
     contract only covers dense functions).  The walk shares one output
@@ -352,7 +340,6 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon,
     if not programs:
         raise ValueError("hitting sweep needs a nonempty corpus")
     eps = Fraction(epsilon)
-    params_for = params_for or rcnf_prg.hsg_inner_preset
     by_n: Dict[int, list] = {}
     for name, prog in programs:
         expectation = prog.exact_expectation()
@@ -360,7 +347,7 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon,
             by_n.setdefault(prog.n, []).append((name, prog, expectation))
     out: List[HitStats] = []
     for n, progs in sorted(by_n.items()):
-        params = params_for(n)
+        params = rcnf_prg.hsg_inner_preset(n)
         inner_hist = rcnf_output_histogram(params)
         rbits = max(1, (n - 1).bit_length())
         seed_bits = rbits + params.seed_bits
@@ -768,40 +755,14 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiment driver
+# Advantage sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One measurement run: which class, which generator, which corpus.
-
-    Exhaustive mode requires the generator seed space to fit under the
-    configured bit limit; larger spaces degrade to statistical runs.
-    """
-
-    target_class: str            # rcnf | xorcnf | landmarks
-    generator: str               # "desk" or "derived"
-    corpus_count: int = 0
-    corpus_n: int = 16
-    corpus_seed: int = 1
-    mode: str = "exhaustive"
-    seed_limit_bits: int = NAIVE_WALK_SEED_BITS_LIMIT
-
-    def __post_init__(self):
-        if self.mode == "exhaustive" and self.generator == "derived":
-            raise ValueError("derived parameters exceed the exhaustive seed limit; "
-                             "use the desk preset or statistical mode")
-
-
-def run_experiment(spec: ExperimentSpec) -> List[AdvantageReport]:
-    params = rcnf_prg.desk_preset()
-    if spec.target_class == "landmarks":
-        instances = landmark_formulas(params.n)
-    else:
-        rng = random.Random(spec.corpus_seed)
-        make = random_read_once_cnf if spec.target_class == "rcnf" else random_xorcnf
-        instances = [(f"{spec.target_class}-{i}", make(rng, spec.corpus_n))
-                     for i in range(spec.corpus_count)]
+def advantage_sweep(params: rcnf_prg.RcnfGenParams,
+                    instances: Iterable[Tuple[str, object]]) -> List[AdvantageReport]:
+    """Exact advantage of the one-round generator ``params`` on each
+    (name, formula) pair, in order, its seed tables expanded once;
+    multi-round parameters raise ValueError."""
     tables = round_tables(params)
     return [rcnf_structured_advantage(params, f, name=name, tables=tables)
             for name, f in instances]
@@ -809,4 +770,5 @@ def run_experiment(spec: ExperimentSpec) -> List[AdvantageReport]:
 
 def desk_advantage_sweep() -> List[AdvantageReport]:
     """The frozen landmark sweep at the exhaustive desk preset."""
-    return run_experiment(ExperimentSpec(target_class="landmarks", generator="desk"))
+    params = rcnf_prg.desk_preset()
+    return advantage_sweep(params, landmark_formulas(params.n))

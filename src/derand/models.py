@@ -3,13 +3,16 @@
 Read-once CNFs, conjunctions with parity terms, combinatorial
 rectangles and layered read-once branching programs, each with exact
 (rational) expectation computation, restriction application and batch
-evaluation.  Everything is immutable after construction; the sign
-convention is the global one (-1 false, +1 true).
+evaluation.  A read-once CNF is the all-OR case of a parity-CNF: both
+formula classes run one term engine over their ``terms``, and one
+restriction serves both.  Everything is immutable after construction;
+the sign convention is the global one (-1 false, +1 true).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -42,90 +45,7 @@ def _check_read_once(groups: Iterable[Sequence[Literal]], n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Read-once CNF
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReadOnceCnf:
-    """Conjunction of disjunctions in which no variable repeats.
-
-    A formula with no clauses is the constant 1; a formula collapsed by
-    a falsifying restriction is the distinguished constant 0
-    (``is_false``), never an empty clause.
-    """
-
-    n: int
-    clauses: Tuple[Tuple[Literal, ...], ...]
-    is_false: bool = False
-
-    def __post_init__(self):
-        if self.is_false:
-            if self.clauses:
-                raise ValueError("constant-0 formula must carry no clauses")
-            return
-        if any(len(c) == 0 for c in self.clauses):
-            raise ValueError("clauses must be nonempty")
-        _check_read_once(self.clauses, self.n)
-
-    @classmethod
-    def constant_zero(cls, n: int) -> "ReadOnceCnf":
-        return cls(n=n, clauses=(), is_false=True)
-
-    @property
-    def size(self) -> int:
-        return len(self.clauses)
-
-    @property
-    def width(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
-
-    def variables(self) -> frozenset:
-        return frozenset(l.index for c in self.clauses for l in c)
-
-    def evaluate(self, x) -> int:
-        if self.is_false:
-            return 0
-        if len(x) != self.n:
-            raise ValueError(f"assignment length {len(x)} != n={self.n}")
-        for clause in self.clauses:
-            if not any(lit.truth(x[lit.index]) for lit in clause):
-                return 0
-        return 1
-
-    def eval_batch(self, signs: np.ndarray) -> np.ndarray:
-        if signs.shape[1] != self.n:
-            raise ValueError("assignment width mismatch")
-        acc = np.ones(signs.shape[0], dtype=bool)
-        if self.is_false:
-            acc[:] = False
-            return acc
-        for clause in self.clauses:
-            sat = np.zeros(signs.shape[0], dtype=bool)
-            for lit in clause:
-                sat |= signs[:, lit.index] == (-1 if lit.negated else 1)
-            acc &= sat
-        return acc
-
-    def exact_expectation(self) -> Fraction:
-        if self.is_false:
-            return Fraction(0)
-        acc = Fraction(1)
-        for clause in self.clauses:
-            acc *= 1 - Fraction(1, 1 << len(clause))
-        return acc
-
-
-def tribes(width: int, size: int | None = None) -> ReadOnceCnf:
-    """Read-once AND of disjoint ORs; size defaults to 2^(width+1) clauses."""
-    m = (1 << (width + 1)) if size is None else size
-    clauses = tuple(
-        tuple(Literal(i * width + q) for q in range(width)) for i in range(m)
-    )
-    return ReadOnceCnf(n=m * width, clauses=clauses)
-
-
-# ---------------------------------------------------------------------------
-# Conjunctions of disjunctions and parities (CNF with XOR terms)
+# Read-once conjunctions of OR and parity terms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -149,6 +69,115 @@ class Term:
             raise ValueError("xor target must be 0 or 1")
 
 
+# The term engine both formula classes name in their bodies (so that each
+# class owns the methods it runs): a conjunction of ``self.terms``, the
+# constant 0 when ``self.is_false``.
+
+def _size(self) -> int:
+    return len(self.terms)
+
+
+def _variables(self) -> frozenset:
+    return frozenset(l.index for t in self.terms for l in t.literals)
+
+
+def _evaluate(self, x) -> int:
+    if self.is_false:
+        return 0
+    if len(x) != self.n:
+        raise ValueError(f"assignment length {len(x)} != n={self.n}")
+    for term in self.terms:
+        if term.kind == "or":
+            if not any(lit.truth(x[lit.index]) for lit in term.literals):
+                return 0
+        elif sum(lit.truth(x[lit.index]) for lit in term.literals) % 2 != term.target:
+            return 0
+    return 1
+
+
+def _eval_batch(self, signs: np.ndarray) -> np.ndarray:
+    if signs.shape[1] != self.n:
+        raise ValueError("assignment width mismatch")
+    acc = np.full(signs.shape[0], not self.is_false)
+    for term in self.terms:
+        if term.kind == "or":
+            sat = np.zeros(signs.shape[0], dtype=bool)
+            for lit in term.literals:
+                sat |= signs[:, lit.index] == (-1 if lit.negated else 1)
+        else:
+            par = np.zeros(signs.shape[0], dtype=bool)
+            for lit in term.literals:
+                par ^= (signs[:, lit.index] == 1) != lit.negated
+            sat = par == term.target
+        acc &= sat
+    return acc
+
+
+def _exact_expectation(self) -> Fraction:
+    """An OR of w literals on fresh variables misses with probability
+    2^-w and a parity holds with probability 1/2."""
+    if self.is_false:
+        return Fraction(0)
+    acc = Fraction(1)
+    for term in self.terms:
+        if term.kind == "or":
+            acc *= 1 - Fraction(1, 1 << len(term.literals))
+        else:
+            acc *= Fraction(1, 2)
+    return acc
+
+
+@dataclass(frozen=True)
+class ReadOnceCnf:
+    """Conjunction of disjunctions in which no variable repeats: the
+    all-OR case of XorCnf, sharing its term engine.
+
+    A formula with no clauses is the constant 1; a formula collapsed by
+    a falsifying restriction is the distinguished constant 0
+    (``is_false``), never an empty clause.
+    """
+
+    n: int
+    clauses: Tuple[Tuple[Literal, ...], ...]
+    is_false: bool = False
+
+    def __post_init__(self):
+        if self.is_false:
+            if self.clauses:
+                raise ValueError("constant-0 formula must carry no clauses")
+            return
+        if any(len(c) == 0 for c in self.clauses):
+            raise ValueError("clauses must be nonempty")
+        _check_read_once(self.clauses, self.n)
+
+    @classmethod
+    def constant_zero(cls, n: int) -> "ReadOnceCnf":
+        return cls(n=n, clauses=(), is_false=True)
+
+    @cached_property
+    def terms(self) -> Tuple[Term, ...]:
+        return tuple(Term("or", c) for c in self.clauses)
+
+    @property
+    def width(self) -> int:
+        return max((len(c) for c in self.clauses), default=0)
+
+    size = property(_size)
+    variables = _variables
+    evaluate = _evaluate
+    eval_batch = _eval_batch
+    exact_expectation = _exact_expectation
+
+
+def tribes(width: int, size: int | None = None) -> ReadOnceCnf:
+    """Read-once AND of disjoint ORs; size defaults to 2^(width+1) clauses."""
+    m = (1 << (width + 1)) if size is None else size
+    clauses = tuple(
+        tuple(Literal(i * width + q) for q in range(width)) for i in range(m)
+    )
+    return ReadOnceCnf(n=m * width, clauses=clauses)
+
+
 @dataclass(frozen=True)
 class XorCnf:
     """Read-once conjunction of OR and XOR terms on disjoint variables."""
@@ -168,66 +197,11 @@ class XorCnf:
     def constant_zero(cls, n: int) -> "XorCnf":
         return cls(n=n, terms=(), is_false=True)
 
-    @classmethod
-    def from_rcnf(cls, f: ReadOnceCnf) -> "XorCnf":
-        if f.is_false:
-            return cls.constant_zero(f.n)
-        return cls(n=f.n, terms=tuple(Term("or", c) for c in f.clauses))
-
-    @property
-    def size(self) -> int:
-        return len(self.terms)
-
-    def variables(self) -> frozenset:
-        return frozenset(l.index for t in self.terms for l in t.literals)
-
-    def evaluate(self, x) -> int:
-        if self.is_false:
-            return 0
-        if len(x) != self.n:
-            raise ValueError(f"assignment length {len(x)} != n={self.n}")
-        for term in self.terms:
-            if term.kind == "or":
-                if not any(lit.truth(x[lit.index]) for lit in term.literals):
-                    return 0
-            else:
-                par = 0
-                for lit in term.literals:
-                    par ^= int(lit.truth(x[lit.index]))
-                if par != term.target:
-                    return 0
-        return 1
-
-    def eval_batch(self, signs: np.ndarray) -> np.ndarray:
-        if signs.shape[1] != self.n:
-            raise ValueError("assignment width mismatch")
-        acc = np.ones(signs.shape[0], dtype=bool)
-        if self.is_false:
-            acc[:] = False
-            return acc
-        for term in self.terms:
-            if term.kind == "or":
-                sat = np.zeros(signs.shape[0], dtype=bool)
-                for lit in term.literals:
-                    sat |= signs[:, lit.index] == (-1 if lit.negated else 1)
-            else:
-                par = np.zeros(signs.shape[0], dtype=np.int8)
-                for lit in term.literals:
-                    par ^= ((signs[:, lit.index] == 1) != lit.negated).astype(np.int8)
-                sat = par == term.target
-            acc &= sat
-        return acc
-
-    def exact_expectation(self) -> Fraction:
-        if self.is_false:
-            return Fraction(0)
-        acc = Fraction(1)
-        for term in self.terms:
-            if term.kind == "or":
-                acc *= 1 - Fraction(1, 1 << len(term.literals))
-            else:
-                acc *= Fraction(1, 2)
-        return acc
+    size = property(_size)
+    variables = _variables
+    evaluate = _evaluate
+    eval_batch = _eval_batch
+    exact_expectation = _exact_expectation
 
 
 # ---------------------------------------------------------------------------
@@ -490,63 +464,31 @@ class Restriction:
 
 def apply_restriction(f, rho: Restriction):
     """Fix the restricted variables; satisfied conjuncts drop out and a
-    falsified conjunct collapses the formula to constant 0."""
+    falsified conjunct collapses the formula to constant 0.  The terms
+    are restricted once and the input's class is rebuilt."""
+    if not isinstance(f, (ReadOnceCnf, XorCnf)):
+        raise TypeError(f"cannot restrict {type(f).__name__}")
+    if f.is_false:
+        return f
     fixed = rho.as_dict()
-    if isinstance(f, ReadOnceCnf):
-        if f.is_false:
-            return f
-        clauses = []
-        for clause in f.clauses:
-            keep = []
-            satisfied = False
-            for lit in clause:
-                if lit.index in fixed:
-                    if lit.truth(fixed[lit.index]):
-                        satisfied = True
-                        break
-                else:
-                    keep.append(lit)
-            if satisfied:
+    terms = []
+    for term in f.terms:
+        keep = tuple(lit for lit in term.literals if lit.index not in fixed)
+        truths = [lit.truth(fixed[lit.index]) for lit in term.literals if lit.index in fixed]
+        if term.kind == "or":
+            if any(truths):
                 continue
-            if not keep:
-                return ReadOnceCnf.constant_zero(f.n)
-            clauses.append(tuple(keep))
-        return ReadOnceCnf(n=f.n, clauses=tuple(clauses))
-    if isinstance(f, XorCnf):
-        if f.is_false:
-            return f
-        terms = []
-        for term in f.terms:
-            if term.kind == "or":
-                keep = []
-                satisfied = False
-                for lit in term.literals:
-                    if lit.index in fixed:
-                        if lit.truth(fixed[lit.index]):
-                            satisfied = True
-                            break
-                    else:
-                        keep.append(lit)
-                if satisfied:
-                    continue
-                if not keep:
-                    return XorCnf.constant_zero(f.n)
-                terms.append(Term("or", tuple(keep)))
-            else:
-                keep = []
-                target = term.target
-                for lit in term.literals:
-                    if lit.index in fixed:
-                        target ^= int(lit.truth(fixed[lit.index]))
-                    else:
-                        keep.append(lit)
-                if not keep:
-                    if target == 0:
-                        continue
-                    return XorCnf.constant_zero(f.n)
-                terms.append(Term("xor", tuple(keep), target))
-        return XorCnf(n=f.n, terms=tuple(terms))
-    raise TypeError(f"cannot restrict {type(f).__name__}")
+            target = 1
+        else:
+            target = term.target ^ (sum(truths) & 1)
+            if not keep and target == 0:
+                continue
+        if not keep:
+            return type(f).constant_zero(f.n)
+        terms.append(Term(term.kind, keep, target))
+    if isinstance(f, ReadOnceCnf):
+        return ReadOnceCnf(n=f.n, clauses=tuple(t.literals for t in terms))
+    return XorCnf(n=f.n, terms=tuple(terms))
 
 
 def bias_function(f, indices: Iterable[int], signs: Sequence[int]) -> Fraction:

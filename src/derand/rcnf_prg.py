@@ -130,8 +130,8 @@ def shrink_size_bound(n: int, epsilon: Fraction, m: int, constants: GenConstants
 
 
 def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
-                  bits_per_index: int = 5, bias_floor: Fraction | None = DEFAULT_BIAS_FLOOR,
-                  subset_max_arity: int = 3) -> RcnfGenParams:
+                  bits_per_index: int = 5,
+                  bias_floor: Fraction | None = DEFAULT_BIAS_FLOOR) -> RcnfGenParams:
     """Concrete parameters from the asymptotic recipe.
 
     Raises nothing on floor collisions: the capped record carries a
@@ -156,8 +156,7 @@ def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
     if bias_floor is not None and delta2 < bias_floor:
         delta2 = bias_floor
         hits.append("delta2")
-    subset = SubsetSamplerSpec.build(n, bits_per_index, delta,
-                                     max_arity=subset_max_arity, bias_floor=bias_floor)
+    subset = SubsetSamplerSpec.build(n, bits_per_index, delta, bias_floor=bias_floor)
     if bias_floor is not None and subset.base.epsilon == bias_floor:
         hits.append("subset")
     return RcnfGenParams(

@@ -51,6 +51,9 @@ EXHAUSTIVE_N_LIMIT = 20
 # seed bits of one space enumerated whole (all-seeds tables and histograms);
 # the structured walk of harness is bounded by it on each component space
 TABLE_SEED_BITS_LIMIT = 24
+# SubsetSamplerSpec.build budgets its bias for joint events over at
+# most this many indices
+SUBSET_MAX_ARITY = 3
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +505,17 @@ class SubsetSamplerSpec:
         return cls.build(n, a.denominator.bit_length() - 1, delta, **kwargs)
 
     @classmethod
-    def build(cls, n: int, bits_per_index: int, delta, max_arity: int = 3,
+    def build(cls, n: int, bits_per_index: int, delta,
               bias_floor: Fraction | None = None) -> "SubsetSamplerSpec":
-        """Derive the underlying space at bias delta * 2^(-b * max_arity).
+        """Derive the underlying space at bias delta * 2^(-b * SUBSET_MAX_ARITY).
 
-        Each joint event over j <= max_arity indices is a function of
+        Each joint event over j <= SUBSET_MAX_ARITY indices is a function of
         b*j biased positions, so this Vazirani-style budget targets
         joint deviations of at most delta; the achieved deviation is
         measured, never assumed.
         """
         d = Fraction(delta)
-        eps = d * Fraction(1, 1 << (bits_per_index * max_arity))
+        eps = d * Fraction(1, 1 << (bits_per_index * SUBSET_MAX_ARITY))
         if bias_floor is not None and eps < bias_floor:
             eps = Fraction(bias_floor)
         return cls(n=n, bits_per_index=bits_per_index, delta=d,

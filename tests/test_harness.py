@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -10,11 +11,11 @@ import pytest
 
 from derand import bp3, cr_prg, rcnf_prg
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
-                            GeneratorHandle, check_approx, check_models, check_smallbias,
-                            check_sympoly, constant_generator, corpus_generate,
-                            cr_generator, exhaustive_advantage, hsg_generator,
+                            GeneratorHandle, advantage_sweep, check_approx, check_models,
+                            check_smallbias, check_sympoly, constant_generator,
+                            corpus_generate, cr_generator, exhaustive_advantage,
                             hsg_hit_stats, landmark_formulas, random_read_once_cnf,
-                            rcnf_generator, rcnf_output_histogram,
+                            random_width3, random_xorcnf, rcnf_generator, rcnf_output_histogram,
                             rcnf_structured_advantage, render_scatter_svg, report,
                             round_tables, uniform_generator, width3_corpus, write_csv)
 from derand.models import Literal, ReadOnceCnf, Robp, Term, XorCnf, and_chain_program
@@ -81,9 +82,8 @@ def test_structured_walk_matches_naive_walk():
             fast = rcnf_structured_advantage(params, f, tables=tables)
             assert fast.gen_e == exhaustive_advantage(naive, f).gen_e, f
             assert fast.samples == 1 << params.seed_bits
-            terms = f.terms if isinstance(f, XorCnf) else XorCnf.from_rcnf(f).terms
             for jm in map(int, tables.j):
-                for term in terms:
+                for term in f.terms:
                     inside = sum((jm >> lit.index) & 1 for lit in term.literals)
                     kinds.add("y" if not inside else
                               "z" if inside == len(term.literals) else "split")
@@ -284,10 +284,6 @@ def test_generator_batches_match_per_seed_outputs():
     seeds = [rng.getrandbits(params.seed_bits) for _ in range(20)]
     assert [tuple(r) for r in cr_generator(params).sample_batch(seeds)] == \
         [cr_prg.sample_cr(params, s).values for s in seeds]
-    hsg = hsg_generator(9, Fraction(1, 4))
-    seeds = [rng.getrandbits(hsg.seed_bits) for _ in range(20)]
-    assert [tuple(r) for r in hsg.sample_batch(seeds)] == \
-        [bp3.hsg_sample(9, Fraction(1, 4), s).values for s in seeds]
     assert [tuple(r) for r in uniform_generator(5).sample_batch([0, 19])] == \
         [SignVector.from_int(0, 5).values, SignVector.from_int(19, 5).values]
 
@@ -300,15 +296,43 @@ def test_all_accepting_program_hit_fraction_one():
     assert stats[0].hit_fraction == 1
 
 
-def test_experiment_spec_modes():
-    from derand.harness import ExperimentSpec, run_experiment
+def test_hit_stats_match_a_per_seed_walk(monkeypatch):
+    # inner presets of 8 seed bits (at most 11 with the prefix) let every
+    # hsg_sample seed be walked; n = 3, 5 and 6 wrap the prefix code past n
+    @functools.lru_cache(maxsize=None)
+    def tiny(n):
+        return rcnf_prg.explicit_params(n, Fraction(1, 4), k_subset=1, k_z=1, k_y=2,
+                                        bits_per_index=1)
+    monkeypatch.setattr(rcnf_prg, "hsg_inner_preset", tiny)
+    monkeypatch.setattr(bp3, "hsg_inner_preset", tiny)
+    rng = random.Random(78)
+    eps = Fraction(1, 8)
+    corpus = [(f"w3-{n}-{i}", random_width3(rng, n, eps)) for n in (2, 3, 5, 6) for i in range(4)]
+    stats = hsg_hit_stats(corpus, eps)
+    assert [s.instance for s in stats] == [name for name, _prog in corpus]
+    for st, (_name, prog) in zip(stats, corpus):
+        bits = bp3.hsg_seed_bits(prog.n)
+        assert bits <= 11
+        hits = sum(prog.evaluate(bp3.hsg_sample(prog.n, eps, s).values) for s in range(1 << bits))
+        assert (st.seed_bits, st.hit_fraction) == (bits, Fraction(hits, 1 << bits))
+
+
+def test_advantage_sweep_reports_each_instance_in_order():
+    params = rcnf_prg.desk_preset()
+    rng = random.Random(3)
+    instances = [("rcnf-0", random_read_once_cnf(rng, 20)), ("xorcnf-1", random_xorcnf(rng, 20)),
+                 ("rcnf-2", random_read_once_cnf(rng, 20))]
+    reports = advantage_sweep(params, instances)
+    assert [(r.instance, r.klass) for r in reports] == \
+        [("rcnf-0", "rcnf"), ("xorcnf-1", "xorcnf"), ("rcnf-2", "rcnf")]
+    assert all(r.mode == "exhaustive" and r.samples == 1 << params.seed_bits for r in reports)
+    assert [r.gen_e for r in reports] == \
+        [rcnf_structured_advantage(params, f).gen_e for _name, f in instances]
+    # the structured walk covers one round; derived parameters have more
+    derived = rcnf_prg.derive_params(64, Fraction(1, 16))
+    assert derived.rounds > 1
     with pytest.raises(ValueError):
-        ExperimentSpec(target_class="rcnf", generator="derived")
-    spec = ExperimentSpec(target_class="rcnf", generator="desk",
-                          corpus_count=2, corpus_n=20, corpus_seed=3)
-    reports = run_experiment(spec)
-    assert len(reports) == 2
-    assert all(r.mode == "exhaustive" for r in reports)
+        advantage_sweep(derived, instances)
 
 
 def test_hit_stats_refuses_empty_corpus():

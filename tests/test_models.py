@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +128,37 @@ def test_xorcnf_restriction_folds_parity_target():
     assert gone.size == 0 and gone.exact_expectation() == 1
     dead = apply_restriction(g, Restriction.from_mapping({0: 1, 1: 1}))
     assert dead.is_false
+
+
+def test_read_once_cnf_runs_as_its_or_terms():
+    rng = random.Random(14)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        f = random_read_once_cnf(rng, n)
+        assert f.terms == tuple(Term("or", c) for c in f.clauses)
+        g = XorCnf(n, f.terms)
+        signs = all_sign_rows(n)
+        assert (f.eval_batch(signs) == g.eval_batch(signs)).all()
+        assert [f.evaluate(x) for x in all_signs(n)] == [g.evaluate(x) for x in all_signs(n)]
+        assert (f.size, f.variables(), f.exact_expectation()) == \
+            (g.size, g.variables(), g.exact_expectation())
+        rho = Restriction.from_mapping({v: rng.choice((-1, 1))
+                                        for v in rng.sample(range(n), rng.randint(0, n))})
+        rf, rg = apply_restriction(f, rho), apply_restriction(g, rho)
+        assert type(rf) is ReadOnceCnf and type(rg) is XorCnf
+        assert rf.is_false == rg.is_false and rf.terms == rg.terms
+    zero = ReadOnceCnf.constant_zero(3)
+    assert zero.terms == () and not zero.eval_batch(all_sign_rows(3)).any()
+
+
+def test_traced_methods_stay_on_their_classes():
+    # the benchmark's tracer wraps each class's own evaluate and
+    # exact_expectation; its self-test installs every wrapper
+    for cls in (ReadOnceCnf, XorCnf, CombRect, Robp):
+        assert {"evaluate", "exact_expectation"} <= set(vars(cls)), cls
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parents[1])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_rect_eval_and_expectation():
