@@ -14,8 +14,10 @@ inputs:
    parity leaf.
 
 Every existential step of the analysis (the arrival layer, the fixing)
-is replaced by an exact argmax with deterministic tie-breaking, and
-every expectation is computed as an exact rational.
+is replaced by an exact argmax with deterministic tie-breaking.  The
+chain reads a program's integer path counts (``Robp.accept_counts``
+and ``Robp.reach_counts``); a ``Fraction`` is formed only for a
+reported value or a checked bound.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .models import Literal, Robp, Term, XorCnf
 from .rcnf_prg import hsg_inner_preset, sample
-from .signs import SignVector, all_sign_rows
+from .signs import SignVector, all_bit_rows, all_sign_rows
 
 
 class BoundViolation(ValueError):
@@ -92,7 +94,7 @@ def make_rejecting(prog: Robp, states) -> Robp:
     sets are built so such a chain exists.
     """
     states = set(states)
-    p = prog.accept_probabilities()
+    c = prog.accept_counts()
     next0 = [list(r) for r in prog.next0]
     next1 = [list(r) for r in prog.next1]
     for (t, slot) in sorted(states):
@@ -101,7 +103,7 @@ def make_rejecting(prog: Robp, states) -> Robp:
                 raise ValueError("cannot convert the accept state")
             continue  # final-layer non-accept slots already reject
         cands = [i for i in range(prog.d) if (t + 1, i) in states]
-        cands += [i for i in range(prog.d) if p[t + 1][i] == 0]
+        cands += [i for i in range(prog.d) if c[t + 1][i] == 0]
         if not cands:
             raise ValueError(f"no rejecting target below layer {t}")
         tgt = min(cands)
@@ -121,14 +123,14 @@ def normalize_sudden_death(prog: Robp) -> Robp:
     the computed function exactly (dead states may be rewired freely
     to other dead states).
     """
-    p = prog.accept_probabilities()
+    c = prog.accept_counts()
     bottom = prog.d - 1
     dead_slot = [0] * (prog.n + 1)
     for t in range(1, prog.n):
-        deads = [i for i in range(prog.d) if p[t][i] == 0]
+        deads = [i for i in range(prog.d) if c[t][i] == 0]
         if not deads:
             raise ValueError(f"layer {t} has no rejecting state to anchor")
-        dead_slot[t] = bottom if p[t][bottom] == 0 else deads[0]
+        dead_slot[t] = bottom if c[t][bottom] == 0 else deads[0]
     next0 = [list(r) for r in prog.next0]
     next1 = [list(r) for r in prog.next1]
     for t in range(1, prog.n):
@@ -180,20 +182,20 @@ class SuddenDeathResult:
     cut_layer: int
 
 
-def first_top_arrival(prog: Robp) -> List[Fraction]:
-    """q[j] = Pr a uniform walk from the start first occupies slot 0 at
-    layer j (slot 0 of layers >= 1 is the top level)."""
-    q = [Fraction(0)] * (prog.n + 1)
-    cur: Dict[int, Fraction] = {0: Fraction(1)}
+def first_top_arrival(prog: Robp) -> List[int]:
+    """q[j] = how many of the 2^n inputs first occupy slot 0 at layer j
+    (slot 0 of layers >= 1 is the top level)."""
+    q = [0] * (prog.n + 1)
+    cur: Dict[int, int] = {0: 1}
     for t in range(prog.n):
-        nxt: Dict[int, Fraction] = {}
-        for slot, mass in cur.items():
+        nxt: Dict[int, int] = {}
+        for slot, paths in cur.items():
             for table in (prog.next0, prog.next1):
                 u = table[t][slot]
                 if u == 0:
-                    q[t + 1] += mass / 2
+                    q[t + 1] += paths << (prog.n - t - 1)
                 else:
-                    nxt[u] = nxt.get(u, Fraction(0)) + mass / 2
+                    nxt[u] = nxt.get(u, 0) + paths
         cur = nxt
     return q
 
@@ -207,11 +209,10 @@ def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
     e_src = f.exact_expectation()
     if e_src < eps:
         raise ValueError(f"acceptance {e_src} below the threshold {eps}")
-    p0 = f.accept_probabilities()
-    fs = sort_interior_layers(f, p0)
-    p = fs.accept_probabilities()
+    fs = sort_interior_layers(f, f.accept_counts())
+    c = fs.accept_counts()
     bottom = fs.d - 1
-    lstar = next(t for t in range(1, fs.n + 1) if p[t][bottom] <= eps / 2)
+    lstar = next(t for t in range(1, fs.n + 1) if c[t][bottom] <= eps / 2 * (1 << (fs.n - t)))
     k = lstar - 1
     slot = 0
     for t in range(k):
@@ -227,7 +228,7 @@ def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
     _require(e_g >= eps * eps / (4 * f.n), "sudden-death acceptance below eps^2/(4n)")
     return SuddenDeathResult(k=k, program=g, expectation=e_g,
                              source_expectation=e_src, arrival_layer=jstar,
-                             arrival_prob=q[jstar], cut_layer=lstar)
+                             arrival_prob=Fraction(q[jstar], 1 << bp.n), cut_layer=lstar)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +259,13 @@ def pow2_leq(x: Fraction, bound: Fraction) -> bool:
 
 def bad_states(prog: Robp) -> FrozenSet[Tuple[int, int]]:
     """States with positive acceptance and an out-edge into a dead state."""
-    p = prog.accept_probabilities()
+    c = prog.accept_counts()
     out = set()
     for t in range(prog.n):
         for i in range(prog.d):
-            if p[t][i] == 0:
+            if c[t][i] == 0:
                 continue
-            if p[t + 1][prog.next0[t][i]] == 0 or p[t + 1][prog.next1[t][i]] == 0:
+            if c[t + 1][prog.next0[t][i]] == 0 or c[t + 1][prog.next1[t][i]] == 0:
                 out.add((t, i))
     return frozenset(out)
 
@@ -277,8 +278,9 @@ def bad_state_analysis(g: Robp) -> BadStateReport:
     e = g.exact_expectation()
     if e == 0:
         raise ValueError("bad-state analysis undefined at zero acceptance")
-    q0 = g.conditional_visit_probs()
-    gs = sort_interior_layers(g, q0)
+    # r c orders each layer as q = r c / c[0][0] does
+    visits = [[a * b for a, b in zip(r, c)] for r, c in zip(g.reach_counts(), g.accept_counts())]
+    gs = sort_interior_layers(g, visits)
     _require(gs.is_sudden_death(), "q-sorted program is not sudden-death")
     q = gs.conditional_visit_probs()
     bad = bad_states(gs)
@@ -293,18 +295,11 @@ def bad_state_analysis(g: Robp) -> BadStateReport:
 def bad_visit_counts(prog: Robp) -> np.ndarray:
     """Bad(x) for every input (indexed by little-endian bit packing)."""
     bad = bad_states(prog)
-    total = 1 << prog.n
-    inputs = np.arange(total, dtype=np.int64)
-    state = np.zeros(total, dtype=np.int8)
-    counts = np.zeros(total, dtype=np.int16)
-    for t in range(prog.n):
+    counts = np.zeros(1 << prog.n, dtype=np.int16)
+    for t, state in enumerate(prog.walk(all_bit_rows(prog.n))):
         for i in range(prog.d):
             if (t, i) in bad:
-                counts[state == i] += 1
-        bit = ((inputs >> prog.order[t]) & 1).astype(np.int8)
-        n0 = np.array(prog.next0[t], dtype=np.int8)
-        n1 = np.array(prog.next1[t], dtype=np.int8)
-        state = np.where(bit == 1, n1[state], n0[state])
+                counts += state == i
     return counts
 
 
@@ -351,25 +346,8 @@ class IntersectionResult:
     report: BadStateReport
 
 
-def expectation_with_forced(prog: Robp, forced: Dict[int, int]) -> Fraction:
-    """Exact acceptance when some variables are hardwired (the layer
-    reading a forced variable follows only the forced edge)."""
-    p = [Fraction(0)] * prog.d
-    p[prog.ACC] = Fraction(1)
-    for t in range(prog.n - 1, -1, -1):
-        var = prog.order[t]
-        new = [Fraction(0)] * prog.d
-        for i in range(prog.d):
-            if var in forced:
-                nxt = (prog.next1 if forced[var] else prog.next0)[t][i]
-                new[i] = p[nxt]
-            else:
-                new[i] = (p[prog.next0[t][i]] + p[prog.next1[t][i]]) / 2
-        p = new
-    return p[0]
-
-
 def hardwire(prog: Robp, forced: Dict[int, int]) -> Robp:
+    """The layer reading a forced variable follows only the forced edge."""
     next0 = [list(r) for r in prog.next0]
     next1 = [list(r) for r in prog.next1]
     for t in range(prog.n):
@@ -409,7 +387,7 @@ def intersection_reduce(g: Robp) -> IntersectionResult:
     best_e = Fraction(-1)
     for mask in range(1 << len(fix_vars)):
         forced = {v: (mask >> idx) & 1 for idx, v in enumerate(fix_vars)}
-        e = expectation_with_forced(b1, forced)
+        e = hardwire(b1, forced).exact_expectation()
         if e > best_e:
             best_e, best_bits = e, forced
     b2 = hardwire(b1, best_bits)
@@ -427,10 +405,8 @@ def carve_segments(prog: Robp) -> List[Width2Bp]:
     """Cut at every layer with at most one live (reachable, accepting)
     state; between cuts exactly two states live and no live edge leads
     to a dead state, so each piece is a pure width-2 program."""
-    p = prog.accept_probabilities()
-    r = prog.reach_probabilities()
-    live = [[i for i in range(prog.d) if p[t][i] > 0 and r[t][i] > 0]
-            for t in range(prog.n + 1)]
+    live = [[i for i in range(prog.d) if acc[i] and reach[i]]
+            for reach, acc in zip(prog.reach_counts(), prog.accept_counts())]
     if not live[0]:
         raise ValueError("zero-acceptance program cannot be decomposed")
     if any(len(states) > 2 for states in live):
@@ -454,9 +430,8 @@ def carve_segments(prog: Robp) -> List[Width2Bp]:
                     if t + 1 == cb:
                         row.append(1 if u == exit_state else 0)
                     else:
-                        if u not in live[t + 1]:
-                            raise AssertionError(
-                                "live state feeds a dead state inside a segment")
+                        _require(u in live[t + 1],
+                                 "live state feeds a dead state inside a segment")
                         row.append(live[t + 1].index(u))
                 rows.append((row[0], row[1]))
             layers.append((rows[0], rows[1]))
@@ -672,8 +647,7 @@ def full_reduce(f: Robp, epsilon) -> ReductionCertificate:
         dl = width2_to_decision_list(seg)
         ext = dl_to_cnfx(dl)
         branches.append(ext.branch)
-        if ext.branch == "zero":
-            raise AssertionError("a zero segment contradicts positive acceptance")
+        _require(ext.branch != "zero", "a zero segment contradicts positive acceptance")
         terms.extend(ext.terms)
         segment_bound *= ext.expectation
     formula = XorCnf(n=stage1.program.n, terms=tuple(terms))

@@ -40,7 +40,8 @@ def _rcnf_params(args) -> rcnf_prg.RcnfGenParams:
             shrink_exp=int(raw.get("c2", 3)),
             shrink_gamma=Fraction(raw.get("gamma", "1/8")),
         )
-    return rcnf_prg.derive_params(args.n, args.eps, constants=constants)
+    eps = Fraction(1, 16) if args.eps is None else args.eps
+    return rcnf_prg.derive_params(args.n, eps, constants=constants)
 
 
 def cmd_gen(args) -> int:
@@ -64,6 +65,8 @@ def cmd_gen(args) -> int:
         _print_signs(cr_prg.sample_cr(params, seed))
         return 0
     if args.target == "hsg":
+        if args.eps is not None:
+            raise ValueError("gen hsg takes no --eps: its inner generator is fixed by --n")
         bits = bp3.hsg_seed_bits(args.n)
         if args.dump_params:
             print(json.dumps({"n": args.n, "seedLengthBits": bits,
@@ -71,7 +74,7 @@ def cmd_gen(args) -> int:
                              indent=1, sort_keys=True))
             return 0
         seed = parse_seed_hex(args.seed, bits)
-        _print_signs(bp3.hsg_sample(args.n, args.eps, seed))
+        _print_signs(bp3.hsg_sample(args.n, None, seed))
         return 0
     raise AssertionError(args.target)
 
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="run a generator on a seed")
     g.add_argument("target", choices=["rcnf", "rect", "hsg"])
     g.add_argument("--n", type=int, default=64)
-    g.add_argument("--eps", type=_fraction, default=Fraction(1, 16))
+    g.add_argument("--eps", type=_fraction, help="rcnf only (default 1/16)")
     g.add_argument("--m", type=int, default=8)
     g.add_argument("--w", type=int, default=8)
     g.add_argument("--delta", type=_fraction, default=Fraction(1, 16))

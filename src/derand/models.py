@@ -5,7 +5,10 @@ rectangles and layered read-once branching programs, each with exact
 (rational) expectation computation, restriction application and batch
 evaluation.  A read-once CNF is the all-OR case of a parity-CNF: both
 formula classes run one term engine over their ``terms``, and one
-restriction serves both.  Everything is immutable after construction;
+restriction serves both.  A branching program's expectations come from
+two integer path counts, backward to Acc and forward from the start,
+and its batch evaluations from one layer walk; ``Fraction`` appears
+only in the values returned.  Everything is immutable after construction;
 the sign convention is the global one (-1 false, +1 true).
 """
 
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .signs import pack_block
+from .signs import all_bit_rows, pack_block
 
 
 @dataclass(frozen=True)
@@ -302,98 +305,78 @@ class Robp:
     def rej(self) -> int:
         return self.d - 1
 
-    def step(self, t: int, slot: int, bit: int) -> int:
-        return (self.next1 if bit else self.next0)[t][slot]
-
-    def path(self, x) -> list:
-        """Slot occupied at every layer on input x (signs)."""
+    def evaluate(self, x) -> int:
         if len(x) != self.n:
             raise ValueError(f"assignment length {len(x)} != n={self.n}")
-        slots = [0]
-        cur = 0
-        for t in range(self.n):
-            bit = 1 if x[self.order[t]] == 1 else 0
-            cur = self.step(t, cur, bit)
-            slots.append(cur)
-        return slots
+        slot = 0
+        for t, var in enumerate(self.order):
+            slot = (self.next1 if x[var] == 1 else self.next0)[t][slot]
+        return 1 if slot == self.ACC else 0
 
-    def evaluate(self, x) -> int:
-        return 1 if self.path(x)[-1] == self.ACC else 0
+    def walk(self, bits: np.ndarray):
+        """Yield, for t = 0..n, the slot each input occupies at layer t.
+
+        ``bits`` holds one input per row, column i set when variable i
+        is true; the batch size is its row count, so n = 0 works."""
+        state = np.zeros(bits.shape[0], dtype=np.int8)
+        yield state
+        for t, var in enumerate(self.order):
+            n0 = np.array(self.next0[t], dtype=np.int8)
+            n1 = np.array(self.next1[t], dtype=np.int8)
+            state = np.where(bits[:, var], n1[state], n0[state])
+            yield state
 
     def eval_all(self) -> np.ndarray:
         """Accept flags for every input, indexed by the little-endian
         bit packing of the assignment (bit i = variable i, 1 = true)."""
-        total = 1 << self.n
-        inputs = np.arange(total, dtype=np.int64)
-        state = np.zeros(total, dtype=np.int8)
-        for t in range(self.n):
-            bit = ((inputs >> self.order[t]) & 1).astype(np.int8)
-            n0 = np.array(self.next0[t], dtype=np.int8)
-            n1 = np.array(self.next1[t], dtype=np.int8)
-            state = np.where(bit == 1, n1[state], n0[state])
+        for state in self.walk(all_bit_rows(self.n)):
+            pass
         return state == self.ACC
 
     def eval_batch(self, signs: np.ndarray) -> np.ndarray:
         if signs.shape[1] != self.n:
             raise ValueError("assignment width mismatch")
-        state = np.zeros(signs.shape[0], dtype=np.int8)
-        for t in range(self.n):
-            bit = signs[:, self.order[t]] == 1
-            n0 = np.array(self.next0[t], dtype=np.int8)
-            n1 = np.array(self.next1[t], dtype=np.int8)
-            state = np.where(bit, n1[state], n0[state])
+        for state in self.walk(signs == 1):
+            pass
         return state == self.ACC
 
-    def _accept_counts(self) -> list:
+    def accept_counts(self) -> list:
         """c[t][i]: how many assignments of the variables read by layers
-        t..n-1 lead from state (t, i) to Acc; an integer DP."""
+        t..n-1 lead from state (t, i) to Acc."""
         c = [[0] * self.d for _ in range(self.n + 1)]
         c[self.n][self.ACC] = 1
         for t in range(self.n - 1, -1, -1):
             c[t] = [c[t + 1][a] + c[t + 1][b] for a, b in zip(self.next0[t], self.next1[t])]
         return c
 
-    def accept_probabilities(self) -> list:
-        """p(v) for every state: exact probability of reaching Acc,
-        p[t][i] = c[t][i] / 2^(n-t) from _accept_counts."""
-        return [[Fraction(v, 1 << (self.n - t)) for v in row]
-                for t, row in enumerate(self._accept_counts())]
-
-    def accept_probabilities_float(self) -> np.ndarray:
-        """Float fast path of the same backward recurrence."""
-        p = np.zeros((self.n + 1, self.d))
-        p[self.n][self.ACC] = 1.0
-        for t in range(self.n - 1, -1, -1):
-            n0 = np.array(self.next0[t])
-            n1 = np.array(self.next1[t])
-            p[t] = (p[t + 1][n0] + p[t + 1][n1]) / 2
-        return p
-
-    def reach_probabilities(self) -> list:
-        """Probability of occupying each state on a uniform random walk."""
-        r = [[Fraction(0)] * self.d for _ in range(self.n + 1)]
-        r[0][0] = Fraction(1)
+    def reach_counts(self) -> list:
+        """r[t][i]: how many assignments of the variables read by layers
+        0..t-1 lead from the start to state (t, i)."""
+        r = [[0] * self.d for _ in range(self.n + 1)]
+        r[0][0] = 1
         for t in range(self.n):
-            for i in range(self.d):
-                if r[t][i]:
-                    half = r[t][i] / 2
-                    r[t + 1][self.next0[t][i]] += half
-                    r[t + 1][self.next1[t][i]] += half
+            for i, paths in enumerate(r[t]):
+                r[t + 1][self.next0[t][i]] += paths
+                r[t + 1][self.next1[t][i]] += paths
         return r
 
+    def accept_probabilities(self) -> list:
+        """p[t][i] = c[t][i] / 2^(n-t): the probability of reaching Acc
+        from state (t, i)."""
+        return [[Fraction(v, 1 << (self.n - t)) for v in row]
+                for t, row in enumerate(self.accept_counts())]
+
     def conditional_visit_probs(self) -> list:
-        """q(v): probability a uniformly random accepted input visits v."""
-        p = self.accept_probabilities()
-        if p[0][0] == 0:
+        """q(v): probability a uniformly random accepted input visits v,
+        (r / 2^t)(c / 2^(n-t)) / (c[0][0] / 2^n) = r c / c[0][0]."""
+        c = self.accept_counts()
+        if c[0][0] == 0:
             raise ValueError("conditional visit probabilities undefined: E[f] = 0")
-        r = self.reach_probabilities()
-        return [
-            [r[t][i] * p[t][i] / p[0][0] for i in range(self.d)]
-            for t in range(self.n + 1)
-        ]
+        return [[Fraction(a * b, c[0][0]) for a, b in zip(reach, acc)]
+                for reach, acc in zip(self.reach_counts(), c)]
 
     def exact_expectation(self) -> Fraction:
-        return Fraction(self._accept_counts()[0][0], 1 << self.n)
+        return Fraction(self.accept_counts()[0][0], 1 << self.n)
 
     def is_sudden_death(self) -> bool:
         """Bottom slot absorbs into the bottom slot at every interior layer."""

@@ -19,9 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-MINUS = -1
-PLUS = 1
-
 
 @dataclass(frozen=True)
 class SignVector:
@@ -47,9 +44,6 @@ class SignVector:
         """Unpack little-endian: bit i of ``value`` is coordinate i."""
         return cls(tuple(1 if (value >> i) & 1 else -1 for i in range(n)))
 
-    def bits(self) -> tuple:
-        return tuple(1 if v == 1 else 0 for v in self.values)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int8)
 
@@ -72,10 +66,17 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
 
 
+def all_bit_rows(n: int) -> np.ndarray:
+    """uint8 matrix (2^n x n) of every point of {0,1}^n: row m holds the
+    bits of m little-endian (column i is bit i)."""
+    rows = np.arange(1 << n, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(rows[:, :(n + 7) // 8], axis=1, bitorder="little")[:, :n]
+
+
 def all_sign_rows(n: int) -> np.ndarray:
     """int8 matrix (2^n x n) of every point of {-1,+1}^n: row m unpacks m
     little-endian, coordinate i being +1 iff bit i of m is set."""
-    return bit_rows(range(1 << n), n).astype(np.int8) * 2 - 1
+    return all_bit_rows(n).astype(np.int8) * 2 - 1
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import subprocess
 import sys
@@ -7,15 +9,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from derand.bp3 import (BoundViolation, DecisionList, ParityLeaf, Width2Bp, bad_state_analysis,
-                        bad_states, bad_visit_counts, dl_to_cnfx, full_reduce,
-                        hsg_inner_preset, hsg_sample, hsg_seed_bits,
+from derand import bp3, cli, formats
+from derand.bp3 import (BoundViolation, DecisionList, ParityLeaf, TermExtraction, Width2Bp,
+                        bad_state_analysis, bad_states, bad_visit_counts, carve_segments,
+                        dl_to_cnfx, full_reduce, hsg_inner_preset, hsg_sample, hsg_seed_bits,
                         intersection_reduce, make_rejecting, pipeline_exponent,
                         pow2_leq, sudden_death_reduce, width2_to_decision_list)
 from derand.harness import bad_heavy_program, random_width3
 from derand.models import Robp, XorCnf, and_chain_program, parity_program
 from derand.rcnf_prg import sample
 from derand.signs import all_sign_rows
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def rand_width2(length, rng):
@@ -302,6 +308,27 @@ def test_bound_violation_raised_under_python_O():
         assert proc.stdout.split(maxsplit=1) == [str(len(flags)), "large-bad count above 8 log2(2/E)\n"]
 
 
+def test_carving_refuses_a_live_state_feeding_a_dead_one():
+    # layers 1 and 2 each hold two live states, so no cut falls between
+    # them, and layer 1's slot 1 drops into the dead slot 2 on bit 1
+    prog = Robp(n=3, d=3,
+                next0=((0, 0, 0), (0, 0, 2), (0, 0, 2)),
+                next1=((1, 1, 1), (1, 2, 2), (0, 0, 2)))
+    with pytest.raises(BoundViolation, match="live state feeds a dead state inside a segment"):
+        carve_segments(prog)
+
+
+def test_zero_segment_exits_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "prog.txt"
+    path.write_text(formats.dumps(parity_program(3)))
+    monkeypatch.setattr(bp3, "dl_to_cnfx", lambda dl: TermExtraction(
+        terms=(), expectation=Fraction(0), source_expectation=Fraction(0), branch="zero"))
+    with pytest.raises(BoundViolation):
+        full_reduce(parity_program(3), Fraction(1, 2))
+    assert cli.main(["reduce", "--in", str(path), "--eps", "1/2"]) == 2
+    assert capsys.readouterr().err == "error: a zero segment contradicts positive acceptance\n"
+
+
 def test_full_reduce_and_chain_keeps_everything():
     prog = and_chain_program(3)
     cert = full_reduce(prog, Fraction(1, 8))
@@ -357,3 +384,20 @@ def test_width2_validation():
         Width2Bp(variables=(0,), start=0, layers=(((0, 2), (1, 1)),), accept=1)
     with pytest.raises(ValueError):
         Width2Bp(variables=(0, 1), start=0, layers=(((0, 1), (1, 0)),), accept=1)
+
+
+def test_reduce_certificates_match_golden(tmp_path, capsys):
+    # one line per program: its JSON form and the fields `derand reduce`
+    # printed for it at eps = 1/4, covering the or, and-xor and one branches
+    with open(os.path.join(GOLDEN, "reduce_w3.jsonl"), encoding="ascii") as fh:
+        lines = [json.loads(line) for line in fh]
+    branches = set()
+    path = tmp_path / "prog.json"
+    for line in lines:
+        path.write_text(formats.dump_json(formats.from_json(line["program"])))
+        assert cli.main(["reduce", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(line["reduce"], indent=1, sort_keys=True) + "\n", line["instance"]
+        branches.update(line["reduce"]["provenance"]["segmentBranches"])
+    assert {"or", "and-xor", "one"} <= branches
+    assert any(line["reduce"]["provenance"]["fixedBits"] for line in lines)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derand import bp3, cr_prg, rcnf_prg
+from derand import bp3, cli, cr_prg, rcnf_prg
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
                             GeneratorHandle, advantage_sweep, check_approx, check_models,
                             check_smallbias, check_sympoly, constant_generator,
@@ -244,6 +244,14 @@ def test_cli_advantage_refuses_unenumerable_seed_space():
     assert proc.returncode == 2
     assert "too large to enumerate" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_gen_hsg_refuses_eps(capsys):
+    assert cli.main(["gen", "hsg", "--n", "14", "--seed", "3a7f0001"]) == 0
+    assert capsys.readouterr().out == "-----------++-\n"
+    assert cli.main(["gen", "hsg", "--n", "14", "--seed", "3a7f0001", "--eps", "1/4"]) == 2
+    assert capsys.readouterr().err == \
+        "error: gen hsg takes no --eps: its inner generator is fixed by --n\n"
 
 
 def test_statistical_interval_contains_exhaustive_value():

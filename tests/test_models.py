@@ -202,6 +202,14 @@ def test_robp_matches_brute_force_random():
         assert (batch == acc[packed]).all()
 
 
+def _random_ordered_program(rng, n, d):
+    next0, next1 = ([tuple(rng.randrange(d) for _ in range(d)) for _ in range(n)]
+                    for _ in range(2))
+    order = list(range(n))
+    rng.shuffle(order)
+    return Robp(n=n, d=d, next0=tuple(next0), next1=tuple(next1), order=tuple(order))
+
+
 def _fraction_accept_probabilities(prog):
     """The backward recurrence in Fraction, p = (p0 + p1) / 2 per state."""
     p = [[Fraction(0)] * prog.d for _ in range(prog.n + 1)]
@@ -216,15 +224,87 @@ def test_integer_accept_counts_match_fraction_dp():
     rng = random.Random(17)
     for _ in range(60):
         n, d = rng.randint(1, 12), rng.randint(2, 4)
-        next0, next1 = ([tuple(rng.randrange(d) for _ in range(d)) for _ in range(n)]
-                        for _ in range(2))
-        order = list(range(n))
-        rng.shuffle(order)
-        prog = Robp(n=n, d=d, next0=tuple(next0), next1=tuple(next1), order=tuple(order))
+        prog = _random_ordered_program(rng, n, d)
         want = _fraction_accept_probabilities(prog)
         assert prog.accept_probabilities() == want
         assert prog.exact_expectation() == want[0][0]
         assert prog.exact_expectation() == Fraction(int(prog.eval_all().sum()), 1 << n)
+
+
+def _fraction_reach_probabilities(prog):
+    """The forward recurrence in Fraction: each state sends half its
+    mass along each edge."""
+    r = [[Fraction(0)] * prog.d for _ in range(prog.n + 1)]
+    r[0][0] = Fraction(1)
+    for t in range(prog.n):
+        for i in range(prog.d):
+            r[t + 1][prog.next0[t][i]] += r[t][i] / 2
+            r[t + 1][prog.next1[t][i]] += r[t][i] / 2
+    return r
+
+
+def _fraction_first_top_arrival(prog):
+    """The forward recurrence in Fraction with slot 0 absorbing past
+    layer 0: the mass entering it at layer j is the first arrival."""
+    q = [Fraction(0)] * (prog.n + 1)
+    mass = [Fraction(0)] * prog.d
+    mass[0] = Fraction(1)
+    for t in range(prog.n):
+        nxt = [Fraction(0)] * prog.d
+        for i in range(prog.d):
+            if t and i == 0:
+                continue
+            nxt[prog.next0[t][i]] += mass[i] / 2
+            nxt[prog.next1[t][i]] += mass[i] / 2
+        q[t + 1], mass = nxt[0], nxt
+    return q
+
+
+def test_path_counts_match_fraction_recurrences():
+    from derand.bp3 import first_top_arrival
+    rng = random.Random(18)
+    for trial in range(80):
+        prog = _random_ordered_program(rng, trial % 13, 2 + trial % 3)
+        n = prog.n
+        r = _fraction_reach_probabilities(prog)
+        assert prog.reach_counts() == [[v * (1 << t) for v in row] for t, row in enumerate(r)]
+        assert first_top_arrival(prog) == [v * (1 << n) for v in _fraction_first_top_arrival(prog)]
+        p = _fraction_accept_probabilities(prog)
+        if p[0][0] == 0:
+            with pytest.raises(ValueError):
+                prog.conditional_visit_probs()
+        else:
+            assert prog.conditional_visit_probs() == [
+                [a * b / p[0][0] for a, b in zip(reach, acc)] for reach, acc in zip(r, p)]
+
+
+def test_walk_matches_evaluate_and_hardwiring():
+    from derand.bp3 import hardwire
+    rng = random.Random(19)
+    for trial in range(40):
+        prog = _random_ordered_program(rng, trial % 9, 2 + trial % 3)
+        n = prog.n
+        acc = prog.eval_all()
+        assert acc.tolist() == [bool(prog.evaluate(SignVector.from_int(m, n)))
+                                for m in range(1 << n)]
+        forced = {v: rng.randrange(2) for v in range(n) if rng.randrange(3) == 0}
+        agree = [m for m in range(1 << n)
+                 if all((m >> v) & 1 == b for v, b in forced.items())]
+        want = Fraction(int(acc[agree].sum()), 1 << (n - len(forced)))
+        assert hardwire(prog, forced).exact_expectation() == want
+
+
+def test_zero_length_program_walks_its_batch():
+    from derand.bp3 import bad_visit_counts
+    for d in (2, 3, 4):
+        prog = Robp(n=0, d=d, next0=(), next1=())
+        assert prog.evaluate(()) == 1
+        assert prog.exact_expectation() == 1
+        assert prog.eval_all().tolist() == [True]
+        assert prog.eval_batch(np.zeros((5, 0), dtype=np.int8)).tolist() == [True] * 5
+        assert prog.eval_batch(np.zeros((0, 0), dtype=np.int8)).tolist() == []
+        assert bad_visit_counts(prog).tolist() == [0]
+        assert [s.tolist() for s in prog.walk(np.zeros((3, 0), dtype=bool))] == [[0, 0, 0]]
 
 
 def test_robp_variable_order():
@@ -263,17 +343,6 @@ def test_bad_count_tail_bound_for_sudden_death_corpus():
             assert Fraction(int((counts >= t).sum()), total) <= Fraction(2, 1 << t)
         checked += 1
     assert checked == 25
-
-
-def test_float_dp_fast_path_matches_exact():
-    rng = random.Random(16)
-    for _ in range(30):
-        prog = random_width3(rng, rng.randint(2, 12))
-        exact = prog.accept_probabilities()
-        fast = prog.accept_probabilities_float()
-        for t in range(prog.n + 1):
-            for i in range(3):
-                assert abs(float(exact[t][i]) - fast[t][i]) <= 1e-12
 
 
 def test_width2_and_program_example():
