@@ -633,7 +633,7 @@ class ReductionCertificate:
 
 def full_reduce(f: Robp, epsilon) -> ReductionCertificate:
     """Chain the three stages and assemble the certificate formula."""
-    if f.d != 3:
+    if not isinstance(f, Robp) or f.d != 3:
         raise ValueError("the reduction chain expects width-3 programs")
     stage1 = sudden_death_reduce(f, epsilon)
     inter = intersection_reduce(stage1.program)

@@ -81,7 +81,10 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     obj = formats.load_path(args.path)
-    signs = tuple(1 if ch == "+" else -1 for ch in args.input.strip())
+    text = args.input.strip()
+    if set(text) - {"+", "-"}:
+        raise ValueError(f"input must be a string of '+' and '-' signs, not {args.input!r}")
+    signs = tuple(1 if ch == "+" else -1 for ch in text)
     print(obj.evaluate(signs))
     return 0
 

@@ -216,7 +216,8 @@ def _term_rows(f, tables: RoundTables) -> list:
     term with target 0 is read as one with target 1 and its first
     literal negated, so every term is satisfied when its reduction is 1."""
     if not isinstance(f, (ReadOnceCnf, XorCnf)):
-        raise TypeError("structured advantage needs a read-once or parity formula")
+        raise ValueError(f"structured advantage needs a read-once or parity formula, "
+                         f"not {type(f).__name__}")
     rows = []
     for term in f.terms:
         var = np.array([l.index for l in term.literals], dtype=np.intp)
@@ -485,6 +486,9 @@ def landmark_formulas(n_limit: int = 64) -> List[Tuple[str, object]]:
 def width3_corpus(count: int = 100, n_max: int = 14,
                   min_expectation: Fraction = Fraction(1, 4),
                   seed: int = 0xB3) -> List[Tuple[str, Robp]]:
+    if n_max < 4:
+        raise ValueError(f"random corpus programs have n from 4 to n_max, so n_max must be "
+                         f"at least 4, not {n_max}")
     rng = random.Random(seed)
     out: List[Tuple[str, Robp]] = [
         ("and-chain-3", and_chain_program(3)),
@@ -582,20 +586,6 @@ def _scatter_panel(points, xlabel, ylabel, width, height, x_off) -> list:
             parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="steelblue">'
                          f'<title>{label}</title></circle>')
     return parts
-
-
-def render_scatter_svg(points: Sequence[Tuple[float, float, str]],
-                       xlabel: str, ylabel: str,
-                       width: int = 480, height: int = 320) -> str:
-    """Deterministic single-panel scatter plot; points are (x, y, label)."""
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    parts += _scatter_panel(points, xlabel, ylabel, width, height, 0)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def render_report_svg(reports: Sequence[AdvantageReport],

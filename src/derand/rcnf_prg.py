@@ -172,6 +172,8 @@ def explicit_params(n: int, epsilon, k_subset: int, k_z: int, k_y: int,
                     rounds: int = 1, bits_per_index: int = 5,
                     constants: GenConstants = GenConstants(), preset: str = "") -> RcnfGenParams:
     """Directly pinned field degrees; biases are whatever those degrees give."""
+    if n < 1:
+        raise ValueError(f"generator length n must be positive, not {n}")
     eps = Fraction(epsilon)
     return RcnfGenParams(
         n=n, epsilon=eps, rounds=rounds, bits_per_index=bits_per_index,

@@ -8,10 +8,12 @@ character expectation over the full seed space equals the fraction of s
 that are roots of sum_{i in S} s^i, a nonzero polynomial with at most
 n-1 roots, so the measured bias is at most (n-1)/2^k.
 
-Subset samplers read b-sign blocks out of one shared biased string over
-n*b positions; index i is included exactly when all b signs of block i
-are -1, so a uniform underlying string gives inclusion probability
-2^-b per index.
+Every string the generators draw (z, y and the subset strings) comes
+from such a space, and every reader takes the whole string: n signs for
+a spec of length n.  Subset samplers read b-sign blocks out of one
+shared biased string over n*b positions; index i is included exactly
+when all b signs of block i are -1, with probability 2^-b per index up
+to the bias of the space.
 
 Field elements are integers whose binary digits are polynomial
 coefficients over GF(2), reduced modulo the lexicographically smallest
@@ -45,7 +47,7 @@ from operator import xor
 
 import numpy as np
 
-from .signs import SignVector, bit_rows, walsh_hadamard
+from .signs import SignVector, walsh_hadamard
 
 EXHAUSTIVE_N_LIMIT = 20
 # seed bits of one space enumerated whole (all-seeds tables and histograms);
@@ -131,11 +133,6 @@ class GF2k:
             e >>= 1
         return acc
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.order - 2)
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized mul (broadcasting), any degree up to 64."""
         a2, b2 = np.broadcast_arrays(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
@@ -173,16 +170,13 @@ def ceil_log2_fraction(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class BiasedSpaceSpec:
-    """Parameters of one powering-construction sign distribution.
-
-    ``uniform=True`` marks the degenerate zero-bias space: the seed has
-    n bits and maps to signs directly (bit 1 -> -1).
-    """
+    """Parameters of one powering-construction sign distribution."""
 
     n: int
     epsilon: Fraction
     field_degree: int
-    uniform: bool = False
+    # every space is a powering space; perfbench/workloads.py reads this
+    uniform = False
 
     @classmethod
     def for_bias(cls, n: int, epsilon) -> "BiasedSpaceSpec":
@@ -200,25 +194,16 @@ class BiasedSpaceSpec:
         """Explicit field degree; epsilon records the bound (n-1)/2^k as-is."""
         return cls(n=n, epsilon=Fraction(max(n - 1, 0), 1 << k), field_degree=k)
 
-    @classmethod
-    def uniform_space(cls, n: int) -> "BiasedSpaceSpec":
-        return cls(n=n, epsilon=Fraction(0), field_degree=0, uniform=True)
-
     @property
     def seed_bits(self) -> int:
-        return self.n if self.uniform else 2 * self.field_degree
+        return 2 * self.field_degree
 
     @property
     def bias_bound(self) -> Fraction:
-        if self.uniform:
-            return Fraction(0)
         return Fraction(max(self.n - 1, 0), 1 << self.field_degree)
 
     def to_json(self) -> dict:
-        data = {"n": self.n, "epsilon": str(self.epsilon), "fieldDegree": self.field_degree}
-        if self.uniform:
-            data["uniform"] = True
-        return data
+        return {"n": self.n, "epsilon": str(self.epsilon), "fieldDegree": self.field_degree}
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +248,6 @@ def _squaring_tables(k: int):
     return _byte_tables([_poly_mod(1 << (2 * j), mod) for j in range(k)])
 
 
-def _count(spec: BiasedSpaceSpec, positions: int | None) -> int:
-    m = spec.n if positions is None else positions
-    if m > spec.n:
-        raise ValueError("cannot request more positions than the spec length")
-    return m
-
-
 class PoweringSeed:
     """One seed of a biased space, read in blocks of ``stride`` signs:
     sign c of block j is position j * stride + c.  With u = s^stride it
@@ -283,9 +261,6 @@ class PoweringSeed:
         if stride < 1:
             raise ValueError("stride must be positive")
         self.spec, self.seed, self.stride, self.blocks = spec, seed, stride, spec.n // stride
-        if spec.uniform:  # sign c of block j is bit j * stride + c of the seed
-            self._r = [seed >> c for c in range(stride)]
-            return
         k = spec.field_degree
         u = seed >> k
         times_s, self._r = _times_x_images(k, u), [seed & ((1 << k) - 1)]
@@ -296,10 +271,7 @@ class PoweringSeed:
         self._u, self._times_u = u, _byte_tables(_times_x_images(k, u) if stride > 1 else times_s)
 
     def _powers(self, start: int, count: int):
-        """u^start .. u^(start + count - 1); a uniform seed's 2^(j stride)."""
-        if self.spec.uniform:
-            yield from (1 << j * self.stride for j in range(start, start + count))
-            return
+        """u^start .. u^(start + count - 1)."""
         k, u, t = self.spec.field_degree, self._u, self._times_u
         power = 1
         if start:  # square and multiply, left to right: u^(2e), then u^(2e+1)
@@ -375,87 +347,76 @@ def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
     return table[:count]
 
 
-def powering_signs(spec: BiasedSpaceSpec, seeds, positions: int | None = None) -> np.ndarray:
-    """Sign matrix (len(seeds) x positions, int8) of a batch of seeds.
+def powering_signs(spec: BiasedSpaceSpec, seeds) -> np.ndarray:
+    """Sign matrix (len(seeds) x n, int8) of a batch of seeds.
 
     Row j agrees with generate_biased(spec, seeds[j]); the power table
     is built once per distinct s in the batch and gathered.
     """
-    m = _count(spec, positions)
     seeds, width = list(seeds), spec.seed_bits
     if any(seed < 0 or seed >> width for seed in seeds):
         raise ValueError(f"seeds must fit in {width} bits")
-    if spec.uniform:
-        return _SIGN[bit_rows(seeds, m)]
-    k = spec.field_degree
+    k, n = spec.field_degree, spec.n
     r = np.array([seed & ((1 << k) - 1) for seed in seeds], dtype=np.uint64)
     row_of = {s: i for i, s in enumerate(dict.fromkeys(seed >> k for seed in seeds))}
     which = np.array([row_of[seed >> k] for seed in seeds], dtype=np.intp)
-    powers = _power_table(GF2k(k), np.array(list(row_of), dtype=np.uint64), m)
-    out = np.empty((len(seeds), m), dtype=np.int8)
-    for i in range(m):  # one position at a time keeps the gathered powers small
+    powers = _power_table(GF2k(k), np.array(list(row_of), dtype=np.uint64), n)
+    out = np.empty((len(seeds), n), dtype=np.int8)
+    for i in range(n):  # one position at a time keeps the gathered powers small
         out[:, i] = _SIGN[np.bitwise_count(powers[i, which] & r) & 1]
     return out
 
 
-def parity_bits_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np.ndarray:
-    """Output bits of every seed, position-major: (positions x 2^seed_bits)
-    bool, entry [i, r + (s << k)] = parity(s^i & r), true iff sign i of
-    that seed is -1.
+def parity_bits_all_seeds(spec: BiasedSpaceSpec) -> np.ndarray:
+    """Output bits of every seed, position-major: (n x 2^seed_bits) bool,
+    entry [i, r + (s << k)] = parity(s^i & r), true iff sign i of that
+    seed is -1.
 
     One gather of the 2^k x 2^k table of parity(a & r) by the power
     table.  Seed spaces above TABLE_SEED_BITS_LIMIT bits raise ValueError
     before allocating.
     """
-    m = _count(spec, positions)
     if spec.seed_bits > TABLE_SEED_BITS_LIMIT:
         raise ValueError(
             f"seed space of {spec.seed_bits} bits is too large to enumerate "
             f"(limit {TABLE_SEED_BITS_LIMIT} bits)"
         )
-    if spec.uniform:
-        seeds = np.arange(1 << spec.seed_bits, dtype=np.uint64)
-        return ((seeds >> np.arange(m, dtype=np.uint64)[:, None]) & np.uint64(1)).astype(bool)
-    gf = GF2k(spec.field_degree)
+    gf, n = GF2k(spec.field_degree), spec.n
     parity = np.zeros((gf.order, gf.order), dtype=bool)  # [a, r] = parity(a & r)
     h = 1
     while h < gf.order:  # one more bit of a and r: parity flips where both are set
         parity[h:2 * h, :h] = parity[:h, h:2 * h] = parity[:h, :h]
         parity[h:2 * h, h:2 * h] = ~parity[:h, :h]
         h *= 2
-    return parity[_power_table(gf, np.arange(gf.order, dtype=np.uint64), m)].reshape(m, -1)
+    return parity[_power_table(gf, np.arange(gf.order, dtype=np.uint64), n)].reshape(n, -1)
 
 
-def outputs_all_seeds(spec: BiasedSpaceSpec, positions: int | None = None) -> np.ndarray:
-    """Sign matrix (2^seed_bits x positions, int8), row index = seed value:
+def outputs_all_seeds(spec: BiasedSpaceSpec) -> np.ndarray:
+    """Sign matrix (2^seed_bits x n, int8), row index = seed value:
     the seed-major view of parity_bits_all_seeds.  Agrees with
     generate_biased bit for bit."""
-    return _SIGN[np.ascontiguousarray(parity_bits_all_seeds(spec, positions).T).view(np.uint8)]
+    return _SIGN[np.ascontiguousarray(parity_bits_all_seeds(spec).T).view(np.uint8)]
 
 
-def output_mask_histogram(spec: BiasedSpaceSpec, positions: int) -> np.ndarray:
-    """int64 counts of length 2^positions of the packed outputs of every
-    seed, bit i set iff sign i is -1.  The packed value is GF(2)-linear
-    in r: the XOR over set bits j of r of row (s, j), positions i where
-    bit j of s^i is set.  Masks are built by doubling over the bits of r
+def output_mask_histogram(spec: BiasedSpaceSpec) -> np.ndarray:
+    """int64 counts of length 2^n of the packed outputs of every seed,
+    bit i set iff sign i is -1.  The packed value is GF(2)-linear in r:
+    the XOR over set bits j of r of row (s, j), positions i where bit j
+    of s^i is set.  Masks are built by doubling over the bits of r
     across s, in chunks of at most HISTOGRAM_CHUNK masks."""
-    if spec.uniform:
-        if positions != spec.n:
-            raise ValueError("uniform histogram expects the full width")
-        return np.ones(1 << spec.n, dtype=np.int64)
-    k = spec.field_degree
+    k, n = spec.field_degree, spec.n
     gf = GF2k(k)
-    powers = _power_table(gf, np.arange(gf.order, dtype=np.uint64), positions).T
+    powers = _power_table(gf, np.arange(gf.order, dtype=np.uint64), n).T
     bits = (powers[:, None, :] >> np.arange(k, dtype=np.uint64)[None, :, None]) & np.uint64(1)
-    rows = (bits << np.arange(positions, dtype=np.uint64)).sum(axis=2).astype(np.int64)  # (s, j)
-    counts = np.zeros(1 << positions, dtype=np.int64)
+    rows = (bits << np.arange(n, dtype=np.uint64)).sum(axis=2).astype(np.int64)  # (s, j)
+    counts = np.zeros(1 << n, dtype=np.int64)
     step = max(1, HISTOGRAM_CHUNK >> k)
     for lo in range(0, gf.order, step):
         part = rows[lo:lo + step]
         masks = np.zeros((len(part), gf.order), dtype=np.int64)  # (s, r)
         for j in range(k):
             masks[:, 1 << j:2 << j] = masks[:, :1 << j] ^ part[:, j, None]
-        counts += np.bincount(masks.reshape(-1), minlength=1 << positions)
+        counts += np.bincount(masks.reshape(-1), minlength=1 << n)
     return counts
 
 
@@ -474,7 +435,7 @@ def exact_bias(spec: BiasedSpaceSpec) -> tuple:
             f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {TABLE_SEED_BITS_LIMIT}); "
             "use a statistical estimate instead"
         )
-    mags = walsh_hadamard(output_mask_histogram(spec, spec.n))
+    mags = walsh_hadamard(output_mask_histogram(spec))
     np.abs(mags, out=mags)
     mags[0] = -1  # exclude the empty set
     idx = int(np.argmax(mags))
@@ -494,15 +455,6 @@ class SubsetSamplerSpec:
     bits_per_index: int
     delta: Fraction
     base: BiasedSpaceSpec
-
-    @classmethod
-    def from_alpha(cls, n: int, alpha, delta, **kwargs) -> "SubsetSamplerSpec":
-        """Same as build, but takes the inclusion probability, which must
-        be an exact power of two."""
-        a = Fraction(alpha)
-        if a.numerator != 1 or a.denominator.bit_count() != 1:
-            raise ValueError(f"inclusion probability {a} is not a power of two")
-        return cls.build(n, a.denominator.bit_length() - 1, delta, **kwargs)
 
     @classmethod
     def build(cls, n: int, bits_per_index: int, delta,
@@ -526,11 +478,6 @@ class SubsetSamplerSpec:
                     delta=Fraction(1)) -> "SubsetSamplerSpec":
         return cls(n=n, bits_per_index=bits_per_index, delta=Fraction(delta),
                    base=BiasedSpaceSpec.with_degree(n * bits_per_index, k))
-
-    @classmethod
-    def uniform(cls, n: int, bits_per_index: int) -> "SubsetSamplerSpec":
-        return cls(n=n, bits_per_index=bits_per_index, delta=Fraction(0),
-                   base=BiasedSpaceSpec.uniform_space(n * bits_per_index))
 
     @property
     def alpha(self) -> Fraction:
@@ -558,7 +505,7 @@ def sample_subset(spec: SubsetSamplerSpec, seed: int) -> frozenset:
 def subset_members(spec: SubsetSamplerSpec, seeds) -> np.ndarray:
     """Membership rows (len(seeds) x n, bool) of a batch of seeds; row j
     holds sample_subset(spec, seeds[j])."""
-    signs = powering_signs(spec.base, seeds, spec.n * spec.bits_per_index)
+    signs = powering_signs(spec.base, seeds)
     return (signs.reshape(len(signs), spec.n, spec.bits_per_index) == -1).all(axis=2)
 
 
@@ -568,7 +515,7 @@ def subsets_all_seeds(spec: SubsetSamplerSpec) -> np.ndarray:
     Masks are int64, so samplers over more than 64 indices raise ValueError."""
     if spec.n > 64:
         raise ValueError(f"subset masks hold at most 64 indices, not {spec.n}")
-    bits = parity_bits_all_seeds(spec.base, spec.n * spec.bits_per_index)
+    bits = parity_bits_all_seeds(spec.base)
     member = bits.reshape(spec.n, spec.bits_per_index, -1).all(axis=1)
     packed = np.packbits(member, axis=0, bitorder="little").astype(np.int64)
     return (packed << np.arange(0, 8 * len(packed), 8, dtype=np.int64)[:, None]).sum(axis=0)

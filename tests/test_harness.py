@@ -9,16 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derand import bp3, cli, cr_prg, rcnf_prg
+from derand import bp3, cli, cr_prg, formats, rcnf_prg
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
                             GeneratorHandle, advantage_sweep, check_approx, check_models,
                             check_smallbias, check_sympoly, constant_generator,
                             corpus_generate, cr_generator, exhaustive_advantage,
                             hsg_hit_stats, landmark_formulas, random_read_once_cnf,
                             random_width3, random_xorcnf, rcnf_generator, rcnf_output_histogram,
-                            rcnf_structured_advantage, render_scatter_svg, report,
+                            rcnf_structured_advantage, render_report_svg, report,
                             round_tables, uniform_generator, width3_corpus, write_csv)
-from derand.models import Literal, ReadOnceCnf, Robp, Term, XorCnf, and_chain_program
+from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
+                           and_chain_program)
 from derand.signs import SignVector
 from derand.smallbias import powering_signs, subset_members
 
@@ -190,7 +191,7 @@ def test_csv_and_svg_reports(tmp_path):
     empty_csv = tmp_path / "empty.csv"
     write_csv([], str(empty_csv))
     assert empty_csv.read_text().strip().count("\n") == 0
-    assert render_scatter_svg([], "x", "y").startswith("<svg")
+    assert render_report_svg([]).startswith("<svg")
 
 
 def test_property_suites_pass():
@@ -252,6 +253,34 @@ def test_cli_gen_hsg_refuses_eps(capsys):
     assert cli.main(["gen", "hsg", "--n", "14", "--seed", "3a7f0001", "--eps", "1/4"]) == 2
     assert capsys.readouterr().err == \
         "error: gen hsg takes no --eps: its inner generator is fixed by --n\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    pytest.param(["advantage", "--formula", "{rect}"], "read-once or parity formula, not CombRect",
+                 id="advantage-rect"),
+    pytest.param(["advantage", "--formula", "{robp}"], "read-once or parity formula, not Robp",
+                 id="advantage-robp"),
+    pytest.param(["reduce", "--in", "{rcnf}"], "expects width-3 programs", id="reduce-rcnf"),
+    pytest.param(["reduce", "--in", "{rect}"], "expects width-3 programs", id="reduce-rect"),
+    pytest.param(["gen", "hsg", "--n", "0"], "n must be positive", id="gen-hsg-n0"),
+    pytest.param(["gen", "hsg", "--n", "0", "--dump-params"], "n must be positive",
+                 id="gen-hsg-n0-dump"),
+    pytest.param(["eval", "{xorcnf}", "+-x?z"], "string of '+' and '-' signs", id="eval-chars"),
+    pytest.param(["hit", "--n", "3"], "n_max must be at least 4", id="hit-n3"),
+])
+def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
+    rng = random.Random(5)
+    files = {"rect": CombRect(m=2, w=2, tables=(0b0110, 0b1110)),
+             "robp": and_chain_program(4),
+             "rcnf": random_read_once_cnf(rng, 5),
+             "xorcnf": random_xorcnf(rng, 5)}
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(formats.dumps(obj))
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err
 
 
 def test_statistical_interval_contains_exhaustive_value():

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ def test_field_axioms_exhaustive(k):
             for b in els:
                 for c in els:
                     assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-    for a in range(1, 1 << k):
-        assert gf.mul(a, gf.inv(a)) == 1
+    for a in range(1, 1 << k):  # a^(2^k - 2) is the inverse of a
+        assert gf.mul(a, gf.pow(a, gf.order - 2)) == 1
 
 
 def test_ceil_log2_fraction():
@@ -81,9 +83,6 @@ def test_exact_bias_examples():
     # n=1: the single character is the first inner product
     bias1, _ = exact_bias(BiasedSpaceSpec.with_degree(1, 3))
     assert bias1 <= Fraction(1, 8)
-    # degenerate uniform space is exactly unbiased
-    bias_u, _ = exact_bias(BiasedSpaceSpec.uniform_space(6))
-    assert bias_u == 0
 
 
 def test_exact_bias_refuses_oversize():
@@ -112,15 +111,6 @@ def test_subset_sampler_membership_rule():
     assert sample_subset(spec, seed) == expect
 
 
-def test_uniform_marginals_exact():
-    spec = SubsetSamplerSpec.uniform(4, 1)
-    masks = subsets_all_seeds(spec)
-    total = len(masks)
-    for i in range(4):
-        assert Fraction(int(((masks >> i) & 1).sum()), total) == Fraction(1, 2)
-    assert exact_joint_deviation(spec, 4) == 0
-
-
 def test_biased_sampler_joint_deviation_small():
     spec = SubsetSamplerSpec.with_degree(3, 2, 4)
     dev = exact_joint_deviation(spec, 3)
@@ -128,23 +118,38 @@ def test_biased_sampler_joint_deviation_small():
     assert exact_joint_deviation(spec, 1) == 0
 
 
-def test_from_alpha_validation():
-    SubsetSamplerSpec.from_alpha(4, Fraction(1, 32), Fraction(1, 16))
-    with pytest.raises(ValueError):
-        SubsetSamplerSpec.from_alpha(4, Fraction(1, 3), Fraction(1, 16))
+def _joint_deviation_oracle(spec, max_indices):
+    """exact_joint_deviation by counting the patterns of sample_subset
+    over every seed, one tuple of indices at a time."""
+    subsets = [sample_subset(spec, seed) for seed in range(1 << spec.seed_bits)]
+    total = len(subsets)
+    marg = [Fraction(sum(i in s for s in subsets), total) for i in range(spec.n)]
+    worst = Fraction(0)
+    for arity in range(2, max_indices + 1):
+        for tup in combinations(range(spec.n), arity):
+            counts = Counter(tuple(i in s for i in tup) for s in subsets)
+            for pattern in product((False, True), repeat=arity):
+                prod = Fraction(1)
+                for i, inside in zip(tup, pattern):
+                    prod *= marg[i] if inside else 1 - marg[i]
+                worst = max(worst, abs(Fraction(counts[pattern], total) - prod))
+    return worst
 
 
-def test_sampler_marginals_all_uniform_strings():
-    # counting over every uniform underlying string: exactly 2^-b per index
-    spec = SubsetSamplerSpec.uniform(3, 2)
-    masks = subsets_all_seeds(spec)
-    for i in range(3):
-        assert int(((masks >> i) & 1).sum()) * 4 == len(masks)
+def test_joint_deviation_matches_brute_force():
+    devs = []
+    for n, b, k in ((3, 2, 4), (4, 1, 3), (5, 2, 4), (4, 3, 5)):
+        spec = SubsetSamplerSpec.with_degree(n, b, k)
+        for arity in range(1, n + 1):
+            dev = exact_joint_deviation(spec, arity)
+            assert dev == _joint_deviation_oracle(spec, arity)
+            devs.append(dev)
+    assert max(devs) > 0  # the oracle is exercised on correlated samples
 
 
 def test_enumerator_matches_histogram_total():
     spec = BiasedSpaceSpec.with_degree(6, 4)
-    hist = output_mask_histogram(spec, 6)
+    hist = output_mask_histogram(spec)
     assert int(hist.sum()) == 1 << spec.seed_bits
     # spot check against direct enumeration
     mat = outputs_all_seeds(spec)
@@ -181,7 +186,7 @@ def test_powering_kernel_matches_mul_loop(k):
         for start in (0, 1, 2, rng.randrange(3, 69), 69):
             count = rng.randint(0, spec.n - start)
             assert expansion.signs(start, count) == _oracle_signs(k, seed, start, count)
-    batch = powering_signs(spec, seeds, positions=41)
+    batch = powering_signs(BiasedSpaceSpec.with_degree(41, k), seeds)
     assert batch.dtype == np.int8 and batch.shape == (len(seeds), 41)
     assert [list(row) for row in batch] == [_oracle_signs(k, s, 0, 41) for s in seeds]
 
@@ -194,9 +199,9 @@ def test_all_seeds_paths_match_mul_loop(k):
     rows = range(1 << spec.seed_bits) if k <= 3 else rng.sample(range(1 << spec.seed_bits), 200)
     for seed in rows:
         assert list(mat[seed]) == _oracle_signs(k, seed, 0, spec.n)
-    for width in (1, 7, 12):
+    for width in (1, 7, 12):  # output i depends on (k, seed, i) only
         packed = ((mat[:, :width] == -1).astype(np.int64) << np.arange(width)).sum(axis=1)
-        assert (output_mask_histogram(spec, width) ==
+        assert (output_mask_histogram(BiasedSpaceSpec.with_degree(width, k)) ==
                 np.bincount(packed, minlength=1 << width)).all()
 
 
@@ -204,9 +209,9 @@ def test_histogram_masks_in_chunks(monkeypatch):
     # chunks of one s value at a time give the same counts as one chunk
     from derand import smallbias
     spec = BiasedSpaceSpec.with_degree(10, 6)
-    whole = output_mask_histogram(spec, 10)
+    whole = output_mask_histogram(spec)
     monkeypatch.setattr(smallbias, "HISTOGRAM_CHUNK", 1)
-    assert (output_mask_histogram(spec, 10) == whole).all()
+    assert (output_mask_histogram(spec) == whole).all()
 
 
 def test_powering_seed_refuses_bad_positions_and_seeds():
@@ -217,18 +222,7 @@ def test_powering_seed_refuses_bad_positions_and_seeds():
         PoweringSeed(spec, 3).signs(5, 6)
     with pytest.raises(ValueError, match="seeds must fit in 8 bits"):
         powering_signs(spec, [1, -1])
-    with pytest.raises(ValueError):
-        powering_signs(spec, [1], positions=11)
     assert powering_signs(spec, []).shape == (0, 10)
-
-
-def test_uniform_space_batch_and_runs():
-    spec = BiasedSpaceSpec.uniform_space(70)
-    rng = random.Random(9)
-    seeds = [rng.getrandbits(70) for _ in range(20)]
-    want = [[-1 if (seed >> i) & 1 else 1 for i in range(70)] for seed in seeds]
-    assert [list(row) for row in powering_signs(spec, seeds)] == want
-    assert [PoweringSeed(spec, seed).signs(3, 60) for seed in seeds] == [w[3:63] for w in want]
 
 
 def test_mul_vec_matches_mul_above_31_bits():
@@ -261,24 +255,22 @@ def test_power_table_matches_mul_vec():
 
 
 def test_parity_bits_match_powering_seed():
-    # every seed up to 12 seed bits and 300 random ones above, at the
-    # full length and at fewer positions; uniform spaces read the seed
+    # every seed up to 12 seed bits and 300 random ones above; the
+    # shorter specs of the same degree give prefixes of the long reader
     rng = random.Random(35)
-    specs = [BiasedSpaceSpec.with_degree(2 if k > 10 else 9, k) for k in range(1, 13)]
-    specs += [BiasedSpaceSpec.uniform_space(n) for n in (1, 7, 12)]
-    for spec in specs:
-        total = 1 << spec.seed_bits
+    for k in range(1, 13):
+        full = BiasedSpaceSpec.with_degree(2 if k > 10 else 9, k)
+        total = 1 << full.seed_bits
         seeds = range(total) if total <= 1 << 12 else \
             [0, 1, total - 1] + rng.sample(range(total), 300)
-        for positions in sorted({spec.n, spec.n // 2, 1}):
-            bits = parity_bits_all_seeds(spec, positions)
-            assert bits.dtype == bool and bits.shape == (positions, total)
+        for m in sorted({full.n, full.n // 2, 1}):
+            bits = parity_bits_all_seeds(BiasedSpaceSpec.with_degree(m, k))
+            assert bits.dtype == bool and bits.shape == (m, total)
             got = bits[:, list(seeds)].T.tolist()
-            assert got == [[v == -1 for v in PoweringSeed(spec, seed).signs(0, positions)]
+            assert got == [[v == -1 for v in PoweringSeed(full, seed).signs(0, m)]
                            for seed in seeds]
-    for spec in (BiasedSpaceSpec.with_degree(4, 13), BiasedSpaceSpec.uniform_space(25)):
-        with pytest.raises(ValueError, match="too large to enumerate"):
-            parity_bits_all_seeds(spec)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        parity_bits_all_seeds(BiasedSpaceSpec.with_degree(4, 13))
 
 
 def test_subset_members_match_sample_subset():
@@ -339,29 +331,16 @@ def test_strided_reader_matches_pow_and_powering_signs(k):
                 [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
 
 
-def test_strided_reader_on_uniform_spaces_and_bad_blocks():
-    rng = random.Random(11)
-    for n in (1, 7, 70):
-        spec = BiasedSpaceSpec.uniform_space(n)
-        for seed in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]:
-            full = [-1 if (seed >> i) & 1 else 1 for i in range(n)]
-            for stride in range(1, 9):
-                reader = PoweringSeed(spec, seed, stride)
-                blocks = n // stride
-                assert reader.signs() == full[:blocks * stride]
-                if blocks > 1:
-                    assert reader.signs(1, blocks - 1) == full[stride:blocks * stride]
-                assert reader.minus_blocks() == \
-                    [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
-    for spec in (BiasedSpaceSpec.with_degree(20, 5), BiasedSpaceSpec.uniform_space(20)):
-        reader = PoweringSeed(spec, 3, stride=3)  # six whole blocks, positions 18, 19 unread
-        assert len(reader.signs()) == 18
-        for start, count in ((5, 2), (6, 1), (-1, 1), (0, 7), (2, -1)):
-            with pytest.raises(ValueError, match="outside"):
-                reader.signs(start, count)
-        assert reader.signs(6, 0) == []
-        with pytest.raises(ValueError):
-            PoweringSeed(spec, 3, stride=0)
+def test_strided_reader_refuses_bad_blocks():
+    spec = BiasedSpaceSpec.with_degree(20, 5)
+    reader = PoweringSeed(spec, 3, stride=3)  # six whole blocks, positions 18, 19 unread
+    assert len(reader.signs()) == 18
+    for start, count in ((5, 2), (6, 1), (-1, 1), (0, 7), (2, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            reader.signs(start, count)
+    assert reader.signs(6, 0) == []
+    with pytest.raises(ValueError):
+        PoweringSeed(spec, 3, stride=0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 34])
