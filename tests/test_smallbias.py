@@ -111,6 +111,55 @@ def test_subset_sampler_membership_rule():
     assert sample_subset(spec, seed) == expect
 
 
+def _marginal_by_root_counts(spec, i):
+    """Pr[index i joins] through characters: position p reads <r, s^p>, so
+    E[chi_S] = Pr_s[sum_{p in S} s^p = 0] and Pr[block all -1] =
+    2^-b * sum_S (-1)^|S| E[chi_S] over the subsets S of the block."""
+    gf = GF2k(spec.base.field_degree)
+    b = spec.bits_per_index
+    total = Fraction(0)
+    for size in range(b + 1):
+        for block in combinations(range(i * b, (i + 1) * b), size):
+            roots = 0
+            for s in range(gf.order):
+                acc = 0
+                for p in block:
+                    acc ^= gf.pow(s, p)
+                roots += acc == 0
+            total += (-1) ** size * Fraction(roots, gf.order)
+    return total * spec.alpha
+
+
+def test_uniform_marginals_exact():
+    # one position read whole is the uniform bit r_0: marginal exactly 1/2
+    # and nothing to correlate with
+    spec = SubsetSamplerSpec.with_degree(1, 1, 4)
+    masks = subsets_all_seeds(spec)
+    assert Fraction(int(masks.sum()), len(masks)) == Fraction(1, 2)
+    assert exact_joint_deviation(spec, 1) == 0
+    # longer samplers: each marginal is the uniform 2^-b plus the exact
+    # character-sum correction counted from roots in GF(2^k)
+    for n, b, k in ((4, 1, 3), (3, 2, 4), (2, 3, 5)):
+        spec = SubsetSamplerSpec.with_degree(n, b, k)
+        masks = subsets_all_seeds(spec)
+        for i in range(n):
+            assert Fraction(int(((masks >> i) & 1).sum()), len(masks)) == \
+                _marginal_by_root_counts(spec, i)
+
+
+def test_sampler_marginals_all_uniform_strings():
+    # counted over every uniform underlying string, each index joins with
+    # chance exactly 2^-b; counted over the seeds, a marginal stays within
+    # (1 - 2^-b) * bias of that, one bias term per nonempty block character
+    for n, b, k in ((3, 2, 4), (4, 1, 3), (5, 2, 4), (3, 3, 6)):
+        spec = SubsetSamplerSpec.with_degree(n, b, k)
+        bias, _ = exact_bias(spec.base)
+        masks = subsets_all_seeds(spec)
+        for i in range(n):
+            marg = Fraction(int(((masks >> i) & 1).sum()), len(masks))
+            assert abs(marg - spec.alpha) <= (1 - spec.alpha) * bias
+
+
 def test_biased_sampler_joint_deviation_small():
     spec = SubsetSamplerSpec.with_degree(3, 2, 4)
     dev = exact_joint_deviation(spec, 3)
