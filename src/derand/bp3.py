@@ -685,8 +685,13 @@ def pipeline_exponent(cert: ReductionCertificate, n: int) -> float:
 # Hitting set generator
 # ---------------------------------------------------------------------------
 
+def hsg_prefix_bits(n: int) -> int:
+    """Width of the low seed field that codes the zero-prefix length."""
+    return max(1, (n - 1).bit_length())
+
+
 def hsg_seed_bits(n: int) -> int:
-    return max(1, (n - 1).bit_length()) + hsg_inner_preset(n).seed_bits
+    return hsg_prefix_bits(n) + hsg_inner_preset(n).seed_bits
 
 
 def hsg_sample(n: int, epsilon, seed: int) -> SignVector:
@@ -699,7 +704,7 @@ def hsg_sample(n: int, epsilon, seed: int) -> SignVector:
     argument stays for positional callers.
     """
     params = hsg_inner_preset(n)
-    rbits = max(1, (n - 1).bit_length())
+    rbits = hsg_prefix_bits(n)
     total = rbits + params.seed_bits
     if seed < 0 or seed >> total:
         raise ValueError(f"seed must fit in {total} bits")

@@ -32,14 +32,7 @@ def _rcnf_params(args) -> rcnf_prg.RcnfGenParams:
     constants = rcnf_prg.GenConstants()
     if args.constants:
         with open(args.constants, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
-        constants = rcnf_prg.GenConstants(
-            rounds_scale=Fraction(raw.get("C", "1")),
-            subset_exp=int(raw.get("c", 2)),
-            width_cut=int(raw.get("c1", 13)),
-            shrink_exp=int(raw.get("c2", 3)),
-            shrink_gamma=Fraction(raw.get("gamma", "1/8")),
-        )
+            constants = rcnf_prg.GenConstants.from_json(json.load(fh))
     eps = Fraction(1, 16) if args.eps is None else args.eps
     return rcnf_prg.derive_params(args.n, eps, constants=constants)
 
@@ -90,7 +83,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_advantage(args) -> int:
-    params = rcnf_prg.desk_preset() if args.preset == "desk" else _rcnf_params(args)
+    params = _rcnf_params(args)
     if args.formula:
         instances = [(args.formula, formats.load_path(args.formula))]
     else:

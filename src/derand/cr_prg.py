@@ -14,6 +14,12 @@ Matrix bit layout within its biased string is column-major (all rows of
 column 0, then column 1, ...), each entry serialized most significant
 sign first.  Row indices are the big-endian packing of the selecting
 block.
+
+The recipe's constants are fixed: the schedule stops at ``STOP_WIDTH``,
+``derive_cr_params`` asks for inner bias delta^INNER_EXP and a final
+bias whose exponent scales with ``FINAL_EXP``, and caps both at
+``DEFAULT_BIAS_FLOOR``.  A record stores its width and stage specs; its
+schedule is computed from w once and cached.
 """
 
 from __future__ import annotations
@@ -21,36 +27,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
 from .models import CombRect
 from .signs import SignVector, pack_block
-from .smallbias import BiasedSpaceSpec, PoweringSeed, generate_biased
+from .smallbias import DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed, generate_biased
 
-DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
 STOP_WIDTH = 4  # the width schedule stops at the first width <= this
+INNER_EXP = 13  # inner-stage bias delta^INNER_EXP
+FINAL_EXP = 3   # scale of the final-stage bias exponent
 
 
-def width_schedule(w: int, stop_width: int) -> Tuple[int, ...]:
-    """Strictly decreasing widths from w to the first value <= stop_width."""
+def width_schedule(w: int) -> Tuple[int, ...]:
+    """Strictly decreasing widths from w to the first value <= STOP_WIDTH."""
     sched = [w]
-    while sched[-1] > stop_width:
-        nxt = (3 * sched[-1]) // 4
-        if nxt >= sched[-1]:  # cannot happen for w >= 1; guard anyway
-            nxt = sched[-1] - 1
-        sched.append(nxt)
+    while sched[-1] > STOP_WIDTH:
+        sched.append((3 * sched[-1]) // 4)
     return tuple(sched)
-
-
-@dataclass(frozen=True)
-class CrConstants:
-    inner_exp: int = 13   # c1: inner-stage bias delta^c1
-    final_exp: int = 3    # c2 scale in the final-stage bias exponent
-
-    def to_json(self) -> dict:
-        return {"c1": self.inner_exp, "c2": self.final_exp}
 
 
 @dataclass(frozen=True)
@@ -58,12 +54,13 @@ class CrGenParams:
     m: int
     w: int
     delta: Fraction
-    schedule: Tuple[int, ...]
-    stop_width: int
     stage_specs: Tuple[BiasedSpaceSpec, ...]  # inner matrix stages, then the direct stage
-    constants: CrConstants
     floor_hits: Tuple[str, ...] = ()
     preset: str = ""
+
+    @cached_property
+    def schedule(self) -> Tuple[int, ...]:
+        return width_schedule(self.w)
 
     @property
     def stages(self) -> int:
@@ -89,9 +86,9 @@ class CrGenParams:
             "w": self.w,
             "delta": str(self.delta),
             "schedule": list(self.schedule),
-            "stopWidth": self.stop_width,
+            "stopWidth": STOP_WIDTH,
             "stages": [s.to_json() for s in self.stage_specs],
-            "constants": self.constants.to_json(),
+            "constants": {"c1": INNER_EXP, "c2": FINAL_EXP},
             "seedLengthBits": self.seed_bits,
             "floorHits": list(self.floor_hits),
             **({"preset": self.preset} if self.preset else {}),
@@ -105,51 +102,38 @@ def _stage_lengths(m: int, sched: Tuple[int, ...]) -> list:
             + [m * (sched[t - 1] if t >= 1 else sched[0])])
 
 
-def derive_cr_params(m: int, w: int, delta, constants: CrConstants = CrConstants(),
-                     bias_floor: Fraction | None = DEFAULT_BIAS_FLOOR) -> CrGenParams:
-    """Formula-driven parameters: inner bias delta^c1, final bias
-    delta^(c2 loglog(1/delta) logloglog(1/delta)), both floor-capped."""
+def derive_cr_params(m: int, w: int, delta) -> CrGenParams:
+    """Formula-driven parameters: inner bias delta^INNER_EXP, final bias
+    delta^(FINAL_EXP loglog(1/delta) logloglog(1/delta)), both capped at
+    DEFAULT_BIAS_FLOOR."""
     d = Fraction(delta)
     if not 0 < d < 1 or w < 1 or m < 1:
         raise ValueError("need m, w >= 1 and delta in (0,1)")
-    sched = width_schedule(w, STOP_WIDTH)
-    hits = []
-    eps1 = d**constants.inner_exp
-    if bias_floor is not None and eps1 < bias_floor:
-        eps1 = bias_floor
-        hits.append("epsilon1")
     ll = math.log2(max(2.0, math.log2(1 / float(d))))
     lll = math.log2(max(2.0, ll))
-    e2 = max(1, math.ceil(constants.final_exp * ll * lll))
-    eps2 = d**e2
-    if bias_floor is not None and eps2 < bias_floor:
-        eps2 = bias_floor
-        hits.append("epsilon2")
-    lengths = _stage_lengths(m, sched)
+    demanded = {"epsilon1": d**INNER_EXP, "epsilon2": d**max(1, math.ceil(FINAL_EXP * ll * lll))}
+    hits = tuple(name for name, eps in demanded.items() if eps < DEFAULT_BIAS_FLOOR)
+    eps1, eps2 = (max(eps, DEFAULT_BIAS_FLOOR) for eps in demanded.values())
+    lengths = _stage_lengths(m, width_schedule(w))
     specs = [BiasedSpaceSpec.for_bias(n, eps1) for n in lengths[:-1]]
     specs.append(BiasedSpaceSpec.for_bias(lengths[-1], eps2))
-    return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=STOP_WIDTH,
-                       stage_specs=tuple(specs), constants=constants,
-                       floor_hits=tuple(hits))
+    return CrGenParams(m=m, w=w, delta=d, stage_specs=tuple(specs), floor_hits=hits)
 
 
-def explicit_cr_params(m: int, w: int, delta, degrees,
-                       constants: CrConstants = CrConstants(), preset: str = "") -> CrGenParams:
+def explicit_cr_params(m: int, w: int, delta, degrees, preset: str = "") -> CrGenParams:
     """Pinned per-stage field degrees (inner stages then direct stage)."""
-    d = Fraction(delta)
-    sched = width_schedule(w, STOP_WIDTH)
-    t = len(sched) - 1
-    expect = max(t, 1)
+    sched = width_schedule(w)
+    expect = max(len(sched) - 1, 1)
     if len(degrees) != expect:
         raise ValueError(f"schedule {sched} needs {expect} stage degrees")
     specs = [BiasedSpaceSpec.with_degree(n, k) for n, k in zip(_stage_lengths(m, sched), degrees)]
-    return CrGenParams(m=m, w=w, delta=d, schedule=sched, stop_width=STOP_WIDTH,
-                       stage_specs=tuple(specs), constants=constants, preset=preset)
+    return CrGenParams(m=m, w=w, delta=Fraction(delta), stage_specs=tuple(specs),
+                       preset=preset)
 
 
 def desk_cr_preset(m: int = 8, w: int = 8) -> CrGenParams:
     """Exhaustive-scale preset: small enough for every-seed sweeps."""
-    sched = width_schedule(w, STOP_WIDTH)
+    sched = width_schedule(w)
     degrees = tuple([3] * max(len(sched) - 2, 0) + [4])
     return explicit_cr_params(m, w, Fraction(1, 16), degrees=degrees,
                               preset=f"desk-cr{m}x{w}")

@@ -60,10 +60,8 @@ def loads(text: str):
     no, header = lines[0]
     fields = header.split()
     kind = fields[0]
-    if kind == "rcnf":
-        return _load_rcnf(no, fields, lines[1:])
-    if kind == "xorcnf":
-        return _load_xorcnf(no, fields, lines[1:])
+    if kind in ("rcnf", "xorcnf"):
+        return _load_cnf(no, fields, lines[1:])
     if kind == "rect":
         return _load_rect(no, fields, lines[1:])
     if kind == "robp":
@@ -71,37 +69,25 @@ def loads(text: str):
     raise FormatError(no, f"unknown header {kind!r}")
 
 
-def _load_rcnf(no, fields, body):
+def _load_cnf(no, fields, body):
+    """A read-once CNF's body is a parity-CNF body with OR terms only."""
+    kind = fields[0]
     try:
         n, m = int(fields[1]), int(fields[2])
     except (IndexError, ValueError):
-        raise FormatError(no, "header must be 'rcnf n m'") from None
-    clauses = []
-    for lno, line in body:
-        clauses.append(_parse_literals(lno, line.split(), n))
-    if len(clauses) != m:
-        raise FormatError(no, f"declared {m} clauses, found {len(clauses)}")
-    try:
-        return ReadOnceCnf(n=n, clauses=tuple(clauses))
-    except ValueError as exc:
-        raise FormatError(no, str(exc)) from None
-
-
-def _load_xorcnf(no, fields, body):
-    try:
-        n, m = int(fields[1]), int(fields[2])
-    except (IndexError, ValueError):
-        raise FormatError(no, "header must be 'xorcnf n m'") from None
+        raise FormatError(no, f"header must be '{kind} n m'") from None
     terms = []
     for lno, line in body:
         toks = line.split()
-        if toks[0] == "x":
-            terms.append(Term("xor", _parse_literals(lno, toks[1:], n)))
-        else:
-            terms.append(Term("or", _parse_literals(lno, toks, n)))
+        xor = kind == "xorcnf" and toks[0] == "x"
+        lits = _parse_literals(lno, toks[1:] if xor else toks, n)
+        terms.append(Term("xor" if xor else "or", lits))
     if len(terms) != m:
-        raise FormatError(no, f"declared {m} terms, found {len(terms)}")
+        noun = "clauses" if kind == "rcnf" else "terms"
+        raise FormatError(no, f"declared {m} {noun}, found {len(terms)}")
     try:
+        if kind == "rcnf":
+            return ReadOnceCnf(n=n, clauses=tuple(t.literals for t in terms))
         return XorCnf(n=n, terms=tuple(terms))
     except ValueError as exc:
         raise FormatError(no, str(exc)) from None
@@ -176,17 +162,11 @@ def _load_robp(no, fields, body):
 
 def dumps(obj) -> str:
     """Render a model object in the text format (inverse of loads)."""
-    if isinstance(obj, ReadOnceCnf):
+    if isinstance(obj, (ReadOnceCnf, XorCnf)):
         if obj.is_false:
             raise ValueError("the constant-0 formula has no file form")
-        lines = [f"rcnf {obj.n} {obj.size}"]
-        for clause in obj.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, XorCnf):
-        if obj.is_false:
-            raise ValueError("the constant-0 formula has no file form")
-        lines = [f"xorcnf {obj.n} {obj.size}"]
+        kind = "rcnf" if isinstance(obj, ReadOnceCnf) else "xorcnf"
+        lines = [f"{kind} {obj.n} {obj.size}"]
         for term in obj.terms:
             lits = term.literals
             if term.kind == "xor" and term.target == 0:

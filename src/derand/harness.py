@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import cr_prg, rcnf_prg
+from . import bp3, cr_prg, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
 from .signs import SignVector, all_sign_rows, bit_rows
@@ -348,10 +348,8 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
             by_n.setdefault(prog.n, []).append((name, prog, expectation))
     out: List[HitStats] = []
     for n, progs in sorted(by_n.items()):
-        params = rcnf_prg.hsg_inner_preset(n)
-        inner_hist = rcnf_output_histogram(params)
-        rbits = max(1, (n - 1).bit_length())
-        seed_bits = rbits + params.seed_bits
+        inner_hist = rcnf_output_histogram(bp3.hsg_inner_preset(n))
+        rbits, seed_bits = bp3.hsg_prefix_bits(n), bp3.hsg_seed_bits(n)
         final = np.zeros(1 << n, dtype=np.int64)
         rweight = [0] * n
         for raw in range(1 << rbits):
@@ -363,7 +361,7 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
             trunc = inner_hist.reshape(1 << r, 1 << low).sum(axis=0) if r else inner_hist
             idx = np.arange(1 << low, dtype=np.int64) << r
             final[idx] += rweight[r] * trunc
-        total = (1 << rbits) * (1 << params.seed_bits)
+        total = 1 << seed_bits
         for name, prog, expectation in progs:
             acc = prog.eval_all()
             hits = int(final[acc].sum())
@@ -377,45 +375,34 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
 # Corpus generation
 # ---------------------------------------------------------------------------
 
-def random_read_once_cnf(rng: random.Random, n: int, max_width: int = 4,
-                         stop_chance: float = 0.15) -> ReadOnceCnf:
+MAX_TRIES = 10000  # random programs drawn before giving up on the expectation floor
+
+
+def _random_terms(rng: random.Random, n: int, max_width: int, xor_chance: float,
+                  stop_chance: float) -> tuple:
+    """Terms over a shuffled cover of [n] in chunks of 1..max_width,
+    stopping after each term with probability stop_chance; a term is a
+    parity with probability xor_chance (no draw when that is 0)."""
     vars_ = list(range(n))
     rng.shuffle(vars_)
-    clauses = []
-    pos = 0
+    terms, pos = [], 0
     while pos < n:
         width = rng.randint(1, max_width)
-        chunk = vars_[pos:pos + width]
-        if not chunk:
-            break
-        clauses.append(tuple(Literal(v, rng.randrange(2) == 1) for v in chunk))
+        lits = tuple(Literal(v, rng.randrange(2) == 1) for v in vars_[pos:pos + width])
+        terms.append(Term("xor" if xor_chance and rng.random() < xor_chance else "or", lits))
         pos += width
         if rng.random() < stop_chance:
             break
-    if not clauses:
-        clauses.append((Literal(vars_[0]),))
-    return ReadOnceCnf(n=n, clauses=tuple(clauses))
+    return tuple(terms)
 
 
-def random_xorcnf(rng: random.Random, n: int, max_width: int = 4,
-                  xor_chance: float = 0.4) -> XorCnf:
-    vars_ = list(range(n))
-    rng.shuffle(vars_)
-    terms = []
-    pos = 0
-    while pos < n:
-        width = rng.randint(1, max_width)
-        chunk = vars_[pos:pos + width]
-        if not chunk:
-            break
-        lits = tuple(Literal(v, rng.randrange(2) == 1) for v in chunk)
-        terms.append(Term("xor" if rng.random() < xor_chance else "or", lits))
-        pos += width
-        if rng.random() < 0.2:
-            break
-    if not terms:
-        terms.append(Term("or", (Literal(vars_[0]),)))
-    return XorCnf(n=n, terms=tuple(terms))
+def random_read_once_cnf(rng: random.Random, n: int, max_width: int = 4) -> ReadOnceCnf:
+    terms = _random_terms(rng, n, max_width, xor_chance=0, stop_chance=0.15)
+    return ReadOnceCnf(n=n, clauses=tuple(t.literals for t in terms))
+
+
+def random_xorcnf(rng: random.Random, n: int, max_width: int = 4) -> XorCnf:
+    return XorCnf(n=n, terms=_random_terms(rng, n, max_width, xor_chance=0.4, stop_chance=0.2))
 
 
 def random_rect(rng: random.Random, m: int, w: int) -> CombRect:
@@ -424,9 +411,8 @@ def random_rect(rng: random.Random, m: int, w: int) -> CombRect:
 
 
 def random_program(rng: random.Random, n: int, d: int,
-                   min_expectation: Optional[Fraction] = None,
-                   max_tries: int = 10000) -> Robp:
-    for _ in range(max_tries):
+                   min_expectation: Optional[Fraction] = None) -> Robp:
+    for _ in range(MAX_TRIES):
         next0 = tuple(tuple(rng.randrange(d) for _ in range(d)) for _ in range(n))
         next1 = tuple(tuple(rng.randrange(d) for _ in range(d)) for _ in range(n))
         prog = Robp(n=n, d=d, next0=next0, next1=next1)
@@ -436,9 +422,8 @@ def random_program(rng: random.Random, n: int, d: int,
 
 
 def random_width3(rng: random.Random, n: int,
-                  min_expectation: Optional[Fraction] = None,
-                  max_tries: int = 10000) -> Robp:
-    return random_program(rng, n, 3, min_expectation, max_tries)
+                  min_expectation: Optional[Fraction] = None) -> Robp:
+    return random_program(rng, n, 3, min_expectation)
 
 
 def bad_heavy_program(n: int) -> Robp:
@@ -495,7 +480,8 @@ def width3_corpus(count: int = 100, n_max: int = 14,
         ("parity-6", parity_program(6)),
         ("bad-heavy-8", bad_heavy_program(8)),
     ]
-    out = [(name, p) for name, p in out if p.exact_expectation() >= min_expectation]
+    out = [(name, p) for name, p in out
+           if p.n <= n_max and p.exact_expectation() >= min_expectation]
     idx = 0
     while len(out) < count:
         n = rng.randint(4, n_max)
@@ -588,11 +574,14 @@ def _scatter_panel(points, xlabel, ylabel, width, height, x_off) -> list:
     return parts
 
 
-def render_report_svg(reports: Sequence[AdvantageReport],
-                      panel_width: int = 480, height: int = 320) -> str:
+SVG_PANEL_WIDTH, SVG_HEIGHT = 480, 320
+
+
+def render_report_svg(reports: Sequence[AdvantageReport]) -> str:
     """Two deterministic panels: advantage against seed bits and against
     the target error."""
-    total = 2 * panel_width
+    width, height = SVG_PANEL_WIDTH, SVG_HEIGHT
+    total = 2 * width
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total}" height="{height}" '
         f'viewBox="0 0 {total} {height}">',
@@ -600,9 +589,8 @@ def render_report_svg(reports: Sequence[AdvantageReport],
     ]
     by_bits = [(float(r.seed_bits), float(r.advantage), r.instance) for r in reports]
     by_eps = [(float(r.eps), float(r.advantage), r.instance) for r in reports]
-    parts += _scatter_panel(by_bits, "seed bits", "advantage", panel_width, height, 0)
-    parts += _scatter_panel(by_eps, "target error", "advantage", panel_width, height,
-                            panel_width)
+    parts += _scatter_panel(by_bits, "seed bits", "advantage", width, height, 0)
+    parts += _scatter_panel(by_eps, "target error", "advantage", width, height, width)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

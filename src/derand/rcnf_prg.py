@@ -10,12 +10,20 @@ batch of seeds, any number of rounds.
 
 Two parameterization paths exist:
 
-* ``derive_params`` follows the asymptotic recipe with explicit
-  constants, capping the demanded biases at a configured floor (the
-  formula-driven biases are astronomically small even at toy sizes;
-  the derived record reports the honest seed length either way).
-* ``desk_preset`` fixes small field degrees whose full seed space can
-  be enumerated exhaustively, for measured (not claimed) error.
+* ``derive_params`` follows the asymptotic recipe with the constants of
+  a ``GenConstants`` (C, c, c1, c2 and gamma in its JSON form, the only
+  keys the CLI's ``--constants`` file takes), capping the demanded
+  biases at ``DEFAULT_BIAS_FLOOR`` (the formula-driven biases are
+  astronomically small even at toy sizes; the derived record reports
+  the honest seed length either way).  Its subset sampler always reads
+  ``BITS_PER_INDEX`` signs per index.
+* ``explicit_params`` pins field degrees under the default constants;
+  ``desk_preset`` and ``hsg_inner_preset`` are such records, whose full
+  seed space can be enumerated exhaustively, for measured (not claimed)
+  error.
+
+A record stores each value once: ``bits_per_index`` and ``delta`` are
+read from its subset sampler.
 
 Seed layout, fixed for bit-exact reproducibility: the T z-blocks in
 round order occupy the lowest bits, then the T J-blocks, then y.
@@ -32,10 +40,10 @@ from typing import Tuple
 import numpy as np
 
 from .signs import SignVector
-from .smallbias import (BiasedSpaceSpec, SubsetSamplerSpec, generate_biased,
-                        powering_signs, sample_subset, subset_members)
+from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, SubsetSamplerSpec,
+                        generate_biased, powering_signs, sample_subset, subset_members)
 
-DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
+BITS_PER_INDEX = 5  # signs per index in the subset sampler: alpha = 2^-5
 
 
 @dataclass(frozen=True)
@@ -57,24 +65,58 @@ class GenConstants:
             "gamma": str(self.shrink_gamma),
         }
 
+    @classmethod
+    def from_json(cls, data) -> "GenConstants":
+        """Inverse of ``to_json``; a missing key keeps its default, an
+        unknown key or a value of the wrong kind raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"generator constants must be a JSON object, not {data!r}")
+        unknown = sorted(set(data) - set(_CONSTANT_KEYS))
+        if unknown:
+            raise ValueError(f"unknown generator constants {unknown}; "
+                             f"the keys are {', '.join(_CONSTANT_KEYS)}")
+        values = {}
+        for key, value in data.items():
+            name = _CONSTANT_KEYS[key]
+            integral = isinstance(getattr(cls, name), int)  # the default gives the kind
+            try:
+                number = None if isinstance(value, bool) else Fraction(value)
+            except (TypeError, ValueError, OverflowError):  # OverflowError: JSON Infinity
+                number = None
+            if number is None or (integral and number.denominator != 1):
+                kind = "an integer" if integral else "a fraction"
+                raise ValueError(f"generator constant {key} must be {kind}, not {value!r}")
+            values[name] = int(number) if integral else number
+        return cls(**values)
+
+
+_CONSTANT_KEYS = {"C": "rounds_scale", "c": "subset_exp", "c1": "width_cut",
+                  "c2": "shrink_exp", "gamma": "shrink_gamma"}  # JSON key -> field
+
 
 @dataclass(frozen=True)
 class RcnfGenParams:
     n: int
     epsilon: Fraction
     rounds: int
-    bits_per_index: int
     z_spec: BiasedSpaceSpec
     subset_spec: SubsetSamplerSpec
     y_spec: BiasedSpaceSpec
     constants: GenConstants
-    delta: Fraction
     floor_hits: Tuple[str, ...] = ()
     preset: str = ""
 
     @property
+    def bits_per_index(self) -> int:
+        return self.subset_spec.bits_per_index
+
+    @property
+    def delta(self) -> Fraction:
+        return self.subset_spec.delta
+
+    @property
     def alpha(self) -> Fraction:
-        return Fraction(1, 1 << self.bits_per_index)
+        return self.subset_spec.alpha
 
     @property
     def delta1(self) -> Fraction:
@@ -130,7 +172,6 @@ def shrink_size_bound(n: int, epsilon: Fraction, m: int, constants: GenConstants
 
 
 def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
-                  bits_per_index: int = 5,
                   bias_floor: Fraction | None = DEFAULT_BIAS_FLOOR) -> RcnfGenParams:
     """Concrete parameters from the asymptotic recipe.
 
@@ -156,48 +197,47 @@ def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
     if bias_floor is not None and delta2 < bias_floor:
         delta2 = bias_floor
         hits.append("delta2")
-    subset = SubsetSamplerSpec.build(n, bits_per_index, delta, bias_floor=bias_floor)
+    subset = SubsetSamplerSpec.build(n, BITS_PER_INDEX, delta, bias_floor=bias_floor)
     if bias_floor is not None and subset.base.epsilon == bias_floor:
         hits.append("subset")
     return RcnfGenParams(
-        n=n, epsilon=eps, rounds=rounds, bits_per_index=bits_per_index,
+        n=n, epsilon=eps, rounds=rounds,
         z_spec=BiasedSpaceSpec.for_bias(n, delta1),
         subset_spec=subset,
         y_spec=BiasedSpaceSpec.for_bias(n, delta2),
-        constants=constants, delta=delta, floor_hits=tuple(hits),
+        constants=constants, floor_hits=tuple(hits),
     )
 
 
 def explicit_params(n: int, epsilon, k_subset: int, k_z: int, k_y: int,
-                    rounds: int = 1, bits_per_index: int = 5,
-                    constants: GenConstants = GenConstants(), preset: str = "") -> RcnfGenParams:
-    """Directly pinned field degrees; biases are whatever those degrees give."""
+                    rounds: int = 1, bits_per_index: int = BITS_PER_INDEX,
+                    preset: str = "") -> RcnfGenParams:
+    """Directly pinned field degrees with the default constants; biases
+    are whatever those degrees give."""
     if n < 1:
         raise ValueError(f"generator length n must be positive, not {n}")
     eps = Fraction(epsilon)
+    constants = GenConstants()
     return RcnfGenParams(
-        n=n, epsilon=eps, rounds=rounds, bits_per_index=bits_per_index,
+        n=n, epsilon=eps, rounds=rounds,
         z_spec=BiasedSpaceSpec.with_degree(n, k_z),
         subset_spec=SubsetSamplerSpec.with_degree(n, bits_per_index, k_subset,
                                                   delta=(eps / n) ** constants.subset_exp),
         y_spec=BiasedSpaceSpec.with_degree(n, k_y),
-        constants=constants, delta=(eps / n) ** constants.subset_exp,
-        preset=preset,
+        constants=constants, preset=preset,
     )
 
 
 def desk_preset() -> RcnfGenParams:
     """The frozen exhaustive-scale preset: n=64, eps=1/16, 26 seed bits."""
-    return explicit_params(64, Fraction(1, 16), k_subset=3, k_z=3, k_y=7,
-                           rounds=1, bits_per_index=5, preset="desk64")
+    return explicit_params(64, Fraction(1, 16), k_subset=3, k_z=3, k_y=7, preset="desk64")
 
 
 @lru_cache(maxsize=None)
 def hsg_inner_preset(n: int) -> RcnfGenParams:
     """Small preset used inside the width-3 hitting generator (n <= 16),
     built once per n: every hsg_sample call reads it."""
-    return explicit_params(n, Fraction(1, 4), k_subset=2, k_z=3, k_y=6,
-                           rounds=1, bits_per_index=5, preset=f"hsg{n}")
+    return explicit_params(n, Fraction(1, 4), k_subset=2, k_z=3, k_y=6, preset=f"hsg{n}")
 
 
 def _seed_layout(params: RcnfGenParams) -> list:

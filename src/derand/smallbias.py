@@ -56,6 +56,9 @@ TABLE_SEED_BITS_LIMIT = 24
 # SubsetSamplerSpec.build budgets its bias for joint events over at
 # most this many indices
 SUBSET_MAX_ARITY = 3
+# the generators' parameter recipes raise every demanded bias below this
+# floor to it and report the raised names as floor hits
+DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
 
 
 # ---------------------------------------------------------------------------

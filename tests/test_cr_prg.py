@@ -36,10 +36,10 @@ def load_golden(name):
 
 
 def test_width_schedule_examples():
-    assert width_schedule(16, 4) == (16, 12, 9, 6, 4)
-    assert width_schedule(3, 4) == (3,)
-    assert width_schedule(8, 4) == (8, 6, 4)
-    sched = width_schedule(16, 4)
+    assert width_schedule(16) == (16, 12, 9, 6, 4)
+    assert width_schedule(3) == (3,)
+    assert width_schedule(8) == (8, 6, 4)
+    sched = width_schedule(16)
     assert all(a > b for a, b in zip(sched, sched[1:]))
 
 

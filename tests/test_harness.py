@@ -210,6 +210,16 @@ def test_width3_corpus_shape():
     assert [(n, p) for n, p in corpus] == [(n, p) for n, p in again]
 
 
+def test_width3_corpus_keeps_landmarks_within_n_max():
+    # the default n_max keeps every landmark dense enough (and-chain-3 is
+    # not); a small one drops the landmarks longer than it
+    assert [name for name, _p in width3_corpus(count=3)] == \
+        ["parity-6", "bad-heavy-8", "rand-w3-0"]
+    small = width3_corpus(count=6, n_max=5)
+    assert all(p.n <= 5 for _name, p in small)
+    assert not [name for name, _p in small if not name.startswith("rand-w3-")]
+
+
 def test_cli_reproducible_outputs(tmp_path):
     env = dict(os.environ)
     cmd = [sys.executable, "-m", "derand.cli", "gen", "rcnf", "--preset", "desk",
@@ -267,6 +277,12 @@ def test_cli_gen_hsg_refuses_eps(capsys):
                  id="gen-hsg-n0-dump"),
     pytest.param(["eval", "{xorcnf}", "+-x?z"], "string of '+' and '-' signs", id="eval-chars"),
     pytest.param(["hit", "--n", "3"], "n_max must be at least 4", id="hit-n3"),
+    pytest.param(["gen", "rcnf", "--preset", "derived", "--constants", "{list}", "--dump-params"],
+                 "must be a JSON object", id="constants-list"),
+    pytest.param(["gen", "rcnf", "--preset", "derived", "--constants", "{misspelled}"],
+                 "unknown generator constants ['gama']", id="constants-misspelled"),
+    pytest.param(["advantage", "--preset", "derived", "--constants", "{fractional}"],
+                 "constant c2 must be an integer", id="constants-fractional"),
 ])
 def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     rng = random.Random(5)
@@ -278,6 +294,10 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(formats.dumps(obj))
+    for name, text in (("list", "[1]"), ("misspelled", '{"gama": "1/8"}'),
+                       ("fractional", '{"c2": 2.5}')):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err and "Traceback" not in err

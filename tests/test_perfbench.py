@@ -8,6 +8,7 @@ alone, and no bytecode is written there.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +40,11 @@ def test_workload_ops_pass_their_checks(name):
         op.key(out)
         problems.append(op.check(out))
     assert [p for p in problems if p] == []
+
+
+def test_benchmark_selftest_passes():
+    # the self-test checks that the tracer reaches every name it wraps, so
+    # renaming or removing one of them fails here
+    proc = subprocess.run([sys.executable, "-B", str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -300,3 +300,36 @@ def test_sample_skips_strings_no_output_reads(monkeypatch):
         kinds |= {"all covered"} if y is None else set()
         assert sample(params, seed).values == tuple(row)
     assert kinds == {"empty round", "all covered"}
+
+
+def test_constants_json_round_trip_and_defaults():
+    c = GenConstants(rounds_scale=Fraction(1, 2), subset_exp=3, width_cut=14,
+                     shrink_exp=2, shrink_gamma=Fraction(1, 4))
+    assert GenConstants.from_json(c.to_json()) == c
+    assert GenConstants.from_json({}) == GenConstants()
+    assert GenConstants.from_json({"C": 2, "gamma": "1/4"}) == \
+        GenConstants(rounds_scale=Fraction(2), shrink_gamma=Fraction(1, 4))
+    for bad in ([1], {"gama": "1/8"}, {"c": 1.5}, {"c": [2]}, {"c1": True}, {"C": "x"},
+                {"gamma": float("inf")}):
+        with pytest.raises(ValueError):
+            GenConstants.from_json(bad)
+
+
+def test_preset_records_match_golden(capsys):
+    # the presets, the single-stage and many-stage rectangle records, a
+    # scaled-constants derivation and the CLI's hsg record, one compact
+    # JSON record a line
+    from derand import cli
+    from derand.cr_prg import derive_cr_params, desk_cr_preset, explicit_cr_params
+
+    records = [desk_preset()] + [rcnf_prg.hsg_inner_preset(n) for n in (4, 10, 16)]
+    records += [desk_cr_preset(8, 8), desk_cr_preset(4, 3),
+                explicit_cr_params(2, 16, Fraction(1, 16), degrees=(3, 3, 3, 4)),
+                derive_cr_params(4, 16, Fraction(1, 8)),
+                derive_params(32, Fraction(1, 8),
+                              constants=GenConstants(rounds_scale=Fraction(1, 2)))]
+    records = [params.to_json() for params in records]
+    assert cli.main(["gen", "hsg", "--n", "10", "--dump-params"]) == 0
+    records.append(json.loads(capsys.readouterr().out))
+    got = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    assert got == load_golden("params_presets.jsonl")
