@@ -293,14 +293,14 @@ def _scaled_values(poly: MultilinearPoly) -> tuple:
 
 
 def verify_sandwich(target: Callable, pair: SandwichPair, n: int,
-                    bias: Fraction | None = None, sample_points: int = 4096,
-                    rng=None) -> SandwichReport:
+                    bias: Fraction | None = None, sample_points: int = 4096) -> SandwichReport:
     """Check lower <= target <= upper, report the gap and norms.
 
     Exhaustive for n <= EXHAUSTIVE_POINT_LIMIT: each polynomial's values
     on all 2^n points come from one exact Walsh-Hadamard transform, and
-    ``target`` is called once per point.  Otherwise a declared-size
-    random sample (statistical mode), evaluated point by point.
+    ``target`` is called once per point.  Otherwise ``sample_points``
+    points drawn from random.Random(0) (statistical mode), evaluated
+    point by point.
     ``target`` maps a sign tuple to a number.
     """
     exhaustive = n <= EXHAUSTIVE_POINT_LIMIT
@@ -320,7 +320,7 @@ def verify_sandwich(target: Callable, pair: SandwichPair, n: int,
                 worst = max(worst, Fraction(lo, lo_den) - tv, tv - Fraction(hi, hi_den))
         count = 1 << n
     else:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         for _ in range(sample_points):
             x = tuple(rng.choice((-1, 1)) for _ in range(n))
             lo = pair.lower.evaluate(x)

@@ -178,7 +178,6 @@ class SuddenDeathResult:
     expectation: Fraction
     source_expectation: Fraction
     arrival_layer: int
-    arrival_prob: Fraction
     cut_layer: int
 
 
@@ -227,8 +226,7 @@ def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
     e_g = g.exact_expectation()
     _require(e_g >= eps * eps / (4 * f.n), "sudden-death acceptance below eps^2/(4n)")
     return SuddenDeathResult(k=k, program=g, expectation=e_g,
-                             source_expectation=e_src, arrival_layer=jstar,
-                             arrival_prob=Fraction(q[jstar], 1 << bp.n), cut_layer=lstar)
+                             source_expectation=e_src, arrival_layer=jstar, cut_layer=lstar)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,6 @@ class IntersectionResult:
     fixed_bits: Dict[int, int]        # variable -> forced bit
     segments: Tuple[Width2Bp, ...]
     expectation: Fraction             # of the conjunction, literals included
-    hardwired_expectation: Fraction   # of the hardwired program alone
     report: BadStateReport
 
 
@@ -397,8 +394,7 @@ def intersection_reduce(g: Robp) -> IntersectionResult:
     _require(e_total >= (p / 2) ** 13, "intersection acceptance below (p/2)^13")
     segments = carve_segments(b2)
     return IntersectionResult(fixed_bits=best_bits, segments=tuple(segments),
-                              expectation=e_total, hardwired_expectation=best_e,
-                              report=report)
+                              expectation=e_total, report=report)
 
 
 def carve_segments(prog: Robp) -> List[Width2Bp]:
@@ -557,10 +553,9 @@ def dl_to_cnfx(dl: DecisionList) -> TermExtraction:
     at least E/3.
     """
     e = dl.expectation()
-    leaves = [(var, bit, leaf) for var, bit, leaf in dl.nodes]
     if e >= Fraction(5, 6):
         exits = []
-        for var, bit, leaf in leaves:
+        for var, bit, leaf in dl.nodes:
             if leaf.is_constant(1):
                 exits.append(_exit_literal(var, bit))
             else:
@@ -577,7 +572,7 @@ def dl_to_cnfx(dl: DecisionList) -> TermExtraction:
     # highest leaf that is not constant 0
     reach: List[Literal] = []
     chosen: Optional[ParityLeaf] = None
-    for var, bit, leaf in leaves:
+    for var, bit, leaf in dl.nodes:
         if leaf.is_constant(0):
             reach.append(_continue_literal(var, bit))
             continue

@@ -28,6 +28,8 @@ def _print_signs(sv) -> None:
 
 def _rcnf_params(args) -> rcnf_prg.RcnfGenParams:
     if args.preset == "desk":
+        if args.constants:
+            raise ValueError("--constants needs --preset derived: the desk preset reads none")
         return rcnf_prg.desk_preset()
     constants = rcnf_prg.GenConstants()
     if args.constants:
@@ -38,6 +40,8 @@ def _rcnf_params(args) -> rcnf_prg.RcnfGenParams:
 
 
 def cmd_gen(args) -> int:
+    if args.constants and args.target != "rcnf":
+        raise ValueError(f"gen {args.target} takes no --constants: only the rcnf recipe reads them")
     if args.target == "rcnf":
         params = _rcnf_params(args)
         if args.dump_params:
@@ -149,14 +153,11 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_check(args) -> int:
-    suites = {
-        "smallbias": lambda: harness.check_smallbias(seed=args.corpus_seed),
-        "sym": lambda: harness.check_sympoly(seed=args.corpus_seed),
-        "models": lambda: harness.check_models(seed=args.corpus_seed),
-        "approx": lambda: harness.check_approx(seed=args.corpus_seed),
-    }
+    suites = {"smallbias": harness.check_smallbias, "sym": harness.check_sympoly,
+              "models": harness.check_models, "approx": harness.check_approx}
+    seed = {} if args.corpus_seed is None else {"seed": args.corpus_seed}
     names = list(suites) if args.suite == "all" else [args.suite]
-    results = [suites[name]() for name in names]
+    results = [suites[name](**seed) for name in names]
     print(json.dumps(results, indent=1, sort_keys=True))
     return 0 if all(r["pass"] for r in results) else 1
 
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("check", help="run a property suite")
     k.add_argument("suite", choices=["smallbias", "sym", "models", "approx", "all"])
-    k.add_argument("--corpus-seed", type=int, default=7)
+    k.add_argument("--corpus-seed", type=int, help="default: each suite's own seed")
     k.set_defaults(func=cmd_check)
 
     p = sub.add_parser("report", help="desk sweep to CSV and SVG")

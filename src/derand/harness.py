@@ -3,14 +3,14 @@
 Exhaustive advantage walks a generator's entire seed space and compares
 the induced acceptance to the exact expectation; the result is a
 rational, reproducible across runs.  The one-round restriction
-generator is walked through its seed's product structure on tables
-expanded once per sweep, y packed 64 seeds to a word: per subset seed
-J, a term with no z-literal narrows a packed y vector, one with no
-y-literal a z vector, and only split terms meet the (live z) x y-words
-grid, counted by popcount.  Its output histogram is, per J, the outer
-product of the z-part and y-part counts.  Seed spaces too large to
-walk fall back to a declared-size random sample.  ``advantage_sweep``
-is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
+generator is walked through its seed's product structure on read-only
+tables cached for the last parameter record, y packed 64 seeds to a
+word: per subset seed J, a term with no z-literal narrows a packed y
+vector, one with no y-literal a z vector, and only split terms meet
+the (live z) x y-words grid, counted by popcount.  Its output histogram
+is, per J, the outer product of the z-part and y-part counts.  Seed
+spaces too large to walk fall back to a declared-size random sample.
+``advantage_sweep`` is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
 ``advantage`` command both run it.
 """
 
@@ -21,6 +21,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,13 +175,13 @@ def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
 
 @dataclass(frozen=True)
 class RoundTables:
-    """All seeds' outputs of the one-round generator ``params``: ``z[v, s]``
+    """All seeds' outputs of one one-round parameter record: ``z[v, s]``
     true iff output v of z-seed s is true, ``y`` the same for the y-seeds
     packed into (n, ceil(Y/64)) uint64 words (seed 64w + b at bit b of
     word w) with ``y_valid`` setting the bits that are seeds, ``j`` the
-    subset membership masks in seed order."""
+    subset membership masks in seed order.  Built and cached only by
+    ``round_tables``; the arrays are read-only."""
 
-    params: rcnf_prg.RcnfGenParams
     z: np.ndarray
     y: np.ndarray
     y_valid: np.ndarray
@@ -194,16 +195,21 @@ def _pack_seeds(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8").astype(np.uint64)
 
 
+@lru_cache(maxsize=1)
 def round_tables(params: rcnf_prg.RcnfGenParams) -> RoundTables:
     """The z, y and J tables of one-round parameters, each read
     position-major from smallbias.parity_bits_all_seeds (parity 1 is
-    sign -1, so an output is true where the bit is clear)."""
+    sign -1, so an output is true where the bit is clear).  Cached for
+    the last record: walks of many formulas over one record share one
+    expansion, and a new record evicts it."""
     if params.rounds != 1:
         raise ValueError("the structured walk supports one-round parameters")
     ytrue = ~parity_bits_all_seeds(params.y_spec)
-    return RoundTables(params=params, z=~parity_bits_all_seeds(params.z_spec),
-                       y=_pack_seeds(ytrue), y_valid=_pack_seeds(np.ones_like(ytrue[:1]))[0],
-                       j=subsets_all_seeds(params.subset_spec))
+    arrays = (~parity_bits_all_seeds(params.z_spec), _pack_seeds(ytrue),
+              _pack_seeds(np.ones_like(ytrue[:1]))[0], subsets_all_seeds(params.subset_spec))
+    for array in arrays:
+        array.setflags(write=False)
+    return RoundTables(*arrays)
 
 
 def _ones_where(flags: np.ndarray) -> np.ndarray:
@@ -263,28 +269,22 @@ def _structured_count(f, tables: RoundTables) -> int:
     return count
 
 
-def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "",
-                              tables: RoundTables | None = None) -> AdvantageReport:
+def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "") -> AdvantageReport:
     """Exact exhaustive advantage of the one-round restriction generator
     on a read-once or parity formula, via the seed product structure.
 
     Agrees with the naive seed walk bit for bit (the tests cross-check).
     It enumerates only the z, y and subset seed spaces, so the limit is
     smallbias.TABLE_SEED_BITS_LIMIT on each of them, not the naive
-    walk's NAIVE_WALK_SEED_BITS_LIMIT on their sum.  A sweep over many
-    formulas expands ``tables`` once and passes them in; tables of other
-    parameters raise ValueError.
+    walk's NAIVE_WALK_SEED_BITS_LIMIT on their sum.  The seed tables
+    come from ``round_tables``, which expands them once per record.
     """
     if f.n > params.n:
         raise ValueError("formula is wider than the generator output")
     klass, n, m, w = _instance_shape(f)
     exact = f.exact_expectation()
     t0 = time.monotonic()
-    if tables is None:
-        tables = round_tables(params)
-    elif tables.params != params:
-        raise ValueError("round tables were expanded from other generator parameters")
-    count = 0 if getattr(f, "is_false", False) else _structured_count(f, tables)
+    count = 0 if getattr(f, "is_false", False) else _structured_count(f, round_tables(params))
     mean = Fraction(count, 1 << params.seed_bits)
     ms = int((time.monotonic() - t0) * 1000)
     return AdvantageReport(instance=name, klass=klass, n=n, m=m, w=w,
@@ -736,11 +736,11 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
 def advantage_sweep(params: rcnf_prg.RcnfGenParams,
                     instances: Iterable[Tuple[str, object]]) -> List[AdvantageReport]:
     """Exact advantage of the one-round generator ``params`` on each
-    (name, formula) pair, in order, its seed tables expanded once;
-    multi-round parameters raise ValueError."""
-    tables = round_tables(params)
-    return [rcnf_structured_advantage(params, f, name=name, tables=tables)
-            for name, f in instances]
+    (name, formula) pair, in order, its seed tables expanded once by
+    ``round_tables``.  Parameters that are multi-round or too large to
+    enumerate raise ValueError, also when ``instances`` is empty."""
+    round_tables(params)
+    return [rcnf_structured_advantage(params, f, name=name) for name, f in instances]
 
 
 def desk_advantage_sweep() -> List[AdvantageReport]:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -135,6 +136,54 @@ def test_dl_to_cnfx_trivial_cases():
     par = DecisionList(nodes=(), default=ParityLeaf(frozenset({3}), 0))
     ext = dl_to_cnfx(par)
     assert ext.branch == "and-xor" and ext.expectation == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("expectation, dl, bound", [
+    # a constant-1 first leaf then a parity default: E is 3/4, read as 1
+    (Fraction(1), DecisionList(nodes=((0, 1, ParityLeaf(frozenset(), 1)),),
+                               default=ParityLeaf(frozenset({1}), 0)),
+     "OR extraction below E^9"),
+    # two constant-0 leaves before a parity leaf: E is 1/16, read as 4/5
+    (Fraction(4, 5), DecisionList(nodes=((0, 1, ParityLeaf(frozenset(), 0)),
+                                         (1, 1, ParityLeaf(frozenset(), 0)),
+                                         (2, 1, ParityLeaf(frozenset({3}), 0))),
+                                  default=ParityLeaf(frozenset(), 0)),
+     "AND-parity extraction below E/3"),
+], ids=["or", "and-xor"])
+def test_dl_to_cnfx_planted_violations(monkeypatch, expectation, dl, bound):
+    monkeypatch.setattr(DecisionList, "expectation", lambda self: expectation)
+    with pytest.raises(BoundViolation, match=re.escape(bound)):
+        dl_to_cnfx(dl)
+
+
+def or_program(k: int) -> Robp:
+    """Width 3, accepting iff one of the k >= 2 variables is 1: slot 0 of a
+    later layer is satisfied, slot 1 not yet, slot 2 rejects."""
+    layers = [((1, 2, 2), (0, 2, 2))] + [((0, 1, 2), (0, 0, 2))] * (k - 2) + \
+        [((0, 2, 2), (0, 0, 2))]
+    return Robp(n=k, d=3, next0=tuple(r0 for r0, _r1 in layers),
+                next1=tuple(r1 for _r0, r1 in layers))
+
+
+@pytest.mark.parametrize("k, branches, bad_small, bad_large, formula_e", [
+    # the one bad state is large: fixing x_1 = 1 leaves a constant-1 segment
+    (2, ["one"], [], [(1, 1)], Fraction(1, 2)),
+    # the last "not yet" state is small and killed; the rest (an OR of
+    # two literals, E = 3/4 < 5/6) takes the AND-parity branch
+    (3, ["and-xor", "one"], [(2, 1)], [], Fraction(1, 2)),
+    # killing the last "not yet" state leaves an OR of three literals,
+    # E = 7/8 >= 5/6: the OR branch, checked against E^9
+    (4, ["or", "one"], [(3, 1)], [], Fraction(3, 4)),
+])
+def test_full_reduce_or_programs(k, branches, bad_small, bad_large, formula_e):
+    prog = or_program(k)
+    assert prog.exact_expectation() == 1 - Fraction(1, 1 << k)
+    cert = full_reduce(prog, Fraction(1, 4))
+    assert cert.provenance["segmentBranches"] == branches
+    assert cert.provenance["badSmall"] == bad_small
+    assert cert.provenance["badLarge"] == bad_large
+    assert cert.formula_expectation == formula_e
+    assert cert.verify_subset(prog)
 
 
 def test_sudden_death_on_and_chain():

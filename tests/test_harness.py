@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derand import bp3, cli, cr_prg, formats, rcnf_prg
+from derand import bp3, cli, cr_prg, formats, harness, rcnf_prg
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
                             GeneratorHandle, advantage_sweep, check_approx, check_models,
                             check_smallbias, check_sympoly, constant_generator,
@@ -80,7 +81,7 @@ def test_structured_walk_matches_naive_walk():
         formulas = [_mixed_formula(rng, params.n) for _ in range(66)]
         formulas += [ReadOnceCnf.constant_zero(params.n), XorCnf.constant_zero(params.n)]
         for f in formulas:
-            fast = rcnf_structured_advantage(params, f, tables=tables)
+            fast = rcnf_structured_advantage(params, f)
             assert fast.gen_e == exhaustive_advantage(naive, f).gen_e, f
             assert fast.samples == 1 << params.seed_bits
             for jm in map(int, tables.j):
@@ -117,22 +118,35 @@ def test_round_tables_match_seed_major_construction():
     presets += [rcnf_prg.hsg_inner_preset(n) for n in range(4, 15)]
     for params in presets:
         tables = round_tables(params)
-        assert tables.params == params
         for field, want in _seed_major_round_tables(params).items():
             got = getattr(tables, field)
             assert got.dtype == want.dtype and got.shape == want.shape, (params.preset, field)
             assert (got == want).all(), (params.preset, field)
 
 
-def test_structured_walk_refuses_tables_of_other_parameters():
-    params = rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=2, k_y=3)
-    other = rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=3, k_y=3)
-    f = random_read_once_cnf(random.Random(78), 8)
-    tables = round_tables(params)
-    assert rcnf_structured_advantage(params, f, tables=tables).gen_e == \
-        rcnf_structured_advantage(params, f).gen_e
-    with pytest.raises(ValueError, match="other generator parameters"):
-        rcnf_structured_advantage(other, f, tables=tables)
+def test_round_tables_expand_once_per_record():
+    # the landmark sweep and four more walks over a fresh but equal
+    # desk record share one expansion
+    rng = random.Random(78)
+    round_tables.cache_clear()
+    advantage_sweep(rcnf_prg.desk_preset(), landmark_formulas(64))
+    for f in [random_read_once_cnf(rng, 64) for _ in range(2)] + \
+             [random_xorcnf(rng, 64) for _ in range(2)]:
+        rcnf_structured_advantage(rcnf_prg.desk_preset(), f)
+    info = round_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 12 + 4)
+    # a new record evicts the old one, and asking again expands again
+    tiny = rcnf_prg.explicit_params(8, Fraction(1, 4), k_subset=2, k_z=2, k_y=3)
+    round_tables(tiny)
+    round_tables(rcnf_prg.desk_preset())
+    assert round_tables.cache_info().misses == 3
+
+
+def test_round_tables_are_read_only():
+    tables = round_tables(rcnf_prg.desk_preset())
+    for array in (tables.z, tables.y, tables.y_valid, tables.j):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_histogram_matches_direct_enumeration():
@@ -247,6 +261,18 @@ def test_cli_check_exit_code():
     assert '"pass": true' in proc.stdout
 
 
+def test_cli_check_runs_each_suite_at_its_own_seed(capsys, monkeypatch):
+    assert cli.main(["check", "sym"]) == 0
+    assert json.loads(capsys.readouterr().out) == [check_sympoly()]
+    # a passing suite reports no seed, so record the keywords it is called with
+    calls = []
+    monkeypatch.setattr(harness, "check_models",
+                        lambda **kw: calls.append(kw) or {"name": "models", "pass": True})
+    assert cli.main(["check", "models"]) == 0
+    assert cli.main(["check", "models", "--corpus-seed", "5"]) == 0
+    assert calls == [{}, {"seed": 5}]
+
+
 def test_cli_advantage_refuses_unenumerable_seed_space():
     # one-round derived parameters with 54-bit z and y seed spaces
     proc = subprocess.run([sys.executable, "-m", "derand.cli", "advantage",
@@ -283,6 +309,14 @@ def test_cli_gen_hsg_refuses_eps(capsys):
                  "unknown generator constants ['gama']", id="constants-misspelled"),
     pytest.param(["advantage", "--preset", "derived", "--constants", "{fractional}"],
                  "constant c2 must be an integer", id="constants-fractional"),
+    pytest.param(["gen", "rcnf", "--constants", "{list}", "--dump-params"],
+                 "the desk preset reads none", id="constants-gen-rcnf-desk"),
+    pytest.param(["advantage", "--constants", "{list}"],
+                 "the desk preset reads none", id="constants-advantage-desk"),
+    pytest.param(["gen", "rect", "--preset", "derived", "--constants", "{list}"],
+                 "gen rect takes no --constants", id="constants-gen-rect"),
+    pytest.param(["gen", "hsg", "--constants", "{list}", "--dump-params"],
+                 "gen hsg takes no --constants", id="constants-gen-hsg"),
 ])
 def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     rng = random.Random(5)
