@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Subcommands: gen, eval, advantage, hit, reduce, corpus, check, report.
-Seeds are hex strings (little-endian bytes, bit 0 of byte 0 first);
-every command is a pure function of its arguments, and the exit code is
-0 exactly when all asserted invariants pass.
+Subcommands: gen rcnf|rect|hsg, eval, advantage, hit, reduce, corpus,
+check, report; each declares only the options it reads.  Seeds are hex
+strings (little-endian bytes, bit 0 of byte 0 first); every command is a
+pure function of its arguments, and the exit code is 0 exactly when all
+asserted invariants pass, 2 on refused input.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -18,62 +20,63 @@ from . import bp3, cr_prg, formats, harness, rcnf_prg
 from .signs import parse_seed_hex
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _given(args, **params) -> dict:
+    """Keyword arguments from the options given; ``params`` maps parameter names to dests."""
+    return {param: getattr(args, dest) for param, dest in params.items()
+            if getattr(args, dest) is not None}
 
 
-def _print_signs(sv) -> None:
-    print("".join("+" if v == 1 else "-" for v in sv.values))
+def _refuse_given(args, why: str, *dests) -> None:
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: {why}")
 
 
 def _rcnf_params(args) -> rcnf_prg.RcnfGenParams:
     if args.preset == "desk":
-        if args.constants:
-            raise ValueError("--constants needs --preset derived: the desk preset reads none")
+        _refuse_given(args, "read only under --preset derived", "n", "eps", "constants")
         return rcnf_prg.desk_preset()
     constants = rcnf_prg.GenConstants()
     if args.constants:
         with open(args.constants, "r", encoding="ascii") as fh:
             constants = rcnf_prg.GenConstants.from_json(json.load(fh))
-    eps = Fraction(1, 16) if args.eps is None else args.eps
-    return rcnf_prg.derive_params(args.n, eps, constants=constants)
+    return rcnf_prg.derive_params(64 if args.n is None else args.n,
+                                  Fraction(1, 16) if args.eps is None else args.eps,
+                                  constants=constants)
+
+
+def _gen_rcnf(args):
+    params = _rcnf_params(args)
+    return params.to_json(), params.seed_bits, lambda seed: rcnf_prg.sample(params, seed)
+
+
+def _gen_rect(args):
+    if args.preset == "desk":
+        _refuse_given(args, "read only under --preset derived", "delta")
+        params = cr_prg.desk_cr_preset(args.m, args.w)
+    else:
+        delta = Fraction(1, 16) if args.delta is None else args.delta
+        params = cr_prg.derive_cr_params(args.m, args.w, delta)
+    return params.to_json(), params.seed_bits, lambda seed: cr_prg.sample_cr(params, seed)
+
+
+def _gen_hsg(args):
+    bits = bp3.hsg_seed_bits(args.n)
+    record = {"n": args.n, "seedLengthBits": bits,
+              "inner": rcnf_prg.hsg_inner_preset(args.n).to_json()}
+    return record, bits, lambda seed: bp3.hsg_sample(args.n, None, seed)
 
 
 def cmd_gen(args) -> int:
-    if args.constants and args.target != "rcnf":
-        raise ValueError(f"gen {args.target} takes no --constants: only the rcnf recipe reads them")
-    if args.target == "rcnf":
-        params = _rcnf_params(args)
-        if args.dump_params:
-            print(json.dumps(params.to_json(), indent=1, sort_keys=True))
-            return 0
-        seed = parse_seed_hex(args.seed, params.seed_bits)
-        _print_signs(rcnf_prg.sample(params, seed))
+    record, bits, sample = args.generator(args)
+    if args.dump_params:
+        print(json.dumps(record, indent=1, sort_keys=True))
         return 0
-    if args.target == "rect":
-        if args.preset == "desk":
-            params = cr_prg.desk_cr_preset(args.m, args.w)
-        else:
-            params = cr_prg.derive_cr_params(args.m, args.w, args.delta)
-        if args.dump_params:
-            print(json.dumps(params.to_json(), indent=1, sort_keys=True))
-            return 0
-        seed = parse_seed_hex(args.seed, params.seed_bits)
-        _print_signs(cr_prg.sample_cr(params, seed))
-        return 0
-    if args.target == "hsg":
-        if args.eps is not None:
-            raise ValueError("gen hsg takes no --eps: its inner generator is fixed by --n")
-        bits = bp3.hsg_seed_bits(args.n)
-        if args.dump_params:
-            print(json.dumps({"n": args.n, "seedLengthBits": bits,
-                              "inner": rcnf_prg.hsg_inner_preset(args.n).to_json()},
-                             indent=1, sort_keys=True))
-            return 0
-        seed = parse_seed_hex(args.seed, bits)
-        _print_signs(bp3.hsg_sample(args.n, None, seed))
-        return 0
-    raise AssertionError(args.target)
+    if args.seed is None:
+        raise ValueError(f"gen {args.target} needs --seed: {2 * ((bits + 7) // 8)} hex digits "
+                         f"for its {bits} seed bits")
+    print("".join("+" if v == 1 else "-" for v in sample(parse_seed_hex(args.seed, bits)).values))
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -87,6 +90,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_advantage(args) -> int:
+    if args.timing and not args.csv:
+        raise ValueError("--timing keeps times in the CSV: it needs --csv")
     params = _rcnf_params(args)
     if args.formula:
         instances = [(args.formula, formats.load_path(args.formula))]
@@ -103,8 +108,11 @@ def cmd_advantage(args) -> int:
 
 
 def cmd_hit(args) -> int:
+    if not 0 < args.eps <= 1:
+        raise ValueError(f"--eps must be in (0, 1], not {args.eps}")
     if args.corpus:
-        import glob
+        _refuse_given(args, "read only for the generated corpus, not with --corpus",
+                      "n", "count", "corpus_seed")
         corpus = []
         for path in sorted(glob.glob(os.path.join(args.corpus, "*.txt"))):
             obj = formats.load_path(path)
@@ -113,8 +121,8 @@ def cmd_hit(args) -> int:
         if not corpus:
             raise ValueError(f"no branching program files under {args.corpus}")
     else:
-        corpus = harness.width3_corpus(count=args.count, n_max=args.n,
-                                       min_expectation=args.eps, seed=args.corpus_seed)
+        corpus = harness.width3_corpus(min_expectation=args.eps, **_given(
+            args, count="count", n_max="n", seed="corpus_seed"))
     stats = harness.hsg_hit_stats(corpus, args.eps)
     missed = [s for s in stats if s.hit_fraction == 0]
     worst = min(stats, key=lambda s: s.hit_fraction)
@@ -145,9 +153,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    descriptor = harness.CorpusDescriptor(count=args.count, n=args.n,
-                                          max_width=args.max_width, seed=args.corpus_seed)
-    for path in harness.corpus_generate(descriptor, args.out):
+    if args.max_width is not None and args.max_width < 1:
+        raise ValueError(f"--max-width must be at least 1, not {args.max_width}")
+    for path in harness.corpus_generate(args.out, **_given(
+            args, count="count", n="n", max_width="max_width", seed="corpus_seed")):
         print(path)
     return 0
 
@@ -155,9 +164,8 @@ def cmd_corpus(args) -> int:
 def cmd_check(args) -> int:
     suites = {"smallbias": harness.check_smallbias, "sym": harness.check_sympoly,
               "models": harness.check_models, "approx": harness.check_approx}
-    seed = {} if args.corpus_seed is None else {"seed": args.corpus_seed}
     names = list(suites) if args.suite == "all" else [args.suite]
-    results = [suites[name](**seed) for name in names]
+    results = [suites[name](**_given(args, seed="corpus_seed")) for name in names]
     print(json.dumps(results, indent=1, sort_keys=True))
     return 0 if all(r["pass"] for r in results) else 1
 
@@ -174,17 +182,30 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="derandomization toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
+    seeded = argparse.ArgumentParser(add_help=False)
+    out = seeded.add_mutually_exclusive_group()
+    out.add_argument("--seed", help="hex seed, little-endian (needed to sample)")
+    out.add_argument("--dump-params", action="store_true")
+
+    rcnf = argparse.ArgumentParser(add_help=False)
+    rcnf.add_argument("--preset", choices=["desk", "derived"], default="desk")
+    rcnf.add_argument("--n", type=int, help="derived only (default 64)")
+    rcnf.add_argument("--eps", type=Fraction, help="derived only (default 1/16)")
+    rcnf.add_argument("--constants", help="derived only: JSON file of generator constants")
+
     g = sub.add_parser("gen", help="run a generator on a seed")
-    g.add_argument("target", choices=["rcnf", "rect", "hsg"])
-    g.add_argument("--n", type=int, default=64)
-    g.add_argument("--eps", type=_fraction, help="rcnf only (default 1/16)")
-    g.add_argument("--m", type=int, default=8)
-    g.add_argument("--w", type=int, default=8)
-    g.add_argument("--delta", type=_fraction, default=Fraction(1, 16))
-    g.add_argument("--seed", default="00")
-    g.add_argument("--preset", choices=["desk", "derived"], default="desk")
-    g.add_argument("--constants", help="JSON file of generator constants")
-    g.add_argument("--dump-params", action="store_true")
+    gen = g.add_subparsers(dest="target", required=True)
+    gr = gen.add_parser("rcnf", parents=[seeded, rcnf], help="read-once CNF generator")
+    gr.set_defaults(generator=_gen_rcnf)
+    gc = gen.add_parser("rect", parents=[seeded], help="combinatorial-rectangle generator")
+    gc.add_argument("--preset", choices=["desk", "derived"], default="desk")
+    gc.add_argument("--m", type=int, default=8)
+    gc.add_argument("--w", type=int, default=8)
+    gc.add_argument("--delta", type=Fraction, help="derived only (default 1/16)")
+    gc.set_defaults(generator=_gen_rect)
+    gh = gen.add_parser("hsg", parents=[seeded], help="width-3 hitting set generator")
+    gh.add_argument("--n", type=int, default=64, help="output length; fixes the inner generator")
+    gh.set_defaults(generator=_gen_hsg)
     g.set_defaults(func=cmd_gen)
 
     e = sub.add_parser("eval", help="evaluate a formula file on a +- string")
@@ -192,11 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("input")
     e.set_defaults(func=cmd_eval)
 
-    a = sub.add_parser("advantage", help="exhaustive advantage sweep")
-    a.add_argument("--preset", choices=["desk", "derived"], default="desk")
-    a.add_argument("--n", type=int, default=64)
-    a.add_argument("--eps", type=_fraction, default=Fraction(1, 16))
-    a.add_argument("--constants")
+    a = sub.add_parser("advantage", parents=[rcnf], help="exhaustive advantage sweep")
     a.add_argument("--formula", help="single formula file instead of the landmarks")
     a.add_argument("--csv")
     a.add_argument("--timing", action="store_true",
@@ -204,26 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_advantage)
 
     h = sub.add_parser("hit", help="width-3 hitting sweep")
-    h.add_argument("target", nargs="?", choices=["bp3"], default="bp3")
     h.add_argument("--corpus", help="directory of program files (default: generated corpus)")
-    h.add_argument("--n", type=int, default=14)
-    h.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
-    h.add_argument("--count", type=int, default=100)
-    h.add_argument("--corpus-seed", type=int, default=0xB3)
+    h.add_argument("--eps", type=Fraction, default=Fraction(1, 4))
+    h.add_argument("--n", type=int, help="generated corpus: longest program")
+    h.add_argument("--count", type=int, help="generated corpus: programs")
+    h.add_argument("--corpus-seed", type=int, help="generated corpus: seed")
     h.set_defaults(func=cmd_hit)
 
     r = sub.add_parser("reduce", help="reduce a width-3 program file")
-    r.add_argument("target", nargs="?", choices=["bp3"], default="bp3")
     r.add_argument("--in", dest="path", required=True)
-    r.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
+    r.add_argument("--eps", type=Fraction, default=Fraction(1, 4))
     r.set_defaults(func=cmd_reduce)
 
     c = sub.add_parser("corpus", help="write a deterministic corpus")
     c.add_argument("--out", required=True)
-    c.add_argument("--count", type=int, default=8)
-    c.add_argument("--n", type=int, default=16)
-    c.add_argument("--max-width", type=int, default=4)
-    c.add_argument("--corpus-seed", type=int, default=1)
+    c.add_argument("--count", type=int, help="random instances")
+    c.add_argument("--n", type=int, help="formula length")
+    c.add_argument("--max-width", type=int, help="widest clause")
+    c.add_argument("--corpus-seed", type=int)
     c.set_defaults(func=cmd_corpus)
 
     k = sub.add_parser("check", help="run a property suite")

@@ -122,6 +122,8 @@ def derive_cr_params(m: int, w: int, delta) -> CrGenParams:
 
 def explicit_cr_params(m: int, w: int, delta, degrees, preset: str = "") -> CrGenParams:
     """Pinned per-stage field degrees (inner stages then direct stage)."""
+    if m < 1 or w < 1:
+        raise ValueError(f"need m, w >= 1, not m={m}, w={w}")
     sched = width_schedule(w)
     expect = max(len(sched) - 1, 1)
     if len(degrees) != expect:

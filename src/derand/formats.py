@@ -230,25 +230,31 @@ def to_json(obj) -> dict:
 
 
 def from_json(data: dict):
+    """Inverse of ``to_json``; a missing or ill-typed field raises FormatError."""
     kind = data.get("type")
-    if kind == "rcnf":
-        n = data["n"]
-        return ReadOnceCnf(n=n, clauses=tuple(
-            tuple(_lit_from_json(v, n) for v in c) for c in data["clauses"]))
-    if kind == "xorcnf":
-        n = data["n"]
-        return XorCnf(n=n, terms=tuple(
-            Term(t["kind"], tuple(_lit_from_json(v, n) for v in t["lits"]),
-                 t.get("target", 1))
-            for t in data["terms"]))
-    if kind == "rect":
-        return CombRect(m=data["m"], w=data["w"],
-                        tables=tuple(int(t, 16) for t in data["tables"]))
-    if kind == "robp":
-        return Robp(n=data["n"], d=data["d"],
-                    next0=tuple(tuple(r) for r in data["next0"]),
-                    next1=tuple(tuple(r) for r in data["next1"]),
-                    order=tuple(v - 1 for v in data["order"]))
+    try:
+        if kind == "rcnf":
+            n = data["n"]
+            return ReadOnceCnf(n=n, clauses=tuple(
+                tuple(_lit_from_json(v, n) for v in c) for c in data["clauses"]))
+        if kind == "xorcnf":
+            n = data["n"]
+            return XorCnf(n=n, terms=tuple(
+                Term(t["kind"], tuple(_lit_from_json(v, n) for v in t["lits"]),
+                     t.get("target", 1))
+                for t in data["terms"]))
+        if kind == "rect":
+            return CombRect(m=data["m"], w=data["w"],
+                            tables=tuple(int(t, 16) for t in data["tables"]))
+        if kind == "robp":
+            return Robp(n=data["n"], d=data["d"],  # order is optional, as in the text form
+                        next0=tuple(tuple(r) for r in data["next0"]),
+                        next1=tuple(tuple(r) for r in data["next1"]),
+                        order=tuple(v - 1 for v in data["order"]) if "order" in data else None)
+    except KeyError as exc:
+        raise FormatError(0, f"{kind} object has no {exc.args[0]!r} field") from None
+    except TypeError as exc:
+        raise FormatError(0, f"malformed {kind} object: {exc}") from None
     raise ValueError(f"unknown object type {kind!r}")
 
 

@@ -17,6 +17,7 @@ spaces too large to walk fall back to a declared-size random sample.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -26,11 +27,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bp3, cr_prg, rcnf_prg
+from . import bp3, cr_prg, formats, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
 from .signs import SignVector, all_sign_rows, bit_rows
-from .smallbias import parity_bits_all_seeds, subsets_all_seeds
+from .smallbias import BiasedSpaceSpec, exact_bias, parity_bits_all_seeds, subsets_all_seeds
 from .smallbias import outputs_all_seeds  # noqa: F401 (perfbench/selftest.py traces it here)
 
 NAIVE_WALK_SEED_BITS_LIMIT = 26  # generator seed bits exhaustive_advantage walks one by one
@@ -418,7 +419,8 @@ def random_program(rng: random.Random, n: int, d: int,
         prog = Robp(n=n, d=d, next0=next0, next1=next1)
         if min_expectation is None or prog.exact_expectation() >= min_expectation:
             return prog
-    raise RuntimeError("could not draw a program above the expectation floor")
+    raise ValueError(f"no program in {MAX_TRIES} draws reached the expectation floor "
+                     f"{min_expectation}")
 
 
 def random_width3(rng: random.Random, n: int,
@@ -490,39 +492,29 @@ def width3_corpus(count: int = 100, n_max: int = 14,
     return out[:count]
 
 
-@dataclass(frozen=True)
-class CorpusDescriptor:
-    count: int = 8
-    n: int = 16
-    max_width: int = 4
-    seed: int = 1
-
-
-def corpus_generate(descriptor: CorpusDescriptor, out_dir: str) -> List[str]:
-    """Write a deterministic corpus (landmarks plus seeded random
-    instances) in the text format; same descriptor, same bytes."""
-    import os
-
-    from . import formats
-
+def corpus_generate(out_dir: str, count: int = 8, n: int = 16, max_width: int = 4,
+                    seed: int = 1) -> List[str]:
+    """Write a deterministic corpus (landmarks plus ``count`` seeded random
+    instances of length about ``n``) in the text and JSON formats; same
+    arguments, same bytes."""
     os.makedirs(out_dir, exist_ok=True)
-    rng = random.Random(descriptor.seed)
+    rng = random.Random(seed)
     items: List[Tuple[str, object]] = [
         ("tribes-w2", tribes(2)),
         ("parity-5", XorCnf(5, (Term("xor", tuple(Literal(i) for i in range(5))),))),
         ("and-chain-4", and_chain_program(4)),
         ("bad-heavy-6", bad_heavy_program(6)),
     ]
-    for i in range(descriptor.count):
+    for i in range(count):
         kind = i % 4
         if kind == 0:
-            items.append((f"rcnf-{i}", random_read_once_cnf(rng, descriptor.n, descriptor.max_width)))
+            items.append((f"rcnf-{i}", random_read_once_cnf(rng, n, max_width)))
         elif kind == 1:
-            items.append((f"xorcnf-{i}", random_xorcnf(rng, descriptor.n, descriptor.max_width)))
+            items.append((f"xorcnf-{i}", random_xorcnf(rng, n, max_width)))
         elif kind == 2:
-            items.append((f"rect-{i}", random_rect(rng, max(2, descriptor.n // 8), 4)))
+            items.append((f"rect-{i}", random_rect(rng, max(2, n // 8), 4)))
         else:
-            items.append((f"robp-{i}", random_width3(rng, min(descriptor.n, 12))))
+            items.append((f"robp-{i}", random_width3(rng, min(n, 12))))
     paths = []
     for name, obj in items:
         path = os.path.join(out_dir, f"{name}.txt")
@@ -607,48 +599,46 @@ def report(reports: Sequence[AdvantageReport], csv_path: str,
 # Property suites (shared by the CLI `check` command and the tests)
 # ---------------------------------------------------------------------------
 
-def check_smallbias(spec_count: int = 20, seed: int = 7,
-                    big_pairs: Sequence[Tuple[int, int]] = ((20, 12),)) -> dict:
-    """Sweep random specs and verify the measured bias never exceeds
-    (n-1)/2^k, exactly."""
-    from .smallbias import BiasedSpaceSpec, exact_bias
+def _suite_result(name: str, seed: int, ok: bool, detail: str) -> dict:
+    return {"name": name, "seed": seed, "pass": ok, "detail": detail}
 
+
+def check_smallbias(seed: int = 7) -> dict:
+    """Sweep 19 random specs and n = 20 at k = 12, and verify the measured
+    bias never exceeds (n-1)/2^k, exactly."""
     rng = random.Random(seed)
-    cases = [(rng.randint(1, 12), rng.randint(2, 8)) for _ in range(spec_count - len(big_pairs))]
-    cases += [tuple(p) for p in big_pairs]
-    worst_margin = None
+    cases = [(rng.randint(1, 12), rng.randint(2, 8)) for _ in range(19)] + [(20, 12)]
+    margins = []
     for n, k in cases:
         spec = BiasedSpaceSpec.with_degree(n, k)
         bias, _wit = exact_bias(spec)
         bound = spec.bias_bound
         if bias > bound:
-            return {"name": "smallbias", "pass": False,
-                    "detail": f"n={n} k={k}: bias {bias} > bound {bound}"}
-        margin = bound - bias
-        worst_margin = margin if worst_margin is None else min(worst_margin, margin)
-    return {"name": "smallbias", "pass": True,
-            "detail": f"{len(cases)} specs, min margin {worst_margin}"}
+            return _suite_result("smallbias", seed, False,
+                                 f"n={n} k={k}: bias {bias} > bound {bound}")
+        margins.append(bound - bias)
+    return _suite_result("smallbias", seed, True, f"{len(cases)} specs, min margin {min(margins)}")
 
 
-def check_sympoly(trials: int = 1000, seed: int = 11, m_max: int = 12) -> dict:
+def check_sympoly(seed: int = 11) -> dict:
     from .sympoly import (check_s1s2_bound, elem_sym_all, elem_sym_enumerated,
                           newton_girard_residual)
 
     rng = random.Random(seed)
-    for t in range(trials):
-        m = rng.randint(1, m_max)
+    for t in range(1000):
+        m = rng.randint(1, 12)
         z = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(m)]
         if newton_girard_residual(z, m) != 0:
-            return {"name": "sympoly", "pass": False, "detail": f"newton residual at trial {t}"}
+            return _suite_result("sympoly", seed, False, f"newton residual at trial {t}")
     for t in range(200):
-        m = rng.randint(1, m_max)
+        m = rng.randint(1, 12)
         z = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(m)]
         S = elem_sym_all(z, m)
         for k in range(m + 1):
             if S[k] != elem_sym_enumerated(z, k):
-                return {"name": "sympoly", "pass": False, "detail": f"S_{k} mismatch at trial {t}"}
+                return _suite_result("sympoly", seed, False, f"S_{k} mismatch at trial {t}")
     violations = 0
-    for t in range(trials):
+    for t in range(1000):
         m = rng.randint(2, 10)
         z = [Fraction(rng.randint(-100, 100), 100) for _ in range(m)]
         mu = Fraction(rng.randint(1, 50), 50)
@@ -660,56 +650,41 @@ def check_sympoly(trials: int = 1000, seed: int = 11, m_max: int = 12) -> dict:
         if not (res.hypotheses_ok and res.ok):
             violations += 1
     if violations:
-        return {"name": "sympoly", "pass": False, "detail": f"{violations} bound violations"}
-    return {"name": "sympoly", "pass": True, "detail": f"{trials} random inputs clean"}
+        return _suite_result("sympoly", seed, False, f"{violations} bound violations")
+    return _suite_result("sympoly", seed, True, "1000 random inputs clean")
 
 
-def check_models(per_class: int = 100, seed: int = 13, n_max: int = 14) -> dict:
+def check_models(seed: int = 13) -> dict:
+    """Each class's exact expectation against its brute-force acceptance
+    count, on 100 random instances per class."""
     rng = random.Random(seed)
-    for t in range(per_class):
-        n = rng.randint(2, n_max)
-        f = random_read_once_cnf(rng, n)
-        signs = all_sign_rows(n)
-        if Fraction(int(f.eval_batch(signs).sum()), 1 << n) != f.exact_expectation():
-            return {"name": "models", "pass": False, "detail": f"rcnf mismatch {t}"}
-        g = random_xorcnf(rng, n)
-        if Fraction(int(g.eval_batch(signs).sum()), 1 << n) != g.exact_expectation():
-            return {"name": "models", "pass": False, "detail": f"xorcnf mismatch {t}"}
-        prog = random_program(rng, min(n, 12), d=2 + t % 3)  # widths 2..4
-        if Fraction(int(prog.eval_all().sum()), 1 << prog.n) != prog.exact_expectation():
-            return {"name": "models", "pass": False, "detail": f"robp mismatch {t}"}
-        m, w = rng.randint(1, 3), rng.randint(1, 4)
-        if m * w <= n_max:
-            r = random_rect(rng, m, w)
-            signs_r = all_sign_rows(m * w)
-            if Fraction(int(r.eval_batch(signs_r).sum()), 1 << (m * w)) != r.exact_expectation():
-                return {"name": "models", "pass": False, "detail": f"rect mismatch {t}"}
-    return {"name": "models", "pass": True, "detail": f"{per_class} instances per class"}
+    for t in range(100):
+        n = rng.randint(2, 14)
+        cases = [("rcnf", random_read_once_cnf(rng, n)), ("xorcnf", random_xorcnf(rng, n)),
+                 ("robp", random_program(rng, min(n, 12), d=2 + t % 3)),  # widths 2..4
+                 ("rect", random_rect(rng, rng.randint(1, 3), rng.randint(1, 4)))]
+        for klass, obj in cases:
+            accepted = int(obj.eval_batch(all_sign_rows(obj.n)).sum())
+            if Fraction(accepted, 1 << obj.n) != obj.exact_expectation():
+                return _suite_result("models", seed, False, f"{klass} mismatch {t}")
+    return _suite_result("models", seed, True, "100 instances per class")
 
 
-def check_approx(instances: int = 50, seed: int = 17) -> dict:
+def check_approx(seed: int = 17) -> dict:
     from .approx import SandwichPair, rcnf_poly, verify_sandwich, xor_compose
 
     rng = random.Random(seed)
-    for t in range(instances):
+    for t in range(50):
         k = rng.randint(1, 3)
-        blocks = []
-        base = 0
+        blocks, n = [], 0
         for _i in range(k):
             width = rng.randint(1, 4)
-            lits = tuple(Literal(base + j, rng.randrange(2) == 1) for j in range(width))
-            blocks.append(lits)
-            base += width
-        n = base
+            blocks.append(tuple(Literal(n + j, rng.randrange(2) == 1) for j in range(width)))
+            n += width
         eps = Fraction(rng.randint(0, 4), 100)
         cnfs = [ReadOnceCnf(n, (lits,)) for lits in blocks]
-        pairs = []
-        for f in cnfs:
-            poly = rcnf_poly(f)
-            if eps:
-                pairs.append(SandwichPair.of(poly - eps / 2, poly + eps / 2))
-            else:
-                pairs.append(SandwichPair.exact(poly))
+        pairs = [SandwichPair.of(p - eps / 2, p + eps / 2) if eps else SandwichPair.exact(p)
+                 for p in map(rcnf_poly, cnfs)]
         table = [Fraction(rng.randint(0, 4), 4) for _ in range(1 << k)]
         out = xor_compose(n, table, pairs)
 
@@ -721,12 +696,12 @@ def check_approx(instances: int = 50, seed: int = 17) -> dict:
         rep = verify_sandwich(target, out, n)
         t_norm = max(p.max_l1() for p in pairs)
         if not rep.pointwise_ok:
-            return {"name": "approx", "pass": False, "detail": f"pointwise failure {t}"}
+            return _suite_result("approx", seed, False, f"pointwise failure {t}")
         if rep.gap > Fraction(16) ** k * eps:
-            return {"name": "approx", "pass": False, "detail": f"gap budget failure {t}"}
+            return _suite_result("approx", seed, False, f"gap budget failure {t}")
         if max(rep.l1_lower, rep.l1_upper) > Fraction(4) ** k * (t_norm + 1) ** k:
-            return {"name": "approx", "pass": False, "detail": f"l1 budget failure {t}"}
-    return {"name": "approx", "pass": True, "detail": f"{instances} compositions verified"}
+            return _suite_result("approx", seed, False, f"l1 budget failure {t}")
+    return _suite_result("approx", seed, True, "50 compositions verified")
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,17 @@ def test_criterion_1_small_bias_soundness():
 
 
 def test_criterion_2_symmetric_polynomial_kernel():
-    res = check_sympoly(trials=1000, seed=11, m_max=12)
+    res = check_sympoly(seed=11)
     assert _verdict(2, "symmetric-polynomial kernel", res["pass"], res["detail"]), res
 
 
 def test_criterion_3_xor_lemma_composition():
-    res = check_approx(instances=50, seed=17)
+    res = check_approx(seed=17)
     assert _verdict(3, "sandwich composition", res["pass"], res["detail"]), res
 
 
 def test_criterion_4_exact_analytics():
-    res = check_models(per_class=100, seed=13, n_max=14)
+    res = check_models(seed=13)
     assert _verdict(4, "exact analytics vs brute force", res["pass"], res["detail"]), res
 
 
@@ -232,9 +232,9 @@ def test_criterion_9_determinism(tmp_path):
             ok = False
             detail.append("desk sweep SVG drifted from the golden")
     # corpus files byte-identical across generations
-    from derand.harness import CorpusDescriptor, corpus_generate
-    d1 = corpus_generate(CorpusDescriptor(count=4, seed=9), str(tmp_path / "c1"))
-    d2 = corpus_generate(CorpusDescriptor(count=4, seed=9), str(tmp_path / "c2"))
+    from derand.harness import corpus_generate
+    d1 = corpus_generate(str(tmp_path / "c1"), count=4, seed=9)
+    d2 = corpus_generate(str(tmp_path / "c2"), count=4, seed=9)
     for p1, p2 in zip(d1, d2):
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             if f1.read() != f2.read():

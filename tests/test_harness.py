@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,12 +12,11 @@ import numpy as np
 import pytest
 
 from derand import bp3, cli, cr_prg, formats, harness, rcnf_prg
-from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, CorpusDescriptor,
-                            GeneratorHandle, advantage_sweep, check_approx, check_models,
-                            check_smallbias, check_sympoly, constant_generator,
-                            corpus_generate, cr_generator, exhaustive_advantage,
-                            hsg_hit_stats, landmark_formulas, random_read_once_cnf,
-                            random_width3, random_xorcnf, rcnf_generator, rcnf_output_histogram,
+from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, GeneratorHandle,
+                            advantage_sweep, check_models, constant_generator, corpus_generate,
+                            cr_generator, exhaustive_advantage, hsg_hit_stats,
+                            landmark_formulas, random_program, random_read_once_cnf, random_width3,
+                            random_xorcnf, rcnf_generator, rcnf_output_histogram,
                             rcnf_structured_advantage, render_report_svg, report,
                             round_tables, uniform_generator, width3_corpus, write_csv)
 from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
@@ -179,9 +179,8 @@ def test_hit_stats_basics():
 def test_corpus_generation_is_deterministic(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    desc = CorpusDescriptor(count=6, n=16, seed=5)
-    paths1 = corpus_generate(desc, str(d1))
-    paths2 = corpus_generate(desc, str(d2))
+    paths1 = corpus_generate(str(d1), count=6, n=16, seed=5)
+    paths2 = corpus_generate(str(d2), count=6, n=16, seed=5)
     assert [os.path.basename(p) for p in paths1] == [os.path.basename(p) for p in paths2]
     for p1, p2 in zip(paths1, paths2):
         with open(p1, "rb") as fh1, open(p2, "rb") as fh2:
@@ -208,13 +207,6 @@ def test_csv_and_svg_reports(tmp_path):
     assert render_report_svg([]).startswith("<svg")
 
 
-def test_property_suites_pass():
-    assert check_smallbias(spec_count=8, big_pairs=())["pass"]
-    assert check_sympoly(trials=50)["pass"]
-    assert check_models(per_class=10)["pass"]
-    assert check_approx(instances=10)["pass"]
-
-
 def test_width3_corpus_shape():
     corpus = width3_corpus(count=20)
     assert len(corpus) == 20
@@ -222,6 +214,11 @@ def test_width3_corpus_shape():
     # deterministic
     again = width3_corpus(count=20)
     assert [(n, p) for n, p in corpus] == [(n, p) for n, p in again]
+
+
+def test_random_program_refuses_an_unreachable_floor():
+    with pytest.raises(ValueError, match="expectation floor 2"):
+        random_program(random.Random(0), 2, 3, Fraction(2))
 
 
 def test_width3_corpus_keeps_landmarks_within_n_max():
@@ -261,16 +258,12 @@ def test_cli_check_exit_code():
     assert '"pass": true' in proc.stdout
 
 
-def test_cli_check_runs_each_suite_at_its_own_seed(capsys, monkeypatch):
-    assert cli.main(["check", "sym"]) == 0
-    assert json.loads(capsys.readouterr().out) == [check_sympoly()]
-    # a passing suite reports no seed, so record the keywords it is called with
-    calls = []
-    monkeypatch.setattr(harness, "check_models",
-                        lambda **kw: calls.append(kw) or {"name": "models", "pass": True})
-    assert cli.main(["check", "models"]) == 0
+def test_cli_check_runs_each_suite_at_its_own_seed(capsys):
+    assert cli.main(["check", "all"]) == 0
+    assert [(r["name"], r["seed"]) for r in json.loads(capsys.readouterr().out)] == \
+        [("smallbias", 7), ("sympoly", 11), ("models", 13), ("approx", 17)]
     assert cli.main(["check", "models", "--corpus-seed", "5"]) == 0
-    assert calls == [{}, {"seed": 5}]
+    assert json.loads(capsys.readouterr().out) == [check_models(seed=5)]
 
 
 def test_cli_advantage_refuses_unenumerable_seed_space():
@@ -286,9 +279,10 @@ def test_cli_advantage_refuses_unenumerable_seed_space():
 def test_cli_gen_hsg_refuses_eps(capsys):
     assert cli.main(["gen", "hsg", "--n", "14", "--seed", "3a7f0001"]) == 0
     assert capsys.readouterr().out == "-----------++-\n"
-    assert cli.main(["gen", "hsg", "--n", "14", "--seed", "3a7f0001", "--eps", "1/4"]) == 2
-    assert capsys.readouterr().err == \
-        "error: gen hsg takes no --eps: its inner generator is fixed by --n\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "hsg", "--n", "14", "--seed", "3a7f0001", "--eps", "1/4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --eps 1/4\n")
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -310,13 +304,54 @@ def test_cli_gen_hsg_refuses_eps(capsys):
     pytest.param(["advantage", "--preset", "derived", "--constants", "{fractional}"],
                  "constant c2 must be an integer", id="constants-fractional"),
     pytest.param(["gen", "rcnf", "--constants", "{list}", "--dump-params"],
-                 "the desk preset reads none", id="constants-gen-rcnf-desk"),
+                 "--constants: read only under --preset derived", id="constants-gen-rcnf-desk"),
     pytest.param(["advantage", "--constants", "{list}"],
-                 "the desk preset reads none", id="constants-advantage-desk"),
+                 "--constants: read only under --preset derived",
+                 id="constants-advantage-desk"),
     pytest.param(["gen", "rect", "--preset", "derived", "--constants", "{list}"],
-                 "gen rect takes no --constants", id="constants-gen-rect"),
+                 "unrecognized arguments: --constants", id="constants-gen-rect"),
     pytest.param(["gen", "hsg", "--constants", "{list}", "--dump-params"],
-                 "gen hsg takes no --constants", id="constants-gen-hsg"),
+                 "unrecognized arguments: --constants", id="constants-gen-hsg"),
+    pytest.param(["gen", "rcnf", "--m", "3", "--seed", "00fab102"],
+                 "unrecognized arguments: --m 3", id="gen-rcnf-m"),
+    pytest.param(["gen", "rcnf", "--n", "8", "--seed", "00fab102"],
+                 "--n: read only under --preset derived", id="gen-rcnf-n-desk"),
+    pytest.param(["gen", "rect", "--n", "8", "--seed", "0000"],
+                 "unrecognized arguments: --n 8", id="gen-rect-n"),
+    pytest.param(["gen", "rect", "--delta", "1/2", "--seed", "0000"],
+                 "--delta: read only under --preset derived", id="gen-rect-delta-desk"),
+    pytest.param(["gen", "hsg", "--preset", "derived"],
+                 "unrecognized arguments: --preset derived", id="gen-hsg-preset"),
+    pytest.param(["gen", "rcnf"], "gen rcnf needs --seed: 8 hex digits for its 26 seed bits",
+                 id="gen-rcnf-no-seed"),
+    pytest.param(["gen", "rect", "--seed", "0000", "--dump-params"],
+                 "argument --dump-params: not allowed with argument --seed",
+                 id="gen-seed-and-dump"),
+    pytest.param(["gen", "rect", "--m", "0", "--seed", "00"], "need m, w >= 1", id="gen-rect-m0"),
+    pytest.param(["gen", "rect", "--w", "0", "--dump-params"], "need m, w >= 1",
+                 id="gen-rect-w0"),
+    pytest.param(["advantage", "--eps", "1/2"], "--eps: read only under --preset derived",
+                 id="advantage-eps-desk"),
+    pytest.param(["advantage", "--n", "8", "--eps", "1/2"],
+                 "--n, --eps: read only under --preset derived", id="advantage-n-eps-desk"),
+    pytest.param(["advantage", "--timing"], "--timing keeps times in the CSV: it needs --csv",
+                 id="advantage-timing"),
+    pytest.param(["hit", "--corpus", "{dir}", "--count", "3"],
+                 "--count: read only for the generated corpus",
+                 id="hit-corpus-count"),
+    pytest.param(["hit", "--eps", "2"], "--eps must be in (0, 1], not 2", id="hit-eps2"),
+    pytest.param(["hit", "--corpus", "{dir}", "--eps", "0"], "--eps must be in (0, 1], not 0",
+                 id="hit-corpus-eps0"),
+    pytest.param(["hit", "bp3"], "unrecognized arguments: bp3", id="hit-target"),
+    pytest.param(["reduce", "bp3", "--in", "{robp}"], "unrecognized arguments: bp3",
+                 id="reduce-target"),
+    pytest.param(["corpus", "--out", "{dir}", "--max-width", "0"],
+                 "--max-width must be at least 1, not 0", id="corpus-max-width0"),
+    pytest.param(["eval", "{json_no_n}", "++"], "rcnf object has no 'n' field",
+                 id="json-rcnf-no-n"),
+    pytest.param(["eval", "{json_tables}", "++"], "malformed rect object", id="json-rect-tables"),
+    pytest.param(["advantage", "--formula", "{json_no_lits}"], "xorcnf object has no 'lits' field",
+                 id="json-xorcnf-no-lits"),
 ])
 def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     rng = random.Random(5)
@@ -324,17 +359,40 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
              "robp": and_chain_program(4),
              "rcnf": random_read_once_cnf(rng, 5),
              "xorcnf": random_xorcnf(rng, 5)}
-    paths = {}
+    paths = {"dir": tmp_path}
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(formats.dumps(obj))
     for name, text in (("list", "[1]"), ("misspelled", '{"gama": "1/8"}'),
-                       ("fractional", '{"c2": 2.5}')):
+                       ("fractional", '{"c2": 2.5}'), ("json_no_n", '{"type": "rcnf"}'),
+                       ("json_tables", '{"type": "rect", "m": 1, "w": 2, "tables": [1]}'),
+                       ("json_no_lits", '{"type": "xorcnf", "n": 2, "terms": [{"kind": "or"}]}')):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
-    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    try:
+        code = cli.main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse refuses an option the command does not declare
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and reason in err and "Traceback" not in err
+    assert "error: " in err and reason in err and "Traceback" not in err
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every `derand ...` line of the README's CLI block, in order, in one
+    # directory holding the files the lines name
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("derand ")]
+    assert len(argvs) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "formula.txt").write_text(formats.dumps(
+        ReadOnceCnf(4, ((Literal(0), Literal(1, True)), (Literal(2), Literal(3))))))
+    (tmp_path / "prog.robp").write_text(formats.dumps(harness.bad_heavy_program(8)))
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
 
 
 def test_statistical_interval_contains_exhaustive_value():
