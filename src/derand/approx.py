@@ -14,14 +14,13 @@ Composing k sandwich pairs on disjoint blocks of w variables in all
 takes Kronecker products of per-block vectors, O(2^k 2^w).  Verifying a
 pair, exhaustively up to EXHAUSTIVE_POINT_LIMIT variables, takes one
 Walsh-Hadamard transform per polynomial for its values on every point
-of {-1,+1}^n, O(n 2^n) rather than O(4^n).  ``MultilinearPoly.__mul__``
-and ``evaluate`` stay as the oracles; ``evaluate`` also serves the
-statistical mode above that limit.
+of {-1,+1}^n, O(n 2^n) rather than O(4^n); above that limit the check
+is refused.  ``MultilinearPoly.__mul__`` and ``evaluate`` stay as the
+oracles.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -59,10 +58,6 @@ class MultilinearPoly:
     @classmethod
     def constant(cls, n: int, value) -> "MultilinearPoly":
         return cls.build(n, [((), Fraction(value))])
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "MultilinearPoly":
-        return cls.build(n, [((i,), Fraction(1))])
 
     def l1(self) -> Fraction:
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
@@ -113,16 +108,6 @@ class MultilinearPoly:
     def variables(self) -> frozenset:
         return frozenset().union(*self.terms)
 
-    def to_json(self) -> list:
-        return [
-            {"indices": sorted(idx), "coeff": str(coeff)}
-            for idx, coeff in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        ]
-
-    @classmethod
-    def from_json(cls, n: int, data: list) -> "MultilinearPoly":
-        return cls.build(n, [(rec["indices"], Fraction(rec["coeff"])) for rec in data])
-
 
 @dataclass(frozen=True)
 class SandwichPair:
@@ -143,9 +128,6 @@ class SandwichPair:
 
     def max_l1(self) -> Fraction:
         return max(self.lower.l1(), self.upper.l1())
-
-    def fooling_bound(self, bias: Fraction) -> Fraction:
-        return self.gap + self.max_l1() * Fraction(bias)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +254,10 @@ class SandwichReport:
     gap: Fraction
     l1_lower: Fraction
     l1_upper: Fraction
-    fooling_bound: Fraction | None
-    exhaustive: bool
     points_checked: int
     worst_violation: Fraction
+    # every check covers all 2^n points; perfbench/workloads.py reads this
+    exhaustive = True
 
 
 def _scaled_values(poly: MultilinearPoly) -> tuple:
@@ -292,51 +274,35 @@ def _scaled_values(poly: MultilinearPoly) -> tuple:
     return values.tolist(), d
 
 
-def verify_sandwich(target: Callable, pair: SandwichPair, n: int,
-                    bias: Fraction | None = None, sample_points: int = 4096) -> SandwichReport:
-    """Check lower <= target <= upper, report the gap and norms.
+def verify_sandwich(target: Callable, pair: SandwichPair, n: int) -> SandwichReport:
+    """Check lower <= target <= upper on every point, report the gap and norms.
 
-    Exhaustive for n <= EXHAUSTIVE_POINT_LIMIT: each polynomial's values
-    on all 2^n points come from one exact Walsh-Hadamard transform, and
-    ``target`` is called once per point.  Otherwise ``sample_points``
-    points drawn from random.Random(0) (statistical mode), evaluated
-    point by point.
-    ``target`` maps a sign tuple to a number.
+    Each polynomial's values on all 2^n points come from one exact
+    Walsh-Hadamard transform, and ``target`` is called once per point.
+    ``target`` maps a sign tuple to a number.  Refused (ValueError)
+    above EXHAUSTIVE_POINT_LIMIT variables, before ``target`` is called.
     """
-    exhaustive = n <= EXHAUSTIVE_POINT_LIMIT
+    if n > EXHAUSTIVE_POINT_LIMIT:
+        raise ValueError(f"{n} variables exceed the exhaustive sandwich check's limit "
+                         f"of {EXHAUSTIVE_POINT_LIMIT}")
     ok = True
     worst = Fraction(0)
-    if exhaustive:
-        if pair.lower.n != n or pair.upper.n != n:
-            raise ValueError("assignment length mismatch")
-        lower, lo_den = _scaled_values(pair.lower)
-        upper, hi_den = _scaled_values(pair.upper)
-        for x, lo, hi in zip(product((-1, 1), repeat=n), lower, upper):
-            tv = Fraction(target(x))
-            num, den = tv.numerator, tv.denominator
-            # lo / lo_den > tv  or  tv > hi / hi_den, in integers
-            if lo * den > num * lo_den or num * hi_den > hi * den:
-                ok = False
-                worst = max(worst, Fraction(lo, lo_den) - tv, tv - Fraction(hi, hi_den))
-        count = 1 << n
-    else:
-        rng = random.Random(0)
-        for _ in range(sample_points):
-            x = tuple(rng.choice((-1, 1)) for _ in range(n))
-            lo = pair.lower.evaluate(x)
-            hi = pair.upper.evaluate(x)
-            tv = Fraction(target(x))
-            if lo > tv or tv > hi:
-                ok = False
-                worst = max(worst, lo - tv, tv - hi)
-        count = sample_points
+    if pair.lower.n != n or pair.upper.n != n:
+        raise ValueError("assignment length mismatch")
+    lower, lo_den = _scaled_values(pair.lower)
+    upper, hi_den = _scaled_values(pair.upper)
+    for x, lo, hi in zip(product((-1, 1), repeat=n), lower, upper):
+        tv = Fraction(target(x))
+        num, den = tv.numerator, tv.denominator
+        # lo / lo_den > tv  or  tv > hi / hi_den, in integers
+        if lo * den > num * lo_den or num * hi_den > hi * den:
+            ok = False
+            worst = max(worst, Fraction(lo, lo_den) - tv, tv - Fraction(hi, hi_den))
     return SandwichReport(
         pointwise_ok=ok,
         gap=pair.upper.expectation() - pair.lower.expectation(),
         l1_lower=pair.lower.l1(),
         l1_upper=pair.upper.l1(),
-        fooling_bound=None if bias is None else pair.fooling_bound(bias),
-        exhaustive=exhaustive,
-        points_checked=count,
+        points_checked=1 << n,
         worst_violation=worst,
     )

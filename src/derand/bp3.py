@@ -479,9 +479,6 @@ class DecisionList:
                 return leaf.evaluate_bits(bits)
         return self.default.evaluate_bits(bits)
 
-    def tested_variables(self) -> Tuple[int, ...]:
-        return tuple(var for var, _b, _l in self.nodes)
-
     def expectation(self) -> Fraction:
         acc = Fraction(0)
         weight = Fraction(1)
@@ -685,24 +682,29 @@ def hsg_prefix_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
+def hsg_prefix_length(n: int, seed: int) -> int:
+    """The zero-prefix length a seed codes: its low hsg_prefix_bits(n)
+    bits reduced mod n (the decode bias at small n is measured by the
+    harness, not ignored)."""
+    return (seed & ((1 << hsg_prefix_bits(n)) - 1)) % n
+
+
 def hsg_seed_bits(n: int) -> int:
     return hsg_prefix_bits(n) + hsg_inner_preset(n).seed_bits
 
 
 def hsg_sample(n: int, epsilon, seed: int) -> SignVector:
-    """Zero prefix of decoded length, then the parity-CNF generator's
-    output truncated to the remaining positions.
+    """Zero prefix of length ``hsg_prefix_length(n, seed)``, then the
+    parity-CNF generator's output truncated to the remaining positions.
 
-    The prefix length is the low bits reduced mod n (the decode bias at
-    small n is measured by the harness, not ignored).  The inner
-    generator is ``hsg_inner_preset(n)`` whatever ``epsilon`` is; the
-    argument stays for positional callers.
+    The inner generator is ``hsg_inner_preset(n)`` whatever ``epsilon``
+    is; the argument stays for positional callers.
     """
     params = hsg_inner_preset(n)
     rbits = hsg_prefix_bits(n)
     total = rbits + params.seed_bits
     if seed < 0 or seed >> total:
         raise ValueError(f"seed must fit in {total} bits")
-    r = (seed & ((1 << rbits) - 1)) % n
+    r = hsg_prefix_length(n, seed)
     inner = sample(params, seed >> rbits)
     return SignVector((-1,) * r + inner.values[: n - r])

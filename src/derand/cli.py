@@ -124,6 +124,9 @@ def cmd_hit(args) -> int:
         corpus = harness.width3_corpus(min_expectation=args.eps, **_given(
             args, count="count", n_max="n", seed="corpus_seed"))
     stats = harness.hsg_hit_stats(corpus, args.eps)
+    if not stats:
+        raise ValueError(f"no program under {args.corpus} accepts at least --eps {args.eps} "
+                         "of its inputs")
     missed = [s for s in stats if s.hit_fraction == 0]
     worst = min(stats, key=lambda s: s.hit_fraction)
     print(json.dumps({
@@ -153,6 +156,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, not {args.n}")
     if args.max_width is not None and args.max_width < 1:
         raise ValueError(f"--max-width must be at least 1, not {args.max_width}")
     for path in harness.corpus_generate(args.out, **_given(

@@ -354,7 +354,7 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
         final = np.zeros(1 << n, dtype=np.int64)
         rweight = [0] * n
         for raw in range(1 << rbits):
-            rweight[raw % n] += 1
+            rweight[bp3.hsg_prefix_length(n, raw)] += 1
         for r in range(n):
             if not rweight[r]:
                 continue

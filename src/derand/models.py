@@ -172,9 +172,9 @@ class ReadOnceCnf:
     exact_expectation = _exact_expectation
 
 
-def tribes(width: int, size: int | None = None) -> ReadOnceCnf:
-    """Read-once AND of disjoint ORs; size defaults to 2^(width+1) clauses."""
-    m = (1 << (width + 1)) if size is None else size
+def tribes(width: int) -> ReadOnceCnf:
+    """Read-once AND of 2^(width+1) disjoint ORs of width ``width``."""
+    m = 1 << (width + 1)
     clauses = tuple(
         tuple(Literal(i * width + q) for q in range(width)) for i in range(m)
     )
@@ -387,34 +387,18 @@ class Robp:
         )
 
 
-def and_chain_program(n: int, d: int = 3) -> Robp:
-    """Width-d program computing the AND of all n variables."""
-    next0 = []
-    next1 = []
-    rej = d - 1
-    for t in range(n):
-        row0 = [rej] * d
-        row1 = [rej] * d
-        row1[0] = 0
-        next0.append(tuple(row0))
-        next1.append(tuple(row1))
-    return Robp(n=n, d=d, next0=tuple(next0), next1=tuple(next1))
+def and_chain_program(n: int) -> Robp:
+    """Width-3 program computing the AND of all n variables."""
+    return Robp(n=n, d=3, next0=((2, 2, 2),) * n, next1=((0, 2, 2),) * n)
 
 
-def parity_program(n: int, d: int = 3, target: int = 1) -> Robp:
-    """Width-d program accepting inputs whose true-count parity is target."""
-    next0 = []
-    next1 = []
-    for t in range(n):
-        row0 = list(range(d))
-        row1 = [1, 0] + list(range(2, d))
-        next0.append(tuple(row0))
-        next1.append(tuple(row1))
-    # final layer: slot holding the achieved parity must be slot 0 (Acc)
-    if target == 1:
-        next0[-1] = tuple([1, 0] + list(range(2, d)))
-        next1[-1] = tuple(range(d))
-    return Robp(n=n, d=d, next0=tuple(next0), next1=tuple(next1))
+def parity_program(n: int) -> Robp:
+    """Width-3 program accepting inputs with an odd number of true bits."""
+    next0 = [(0, 1, 2)] * n
+    next1 = [(1, 0, 2)] * n
+    # final layer: the slot holding odd parity must land on slot 0 (Acc)
+    next0[-1], next1[-1] = (1, 0, 2), (0, 1, 2)
+    return Robp(n=n, d=3, next0=tuple(next0), next1=tuple(next1))
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +419,6 @@ class Restriction:
             raise ValueError("indices must be sorted and distinct")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("restriction signs must be -1 or +1")
-
-    @classmethod
-    def from_mapping(cls, assignment: dict) -> "Restriction":
-        idx = tuple(sorted(assignment))
-        return cls(indices=idx, signs=tuple(assignment[i] for i in idx))
 
     def as_dict(self) -> dict:
         return dict(zip(self.indices, self.signs))

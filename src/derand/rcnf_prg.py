@@ -131,11 +131,11 @@ class RcnfGenParams:
         return (self.rounds * (self.z_spec.seed_bits + self.subset_spec.seed_bits)
                 + self.y_spec.seed_bits)
 
-    def bias_budget(self, surviving_l1: Fraction | None = None) -> Fraction:
-        """The configured error budget delta1 * L * T + 2 eps T (may
-        exceed 1 at desk scale; reported, and capped at 1 when used)."""
-        L = surviving_l1 if surviving_l1 is not None else sandwich_norm_bound(
-            self.n, self.epsilon, self.constants)
+    def bias_budget(self) -> Fraction:
+        """The configured error budget delta1 * L * T + 2 eps T, L the
+        sandwich norm bound (may exceed 1 at desk scale; reported, and
+        capped at 1 when used)."""
+        L = sandwich_norm_bound(self.n, self.epsilon, self.constants)
         return self.delta1 * L * self.rounds + 2 * self.epsilon * self.rounds
 
     def to_json(self) -> dict:
@@ -210,16 +210,15 @@ def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
 
 
 def explicit_params(n: int, epsilon, k_subset: int, k_z: int, k_y: int,
-                    rounds: int = 1, bits_per_index: int = BITS_PER_INDEX,
-                    preset: str = "") -> RcnfGenParams:
-    """Directly pinned field degrees with the default constants; biases
-    are whatever those degrees give."""
+                    bits_per_index: int = BITS_PER_INDEX, preset: str = "") -> RcnfGenParams:
+    """One round at directly pinned field degrees with the default
+    constants; biases are whatever those degrees give."""
     if n < 1:
         raise ValueError(f"generator length n must be positive, not {n}")
     eps = Fraction(epsilon)
     constants = GenConstants()
     return RcnfGenParams(
-        n=n, epsilon=eps, rounds=rounds,
+        n=n, epsilon=eps, rounds=1,
         z_spec=BiasedSpaceSpec.with_degree(n, k_z),
         subset_spec=SubsetSamplerSpec.with_degree(n, bits_per_index, k_subset,
                                                   delta=(eps / n) ** constants.subset_exp),

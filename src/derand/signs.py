@@ -103,8 +103,13 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     return h
 
 
-def seed_bits_from_bytes(data: bytes, nbits: int) -> int:
-    """Decode a little-endian seed: bit 0 of byte 0 is seed bit 0."""
+def seed_bytes(value: int, nbits: int) -> bytes:
+    return value.to_bytes((nbits + 7) // 8, "little")
+
+
+def parse_seed_hex(text: str, nbits: int) -> int:
+    """Decode a little-endian hex seed: bit 0 of byte 0 is seed bit 0."""
+    data = bytes.fromhex(text)
     expect = (nbits + 7) // 8
     if len(data) != expect:
         raise ValueError(f"seed must be exactly {expect} bytes for {nbits} bits, got {len(data)}")
@@ -112,11 +117,3 @@ def seed_bits_from_bytes(data: bytes, nbits: int) -> int:
     if value >> nbits:
         raise ValueError("seed padding bits beyond the declared length must be zero")
     return value
-
-
-def seed_bytes(value: int, nbits: int) -> bytes:
-    return value.to_bytes((nbits + 7) // 8, "little")
-
-
-def parse_seed_hex(text: str, nbits: int) -> int:
-    return seed_bits_from_bytes(bytes.fromhex(text), nbits)

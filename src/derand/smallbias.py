@@ -435,8 +435,7 @@ def exact_bias(spec: BiasedSpaceSpec) -> tuple:
     if spec.n > EXHAUSTIVE_N_LIMIT or spec.seed_bits > TABLE_SEED_BITS_LIMIT:
         raise ValueError(
             "instance too large for exhaustive bias measurement "
-            f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {TABLE_SEED_BITS_LIMIT}); "
-            "use a statistical estimate instead"
+            f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {TABLE_SEED_BITS_LIMIT})"
         )
     mags = walsh_hadamard(output_mask_histogram(spec))
     np.abs(mags, out=mags)

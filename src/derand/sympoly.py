@@ -73,8 +73,6 @@ def newton_girard_residual(z: Sequence, up_to: int):
 class BoundCheck:
     ok: bool
     hypotheses_ok: bool
-    first_violation: int | None
-    values: Tuple
 
 
 def check_s1s2_bound(z: Sequence, mu, up_to: int) -> BoundCheck:
@@ -87,15 +85,14 @@ def check_s1s2_bound(z: Sequence, mu, up_to: int) -> BoundCheck:
     s1 = sum(z, z[0] * 0 if z else 0)
     sq = sum((v * v for v in z), z[0] * 0 if z else 0)
     if abs(s1) > mu or sq > mu * mu:
-        return BoundCheck(ok=True, hypotheses_ok=False, first_violation=None, values=())
+        return BoundCheck(ok=True, hypotheses_ok=False)
     S = elem_sym_all(z, up_to)
     bound = mu * mu
     for j in range(2, up_to + 1):
         if abs(S[j]) > bound:
-            return BoundCheck(ok=False, hypotheses_ok=True, first_violation=j,
-                              values=tuple(S))
+            return BoundCheck(ok=False, hypotheses_ok=True)
         bound = bound * mu
-    return BoundCheck(ok=True, hypotheses_ok=True, first_violation=None, values=tuple(S))
+    return BoundCheck(ok=True, hypotheses_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,6 @@ class TruncationSpec:
     k: int
     coefficients: Tuple
     bound_c: Fraction
-    bound_b: Fraction
 
     def __post_init__(self):
         if any(abs(c) > self.bound_c for c in self.coefficients):

@@ -13,8 +13,8 @@ import pytest
 from derand import bp3, cli, formats
 from derand.bp3 import (BoundViolation, DecisionList, ParityLeaf, TermExtraction, Width2Bp,
                         bad_state_analysis, bad_states, bad_visit_counts, carve_segments,
-                        dl_to_cnfx, full_reduce, hsg_inner_preset, hsg_sample, hsg_seed_bits,
-                        intersection_reduce, make_rejecting, pipeline_exponent,
+                        dl_to_cnfx, full_reduce, hsg_inner_preset, hsg_prefix_length, hsg_sample,
+                        hsg_seed_bits, intersection_reduce, make_rejecting, pipeline_exponent,
                         pow2_leq, sudden_death_reduce, width2_to_decision_list)
 from derand.harness import bad_heavy_program, random_width3
 from derand.models import Robp, XorCnf, and_chain_program, parity_program
@@ -91,7 +91,7 @@ def test_width2_to_dl_equivalence_sweep():
         for bits in product((0, 1), repeat=length):
             bd = dict(enumerate(bits))
             assert dl.evaluate_bits(bd) == h.evaluate_bits(bd)
-        assert set(dl.tested_variables()).isdisjoint(dl.default.variables)
+        assert {var for var, _b, _l in dl.nodes}.isdisjoint(dl.default.variables)
 
 
 def test_dl_expectation_exact():
@@ -424,6 +424,10 @@ def test_hsg_decode_edges():
     out2 = hsg_sample(n, Fraction(1, 4), seed)
     assert out2.values[: n - 1] == (-1,) * (n - 1)
     assert out2.values[n - 1] == inner.values[0]
+    # codes n..15 wrap mod n: 12 decodes to 2
+    assert hsg_prefix_length(n, (inner_seed << rbits) | 12) == 2
+    out3 = hsg_sample(n, Fraction(1, 4), (inner_seed << rbits) | 12)
+    assert out3.values == (-1, -1) + inner.values[:n - 2]
     with pytest.raises(ValueError):
         hsg_sample(n, Fraction(1, 4), 1 << bits)
 
@@ -437,9 +441,12 @@ def test_width2_validation():
 
 def test_reduce_certificates_match_golden(tmp_path, capsys):
     # one line per program: its JSON form and the fields `derand reduce`
-    # printed for it at eps = 1/4, covering the or, and-xor and one branches
-    with open(os.path.join(GOLDEN, "reduce_w3.jsonl"), encoding="ascii") as fh:
-        lines = [json.loads(line) for line in fh]
+    # printed for it at eps = 1/4, covering the or, and-xor and one branches;
+    # reduce_or.jsonl holds or_program(2), (3) and (4)
+    lines = []
+    for name in ("reduce_w3.jsonl", "reduce_or.jsonl"):
+        with open(os.path.join(GOLDEN, name), encoding="ascii") as fh:
+            lines += [json.loads(line) for line in fh]
     branches = set()
     path = tmp_path / "prog.json"
     for line in lines:

@@ -342,11 +342,16 @@ def test_cli_gen_hsg_refuses_eps(capsys):
     pytest.param(["hit", "--eps", "2"], "--eps must be in (0, 1], not 2", id="hit-eps2"),
     pytest.param(["hit", "--corpus", "{dir}", "--eps", "0"], "--eps must be in (0, 1], not 0",
                  id="hit-corpus-eps0"),
+    pytest.param(["hit", "--corpus", "{dir}"],
+                 "no program under {dir} accepts at least --eps 1/4 of its inputs",
+                 id="hit-corpus-none-dense"),
     pytest.param(["hit", "bp3"], "unrecognized arguments: bp3", id="hit-target"),
     pytest.param(["reduce", "bp3", "--in", "{robp}"], "unrecognized arguments: bp3",
                  id="reduce-target"),
     pytest.param(["corpus", "--out", "{dir}", "--max-width", "0"],
                  "--max-width must be at least 1, not 0", id="corpus-max-width0"),
+    pytest.param(["corpus", "--out", "{dir}", "--n", "0"], "--n must be at least 1, not 0",
+                 id="corpus-n0"),
     pytest.param(["eval", "{json_no_n}", "++"], "rcnf object has no 'n' field",
                  id="json-rcnf-no-n"),
     pytest.param(["eval", "{json_tables}", "++"], "malformed rect object", id="json-rect-tables"),
@@ -375,7 +380,7 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
         code = exc.code
     assert code == 2
     err = capsys.readouterr().err
-    assert "error: " in err and reason in err and "Traceback" not in err
+    assert "error: " in err and reason.format(**paths) in err and "Traceback" not in err
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):

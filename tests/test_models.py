@@ -19,6 +19,11 @@ def all_signs(n):
     return list(product((-1, 1), repeat=n))
 
 
+def _restriction(assignment: dict) -> Restriction:
+    idx = tuple(sorted(assignment))
+    return Restriction(indices=idx, signs=tuple(assignment[i] for i in idx))
+
+
 def test_all_sign_rows_matches_where_construction():
     for n in range(7):
         masks = np.arange(1 << n, dtype=np.int64)
@@ -79,10 +84,10 @@ def test_monotone_under_clause_removal():
 
 def test_apply_restriction_examples():
     f = ReadOnceCnf(3, ((Literal(0), Literal(1)), (Literal(2),)))
-    sat = apply_restriction(f, Restriction.from_mapping({0: 1}))
+    sat = apply_restriction(f, _restriction({0: 1}))
     assert sat.size == 1 and sat.exact_expectation() == Fraction(1, 2)
     dead = apply_restriction(ReadOnceCnf(3, ((Literal(2),),)),
-                             Restriction.from_mapping({2: -1}))
+                             _restriction({2: -1}))
     assert dead.is_false and dead.exact_expectation() == 0
 
 
@@ -122,11 +127,11 @@ def test_bias_function_matches_enumeration():
 
 def test_xorcnf_restriction_folds_parity_target():
     g = XorCnf(3, (Term("xor", (Literal(0), Literal(1)), 1),))
-    fixed_true = apply_restriction(g, Restriction.from_mapping({0: 1}))
+    fixed_true = apply_restriction(g, _restriction({0: 1}))
     assert fixed_true.terms[0].target == 0
-    gone = apply_restriction(g, Restriction.from_mapping({0: 1, 1: -1}))
+    gone = apply_restriction(g, _restriction({0: 1, 1: -1}))
     assert gone.size == 0 and gone.exact_expectation() == 1
-    dead = apply_restriction(g, Restriction.from_mapping({0: 1, 1: 1}))
+    dead = apply_restriction(g, _restriction({0: 1, 1: 1}))
     assert dead.is_false
 
 
@@ -142,8 +147,8 @@ def test_read_once_cnf_runs_as_its_or_terms():
         assert [f.evaluate(x) for x in all_signs(n)] == [g.evaluate(x) for x in all_signs(n)]
         assert (f.size, f.variables(), f.exact_expectation()) == \
             (g.size, g.variables(), g.exact_expectation())
-        rho = Restriction.from_mapping({v: rng.choice((-1, 1))
-                                        for v in rng.sample(range(n), rng.randint(0, n))})
+        rho = _restriction({v: rng.choice((-1, 1))
+                            for v in rng.sample(range(n), rng.randint(0, n))})
         rf, rg = apply_restriction(f, rho), apply_restriction(g, rho)
         assert type(rf) is ReadOnceCnf and type(rg) is XorCnf
         assert rf.is_false == rg.is_false and rf.terms == rg.terms
@@ -318,7 +323,7 @@ def test_robp_variable_order():
 
 
 def test_parity_program():
-    prog = parity_program(4, target=1)
+    prog = parity_program(4)
     acc = prog.eval_all()
     for mask in range(16):
         assert int(acc[mask]) == (bin(mask).count("1") % 2)
@@ -346,8 +351,7 @@ def test_bad_count_tail_bound_for_sudden_death_corpus():
 
 
 def test_width2_and_program_example():
-    prog = and_chain_program(2, d=2)
-    assert prog.d == 2
+    prog = Robp(n=2, d=2, next0=((1, 1), (1, 1)), next1=((0, 1), (0, 1)))
     assert prog.evaluate((1, -1)) == 0
     assert prog.evaluate((1, 1)) == 1
 
@@ -355,7 +359,7 @@ def test_width2_and_program_example():
 def test_half_restricted_tribes_bias_formula():
     # fixing the first half of every clause to false leaves each clause a
     # width-w/2 OR: the bias function factors as prod(1 - 2^(-w/2) + sat*2^(-w/2))
-    f = tribes(4, size=8)
+    f = ReadOnceCnf(32, tuple(tuple(Literal(4 * i + q) for q in range(4)) for i in range(8)))
     half = [v.index for c in f.clauses for v in c[:2]]
     xs = [-1] * len(half)
     got = bias_function(f, half, xs)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -67,8 +68,7 @@ def test_partition_property():
 
 
 def test_trace_replay_reproduces_sample():
-    params = explicit_params(20, Fraction(1, 8), k_subset=3, k_z=3, k_y=4,
-                             rounds=2)
+    params = replace(explicit_params(20, Fraction(1, 8), k_subset=3, k_z=3, k_y=4), rounds=2)
     rng = random.Random(42)
     for _ in range(40):
         seed = rng.randrange(1 << params.seed_bits)
@@ -160,8 +160,8 @@ def test_pure_parity_fooled_at_small_bias_level():
 @pytest.mark.parametrize("rounds", [1, 3])
 def test_sample_batch_equals_per_seed_sample(rounds):
     # T = 3 lets later rounds find indices already covered
-    params = explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
-                             rounds=rounds, bits_per_index=1)
+    params = replace(explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
+                                     bits_per_index=1), rounds=rounds)
     rng = random.Random(45 + rounds)
     seeds = [rng.getrandbits(params.seed_bits) for _ in range(300)] + [0]
     batch = sample_batch(params, seeds)
@@ -272,8 +272,8 @@ def test_sample_skips_strings_no_output_reads(monkeypatch):
     # a round whose J adds no fresh index expands no z, and a seed whose
     # rounds cover every index expands no y; outputs still equal
     # sample_batch, which expands every string
-    params = explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
-                             rounds=2, bits_per_index=1)
+    params = replace(explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
+                                     bits_per_index=1), rounds=2)
     every, empty = 1 | 1 << 3, 0  # J seeds (r, s) = (1, 1) and (0, 0)
     rng = random.Random(48)
     seeds = []

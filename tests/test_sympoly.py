@@ -49,9 +49,10 @@ def test_newton_girard_exact_and_float():
 def test_s1s2_bound_hand_case():
     # z = (1/2, -1/2): S_1 = 0, sum of squares 1/2; any mu with mu^2 >= 1/2 works
     mu = Fraction(708, 1000)
-    res = check_s1s2_bound([Fraction(1, 2), Fraction(-1, 2)], mu, 2)
+    z = [Fraction(1, 2), Fraction(-1, 2)]
+    res = check_s1s2_bound(z, mu, 2)
     assert res.hypotheses_ok and res.ok
-    assert abs(res.values[2]) <= mu**2
+    assert abs(elem_sym_all(z, 2)[2]) <= mu**2
 
 
 def test_s1s2_zero_case():
@@ -80,12 +81,12 @@ def test_s1s2_rescaled_sweep():
 
 def test_truncated_eval_trivial_cases():
     spec = TruncationSpec(k=2, coefficients=(Fraction(1), Fraction(0), Fraction(0)),
-                          bound_c=Fraction(1), bound_b=Fraction(1))
+                          bound_c=Fraction(1))
     res = truncated_eval(spec, [Fraction(0), Fraction(0)], Fraction(1, 10))
     assert res.full == res.truncated == 1 and res.tail_bound == 0
     # k = m: no tail at all
     spec_full = TruncationSpec(k=3, coefficients=tuple(Fraction(1) for _ in range(4)),
-                               bound_c=Fraction(1), bound_b=Fraction(8))
+                               bound_c=Fraction(1))
     z = [Fraction(1, 100)] * 3
     res2 = truncated_eval(spec_full, z, Fraction(1, 10))
     assert res2.full == res2.truncated
@@ -101,7 +102,7 @@ def test_truncated_eval_good_event_bound():
         spec = TruncationSpec(
             k=k,
             coefficients=tuple(Fraction(rng.randint(-10, 10), 10) for _ in range(m + 1)),
-            bound_c=Fraction(1), bound_b=Fraction(100))
+            bound_c=Fraction(1))
         z = [Fraction(rng.randint(-8, 8), 100) for _ in range(m)]
         res = truncated_eval(spec, z, delta)
         if not res.good_event:
