@@ -121,6 +121,8 @@ def cmd_hit(args) -> int:
         if not corpus:
             raise ValueError(f"no branching program files under {args.corpus}")
     else:
+        if args.count is not None and args.count < 1:
+            raise ValueError(f"--count must be at least 1, not {args.count}")
         corpus = harness.width3_corpus(min_expectation=args.eps, **_given(
             args, count="count", n_max="n", seed="corpus_seed"))
     stats = harness.hsg_hit_stats(corpus, args.eps)
@@ -156,6 +158,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.count is not None and args.count < 0:
+        raise ValueError(f"--count must be at least 0, not {args.count}")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be at least 1, not {args.n}")
     if args.max_width is not None and args.max_width < 1:

@@ -28,13 +28,20 @@ one numpy pass above 8 bits); a read starting at block j jumps to u^j
 by square and multiply.  A batch or every seed builds one
 position-major power table, row i holding s^i for each distinct s, by
 doubling: the rows after s^h are the rows before it times s^h.
-``powering_signs`` gathers a batch's rows from it and
-``output_mask_histogram`` reads it transposed.  For every seed,
+``powering_signs`` gathers a batch's rows from it.  For every seed,
 ``parity_bits_all_seeds`` gathers the 2^k x 2^k table of parity(a & r)
 by it once; the structured walk reads that as it is, ``subsets_all_seeds``
 ANDs its b rows per index and ``outputs_all_seeds`` is its seed-major
 sign view.  The bit-serial ``GF2k.mul`` and ``pow`` and the vectorized
 ``GF2k.mul_vec`` are the tests' oracles.
+
+``exact_bias`` measures a space by the first paragraph's root counting.
+``root_counts`` reads the power table for every set a at once: the a
+with sum_{i in a} s^i = 0 are the kernel of a GF(2)-linear map, reduced
+by one elimination run across all s in numpy and enumerated by doubling.
+Its oracle is ``output_mask_histogram``, the histogram of every seed's
+packed output built from the transposed power table: the Walsh-Hadamard
+transform of that histogram is 2^k times the counts.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from operator import xor
 
 import numpy as np
 
-from .signs import SignVector, walsh_hadamard
+from .signs import SignVector
 
 EXHAUSTIVE_N_LIMIT = 20
 # seed bits of one space enumerated whole (all-seeds tables and histograms);
@@ -213,7 +220,7 @@ class BiasedSpaceSpec:
 # The powering kernel: (r, s) -> <r, s^i>
 # ---------------------------------------------------------------------------
 
-HISTOGRAM_CHUNK = 1 << 20  # seed masks output_mask_histogram holds at once
+HISTOGRAM_CHUNK = 1 << 20  # masks output_mask_histogram and root_counts hold at once
 _SIGN = np.array([1, -1], dtype=np.int8)  # parity bit -> sign
 
 
@@ -423,26 +430,79 @@ def output_mask_histogram(spec: BiasedSpaceSpec) -> np.ndarray:
     return counts
 
 
+def root_counts(spec: BiasedSpaceSpec) -> np.ndarray:
+    """int64 counts of length 2^n: entry a is the number of s in GF(2^k)
+    with sum_{i in a} s^i = 0, so the transform of output_mask_histogram
+    is these counts times 2^k.
+
+    For one s those masks are the kernel of the GF(2)-linear map sending
+    bit i to s^i.  s and s^2 are roots of the same binary polynomials
+    (P(s)^2 = P(s^2)), so one lane stands for each Frobenius orbit
+    {s, s^2, s^4, ..} and its kernel counts the orbit's size times.  The
+    elimination reduces s^0 .. s^(n-1) to echelon form, one slot per
+    pivot bit holding a value and the mask that produced it, each step
+    one numpy op over every lane; a column that reduces to 0 leaves its
+    mask as a kernel vector.  Each lane's kernel is then enumerated by
+    doubling over its basis, a lane's masks side by side, in chunks of
+    at most HISTOGRAM_CHUNK masks or one lane's kernel."""
+    k, n = spec.field_degree, spec.n
+    gf = GF2k(k)
+    table = _power_table(gf, np.arange(gf.order, dtype=np.uint64), max(n, 3))
+    square, orbit = table[2].astype(np.intp), np.arange(gf.order)
+    image = orbit
+    for _ in range(k - 1):  # orbit[s]: the least element of s's orbit
+        image = square[image]
+        np.minimum(orbit, image, out=orbit)
+    lanes, weight = np.unique(orbit, return_counts=True)
+    powers = table[:n, lanes].astype(np.int64)
+    slot_value = np.zeros((k, len(lanes)), dtype=np.int64)  # leading bit p, or 0 if empty
+    slot_mask = np.zeros_like(slot_value)
+    kernel = np.zeros((n, len(lanes)), dtype=np.int64)
+    for i in range(n):
+        value, mask = powers[i], np.full(len(lanes), 1 << i, dtype=np.int64)
+        for p in reversed(range(k)):
+            hit = -((value >> p) & 1)  # all ones where bit p is set
+            fill = hit * (slot_value[p] == 0)  # ... and slot p is empty
+            slot_value[p] |= value & fill
+            slot_mask[p] |= mask & fill
+            value ^= slot_value[p] & hit  # a column that fills a slot clears itself
+            mask ^= slot_mask[p] & hit
+        kernel[i] = mask  # nonzero only where column i reduced to 0
+    dims = np.count_nonzero(kernel, axis=0)
+    basis = np.take_along_axis(kernel, np.argsort(kernel == 0, axis=0, kind="stable"), axis=0)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for d, w in set(zip(dims.tolist(), weight.tolist())):
+        group = basis[:d, (dims == d) & (weight == w)].T  # (lanes, d)
+        step = max(1, HISTOGRAM_CHUNK >> d)
+        for lo in range(0, len(group), step):
+            part = group[lo:lo + step]
+            span = np.zeros((len(part), 1 << d), dtype=np.int32)  # half of int64, as fast
+            for j in range(d):
+                np.bitwise_xor(span[:, :1 << j], part[:, j, None], out=span[:, 1 << j:2 << j])
+            np.add.at(counts, span.reshape(-1), w)
+    return counts
+
+
 def exact_bias(spec: BiasedSpaceSpec) -> tuple:
-    """Max character bias over all nonempty index sets, by full enumeration.
+    """Max character bias over all nonempty index sets, by counting roots.
 
     Returns (max_bias, witness) with the bias an exact Fraction and the
-    witness a frozenset of coordinates attaining it.  The enumeration
-    histograms every seed's output and applies a Walsh-Hadamard
-    transform, so it does not rely on the construction's root-counting
-    algebra.
+    witness the first frozenset of coordinates attaining it.  The
+    character of set a has expectation Pr_s[sum_{i in a} s^i = 0] over
+    the full seed space, read from root_counts.  The histogram of every
+    seed's output and its Walsh-Hadamard transform
+    (output_mask_histogram) are the oracle the tests hold it to.
     """
     if spec.n > EXHAUSTIVE_N_LIMIT or spec.seed_bits > TABLE_SEED_BITS_LIMIT:
         raise ValueError(
             "instance too large for exhaustive bias measurement "
             f"(n <= {EXHAUSTIVE_N_LIMIT}, seed bits <= {TABLE_SEED_BITS_LIMIT})"
         )
-    mags = walsh_hadamard(output_mask_histogram(spec))
-    np.abs(mags, out=mags)
-    mags[0] = -1  # exclude the empty set
-    idx = int(np.argmax(mags))
+    counts = root_counts(spec)
+    counts[0] = -1  # exclude the empty set
+    idx = int(np.argmax(counts))
     witness = frozenset(i for i in range(spec.n) if (idx >> i) & 1)
-    return Fraction(int(mags[idx]), 1 << spec.seed_bits), witness
+    return Fraction(int(counts[idx]), 1 << spec.field_degree), witness
 
 
 # ---------------------------------------------------------------------------

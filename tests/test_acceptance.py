@@ -6,7 +6,6 @@ asserted is computed in exact rational arithmetic unless the criterion
 itself states a float tolerance.
 """
 
-import math
 import os
 import random
 import time
@@ -14,13 +13,11 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import pytest
 
 from derand import bp3, cr_prg, rcnf_prg
-from derand.harness import (check_approx, check_models, check_smallbias,
-                            check_sympoly, desk_advantage_sweep, hsg_hit_stats,
-                            random_rect, width3_corpus, write_csv)
-from derand.models import CombRect
+from derand.harness import (check_approx, check_models, check_sympoly,
+                            desk_advantage_sweep, hsg_hit_stats, random_rect,
+                            width3_corpus, write_csv)
 from derand.smallbias import BiasedSpaceSpec, exact_bias
 from derand.signs import pack_block
 

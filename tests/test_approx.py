@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from derand.approx import (EXHAUSTIVE_POINT_LIMIT, MultilinearPoly, SandwichPair,
-                           and_of_parities_poly, clause_poly, rcnf_poly, verify_sandwich,
+                           and_of_parities_poly, rcnf_poly, verify_sandwich,
                            xor_compose)
 from derand.models import Literal, ReadOnceCnf
 from derand.signs import walsh_hadamard

@@ -7,10 +7,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from derand.cr_prg import (CrGenParams, LookupMatrix, bias_function_cr,
-                           derive_cr_params, desk_cr_preset, explicit_cr_params,
-                           materialize_matrix, pack_matrix, restrict_rect, sample_cr,
-                           split_cr_seed, width_schedule)
+from derand.cr_prg import (LookupMatrix, bias_function_cr, derive_cr_params, desk_cr_preset,
+                           explicit_cr_params, materialize_matrix, pack_matrix, restrict_rect,
+                           sample_cr, split_cr_seed, width_schedule)
 from derand.harness import random_rect
 from derand.models import CombRect
 from derand.signs import pack_block

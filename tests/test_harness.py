@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import json
 import os
 import random
@@ -339,6 +338,9 @@ def test_cli_gen_hsg_refuses_eps(capsys):
     pytest.param(["hit", "--corpus", "{dir}", "--count", "3"],
                  "--count: read only for the generated corpus",
                  id="hit-corpus-count"),
+    pytest.param(["hit", "--count", "-1"], "--count must be at least 1, not -1",
+                 id="hit-count-negative"),
+    pytest.param(["hit", "--count", "0"], "--count must be at least 1, not 0", id="hit-count0"),
     pytest.param(["hit", "--eps", "2"], "--eps must be in (0, 1], not 2", id="hit-eps2"),
     pytest.param(["hit", "--corpus", "{dir}", "--eps", "0"], "--eps must be in (0, 1], not 0",
                  id="hit-corpus-eps0"),
@@ -352,6 +354,8 @@ def test_cli_gen_hsg_refuses_eps(capsys):
                  "--max-width must be at least 1, not 0", id="corpus-max-width0"),
     pytest.param(["corpus", "--out", "{dir}", "--n", "0"], "--n must be at least 1, not 0",
                  id="corpus-n0"),
+    pytest.param(["corpus", "--out", "{dir}", "--count", "-3"],
+                 "--count must be at least 0, not -3", id="corpus-count-negative"),
     pytest.param(["eval", "{json_no_n}", "++"], "rcnf object has no 'n' field",
                  id="json-rcnf-no-n"),
     pytest.param(["eval", "{json_tables}", "++"], "malformed rect object", id="json-rect-tables"),

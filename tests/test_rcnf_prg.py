@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from derand import rcnf_prg
-from derand.harness import (exhaustive_advantage, landmark_formulas,
-                            random_read_once_cnf, rcnf_generator,
+from derand.harness import (exhaustive_advantage, random_read_once_cnf, rcnf_generator,
                             rcnf_structured_advantage)
 from derand.models import Literal, Term, XorCnf, apply_restriction, Restriction
 from derand.rcnf_prg import (GenConstants, derive_params, desk_preset,

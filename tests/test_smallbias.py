@@ -11,8 +11,9 @@ from derand.smallbias import (BiasedSpaceSpec, GF2k, PoweringSeed,
                               exact_joint_deviation, generate_biased,
                               irreducible_poly, output_mask_histogram,
                               outputs_all_seeds, parity_bits_all_seeds,
-                              powering_signs, sample_subset,
+                              powering_signs, root_counts, sample_subset,
                               subset_members, subsets_all_seeds)
+from derand.signs import walsh_hadamard
 
 
 def test_irreducible_polys_match_reference_table():
@@ -261,6 +262,52 @@ def test_histogram_masks_in_chunks(monkeypatch):
     whole = output_mask_histogram(spec)
     monkeypatch.setattr(smallbias, "HISTOGRAM_CHUNK", 1)
     assert (output_mask_histogram(spec) == whole).all()
+
+
+# every n <= 14 at every k <= 9 (n above and below k, k = 1, composite k
+# whose subfield lanes have low rank), then the extremes n = 20, 2k = 24
+ROOT_COUNT_GRID = ([(n, k) for k in range(1, 10) for n in range(1, 15)]
+                   + [(20, 12), (20, 8), (8, 12), (16, 12), (20, 1), (1, 12)])
+
+
+@pytest.mark.parametrize("n,k", ROOT_COUNT_GRID)
+def test_root_counts_match_histogram_transform(n, k):
+    # the oracle: histogram every seed's output, transform, take the first
+    # argmax of |entry| over the nonempty sets
+    spec = BiasedSpaceSpec.with_degree(n, k)
+    transform = walsh_hadamard(output_mask_histogram(spec))
+    counts = root_counts(spec)
+    assert counts.dtype == np.int64
+    assert ((counts << k) == transform).all()
+    mags = np.abs(transform)
+    mags[0] = -1
+    idx = int(np.argmax(mags))
+    assert exact_bias(spec) == (Fraction(int(mags[idx]), 1 << spec.seed_bits),
+                                frozenset(i for i in range(n) if idx >> i & 1))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_root_counts_of_known_polynomials(k):
+    # mask a counts the roots of sum_{i in a} x^i in GF(2^k): x has the
+    # root 0 and x + 1 the root 1, x^2 + x both; x^2 + x + 1 has its two
+    # roots in GF(4) and x^3 + x + 1 its three in GF(8), inside GF(2^k)
+    # exactly when 2 | k and 3 | k
+    counts = root_counts(BiasedSpaceSpec.with_degree(6, k))
+    assert counts[0] == 1 << k and counts[0b1] == 0
+    assert counts[0b10] == counts[0b11] == 1 and counts[0b110] == 2
+    assert counts[0b111] == (2 if k % 2 == 0 else 0)
+    assert counts[0b1011] == (3 if k % 3 == 0 else 0)
+
+
+def test_root_counts_in_chunks(monkeypatch):
+    # chunks of one lane's kernel at a time give the same counts as one chunk
+    from derand import smallbias
+    for n, k in ((12, 6), (20, 1)):
+        spec = BiasedSpaceSpec.with_degree(n, k)
+        whole = root_counts(spec)
+        monkeypatch.setattr(smallbias, "HISTOGRAM_CHUNK", 1)
+        assert (root_counts(spec) == whole).all()
+        monkeypatch.undo()
 
 
 def test_powering_seed_refuses_bad_positions_and_seeds():
