@@ -336,8 +336,11 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
     bp3.hsg_sample seeds whose output it accepts.
 
     Programs below the expectation threshold are excluded (the hitting
-    contract only covers dense functions).  The walk shares one output
-    histogram per distinct program length.
+    contract only covers dense functions).  The sweep builds one table
+    per distinct program length: how many seeds output each input, from
+    the inner generator's output histogram summed over the prefix
+    lengths.  A program's hits are that table summed over its accept
+    flags, which Robp.eval_all gives for every input at once.
     """
     if not programs:
         raise ValueError("hitting sweep needs a nonempty corpus")

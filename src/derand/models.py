@@ -7,9 +7,10 @@ evaluation.  A read-once CNF is the all-OR case of a parity-CNF: both
 formula classes run one term engine over their ``terms``, and one
 restriction serves both.  A branching program's expectations come from
 two integer path counts, backward to Acc and forward from the start,
-and its batch evaluations from one layer walk; ``Fraction`` appears
-only in the values returned.  Everything is immutable after construction;
-the sign convention is the global one (-1 false, +1 true).
+its batch evaluations from one layer walk and its table over every
+input from one prefix doubling; ``Fraction`` appears only in the
+values returned.  Everything is immutable after construction; the sign
+convention is the global one (-1 false, +1 true).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .signs import all_bit_rows, pack_block
+from .signs import pack_block
 
 
 @dataclass(frozen=True)
@@ -313,25 +314,46 @@ class Robp:
             slot = (self.next1 if x[var] == 1 else self.next0)[t][slot]
         return 1 if slot == self.ACC else 0
 
+    def _transitions(self):
+        """next0 and next1 as (n, d) arrays of the narrowest unsigned
+        dtype that holds slot d - 1."""
+        dtype = np.min_scalar_type(self.d - 1)
+        return (np.array(self.next0, dtype).reshape(self.n, self.d),
+                np.array(self.next1, dtype).reshape(self.n, self.d))
+
     def walk(self, bits: np.ndarray):
         """Yield, for t = 0..n, the slot each input occupies at layer t.
 
         ``bits`` holds one input per row, column i set when variable i
-        is true; the batch size is its row count, so n = 0 works."""
-        state = np.zeros(bits.shape[0], dtype=np.int8)
+        is true; the batch size is its row count, so n = 0 works.  Run
+        over every input, this walk is the oracle the tests hold
+        eval_all to."""
+        next0, next1 = self._transitions()
+        state = np.zeros(bits.shape[0], dtype=next0.dtype)
         yield state
         for t, var in enumerate(self.order):
-            n0 = np.array(self.next0[t], dtype=np.int8)
-            n1 = np.array(self.next1[t], dtype=np.int8)
-            state = np.where(bits[:, var], n1[state], n0[state])
+            state = np.where(bits[:, var], next1[t][state], next0[t][state])
             yield state
 
     def eval_all(self) -> np.ndarray:
         """Accept flags for every input, indexed by the little-endian
-        bit packing of the assignment (bit i = variable i, 1 = true)."""
-        for state in self.walk(all_bit_rows(self.n)):
-            pass
-        return state == self.ACC
+        bit packing of the assignment (bit i = variable i, 1 = true).
+
+        Prefix doubling: after layer t, entry j holds the slot reached
+        by the prefix whose bit u is the bit layer u read, so layer t
+        maps the 2^t prefixes to their 2^(t+1) extensions, bit t clear
+        then set, one gather each: under 2^(n+1) gathers and no bit
+        matrix.  A non-identity order permutes the axes of the (2,)*n
+        view once.  The walk over every input is the oracle."""
+        next0, next1 = self._transitions()
+        state = np.zeros(1, dtype=next0.dtype)
+        for t in range(self.n):
+            state = np.concatenate((next0[t][state], next1[t][state]))
+        acc = state == self.ACC
+        if self.order != tuple(range(self.n)):  # view axis t is bit t, read by layer t
+            acc = acc.reshape((2,) * self.n, order="F").transpose(
+                np.argsort(self.order)).ravel(order="F")
+        return acc
 
     def eval_batch(self, signs: np.ndarray) -> np.ndarray:
         if signs.shape[1] != self.n:

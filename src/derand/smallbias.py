@@ -439,26 +439,30 @@ def root_counts(spec: BiasedSpaceSpec) -> np.ndarray:
     bit i to s^i.  s and s^2 are roots of the same binary polynomials
     (P(s)^2 = P(s^2)), so one lane stands for each Frobenius orbit
     {s, s^2, s^4, ..} and its kernel counts the orbit's size times.  The
-    elimination reduces s^0 .. s^(n-1) to echelon form, one slot per
-    pivot bit holding a value and the mask that produced it, each step
-    one numpy op over every lane; a column that reduces to 0 leaves its
-    mask as a kernel vector.  Each lane's kernel is then enumerated by
-    doubling over its basis, a lane's masks side by side, in chunks of
-    at most HISTOGRAM_CHUNK masks or one lane's kernel."""
+    elimination reduces s^0 .. s^min(n-1, k) to echelon form, one slot
+    per pivot bit holding a value and the mask that produced it, each
+    step one numpy op over every lane; a column that reduces to 0 leaves
+    its mask as a kernel vector.  A lane's first dependent column d <= k
+    leaves the minimal polynomial of s, and each column i > k takes it
+    shifted by i - d instead: leading bit i, so the same span.  Each
+    lane's kernel is then enumerated by doubling over its basis, a
+    lane's masks side by side, in chunks of at most HISTOGRAM_CHUNK
+    masks or one lane's kernel."""
     k, n = spec.field_degree, spec.n
     gf = GF2k(k)
-    table = _power_table(gf, np.arange(gf.order, dtype=np.uint64), max(n, 3))
+    cols = min(n, k + 1)  # column k is dependent in every lane
+    table = _power_table(gf, np.arange(gf.order, dtype=np.uint64), max(cols, 3))
     square, orbit = table[2].astype(np.intp), np.arange(gf.order)
     image = orbit
     for _ in range(k - 1):  # orbit[s]: the least element of s's orbit
         image = square[image]
         np.minimum(orbit, image, out=orbit)
     lanes, weight = np.unique(orbit, return_counts=True)
-    powers = table[:n, lanes].astype(np.int64)
+    powers = table[:cols, lanes].astype(np.int64)
     slot_value = np.zeros((k, len(lanes)), dtype=np.int64)  # leading bit p, or 0 if empty
     slot_mask = np.zeros_like(slot_value)
     kernel = np.zeros((n, len(lanes)), dtype=np.int64)
-    for i in range(n):
+    for i in range(cols):
         value, mask = powers[i], np.full(len(lanes), 1 << i, dtype=np.int64)
         for p in reversed(range(k)):
             hit = -((value >> p) & 1)  # all ones where bit p is set
@@ -468,6 +472,9 @@ def root_counts(spec: BiasedSpaceSpec) -> np.ndarray:
             value ^= slot_value[p] & hit  # a column that fills a slot clears itself
             mask ^= slot_mask[p] & hit
         kernel[i] = mask  # nonzero only where column i reduced to 0
+    first = np.argmax(kernel[:cols] != 0, axis=0)  # each lane's first dependent column
+    minpoly = kernel[first, np.arange(len(lanes))]
+    kernel[cols:] = minpoly << (np.arange(cols, n)[:, None] - first)
     dims = np.count_nonzero(kernel, axis=0)
     basis = np.take_along_axis(kernel, np.argsort(kernel == 0, axis=0, kind="stable"), axis=0)
     counts = np.zeros(1 << n, dtype=np.int64)

@@ -284,6 +284,23 @@ def test_cli_gen_hsg_refuses_eps(capsys):
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: --eps 1/4\n")
 
 
+def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
+    # x0 = 0 or x1 = 1, carried in slots 0 and `high`, every other slot
+    # dead: at d = 130 it is hit exactly as its width-3 relabeling (high = 1)
+    def program(d, high):
+        stay = tuple(range(d))
+        return Robp(n=3, d=d,
+                    next0=((0,) * d, stay, stay),
+                    next1=((high,) * d, (0,) * d, stay))
+
+    (tmp_path / "wide.txt").write_text(formats.dumps(program(130, 129)))
+    assert cli.main(["hit", "--corpus", str(tmp_path), "--eps", "1/16"]) == 0
+    [narrow] = hsg_hit_stats([("narrow", program(3, 1))], Fraction(1, 16))
+    assert json.loads(capsys.readouterr().out) == {
+        "programs": 1, "misses": 0, "minHitFraction": str(narrow.hit_fraction),
+        "minInstance": "wide.txt"}
+
+
 @pytest.mark.parametrize("argv, reason", [
     pytest.param(["advantage", "--formula", "{rect}"], "read-once or parity formula, not CombRect",
                  id="advantage-rect"),

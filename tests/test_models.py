@@ -299,6 +299,53 @@ def test_walk_matches_evaluate_and_hardwiring():
         assert hardwire(prog, forced).exact_expectation() == want
 
 
+def _walked_table(prog):
+    """The oracle for eval_all: walk every input as one batch and place
+    each accept flag at the little-endian packing of its row."""
+    signs = all_sign_rows(prog.n)
+    packed = ((signs == 1).astype(np.int64) << np.arange(prog.n)).sum(axis=1)
+    table = np.zeros(1 << prog.n, dtype=bool)
+    table[packed] = prog.eval_batch(signs)
+    return table
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_eval_all_matches_walk_under_random_orders(d):
+    rng = random.Random(170 + d)
+    for n in range(15):
+        for _ in range(3 if n < 10 else 1):
+            prog = _random_ordered_program(rng, n, d)
+            acc = prog.eval_all()
+            assert acc.dtype == bool and (acc == _walked_table(prog)).all()
+
+
+def test_eval_all_matches_walk_on_width3_corpus():
+    from derand.harness import width3_corpus
+    for _name, prog in width3_corpus(100):
+        assert (prog.eval_all() == _walked_table(prog)).all()
+
+
+@pytest.mark.parametrize("d", [130, 300])
+def test_wide_programs_evaluate_past_one_byte_of_slots(d):
+    # slots above 127 (and 255) must survive the walk and the doubling; the
+    # last layer sends about a third of the slots to Acc so both answers occur
+    rng = random.Random(d)
+    n = 7
+    next0, next1 = ([tuple(rng.randrange(d) for _ in range(d)) for _ in range(n - 1)]
+                    for _ in range(2))
+    for table in (next0, next1):
+        table.append(tuple(rng.choice((Robp.ACC, d - 1, d - 2)) for _ in range(d)))
+    order = list(range(n))
+    rng.shuffle(order)
+    prog = Robp(n=n, d=d, next0=tuple(next0), next1=tuple(next1), order=tuple(order))
+    signs = all_sign_rows(n)
+    assert max(int(s.max()) for s in prog.walk(signs == 1)) >= d - 2
+    want = [bool(prog.evaluate(row)) for row in signs.tolist()]
+    assert 0 < sum(want) < len(want)
+    assert prog.eval_batch(signs).tolist() == want
+    assert prog.eval_all().tolist() == want
+
+
 def test_zero_length_program_walks_its_batch():
     from derand.bp3 import bad_visit_counts
     for d in (2, 3, 4):

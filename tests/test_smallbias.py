@@ -267,7 +267,8 @@ def test_histogram_masks_in_chunks(monkeypatch):
 # every n <= 14 at every k <= 9 (n above and below k, k = 1, composite k
 # whose subfield lanes have low rank), then the extremes n = 20, 2k = 24
 ROOT_COUNT_GRID = ([(n, k) for k in range(1, 10) for n in range(1, 15)]
-                   + [(20, 12), (20, 8), (8, 12), (16, 12), (20, 1), (1, 12)])
+                   + [(20, 12), (20, 8), (8, 12), (16, 12), (20, 1), (1, 12),
+                      (20, 4), (20, 6)])  # columns 5.., 7.. only shift the minimal polynomial
 
 
 @pytest.mark.parametrize("n,k", ROOT_COUNT_GRID)
