@@ -130,35 +130,6 @@ class SandwichPair:
         return max(self.lower.l1(), self.upper.l1())
 
 
-# ---------------------------------------------------------------------------
-# Exact polynomials of conjunctions of parities
-# ---------------------------------------------------------------------------
-
-def and_of_parities_poly(n: int, terms: Sequence[Tuple[Sequence[int], int]]) -> MultilinearPoly:
-    """Exact polynomial of an AND of parity constraints, L1 at most 1.
-
-    Each term is (indices, target sign): the constraint holds when the
-    product of the listed signs equals the target.  Terms must be on
-    disjoint variables; each factor (1 + target * x^S)/2 keeps the
-    product's L1 norm at 1.
-    """
-    seen: set = set()
-    for idx, _ in terms:
-        s = set(idx)
-        if s & seen:
-            raise ValueError("parity terms must be on disjoint variables")
-        seen |= s
-    poly = MultilinearPoly.constant(n, 1)
-    for idx, target in terms:
-        if target not in (-1, 1):
-            raise ValueError("parity target must be a sign")
-        factor = MultilinearPoly.build(
-            n, [((), Fraction(1, 2)), (tuple(idx), Fraction(target, 2))]
-        )
-        poly = poly * factor
-    return poly
-
-
 def clause_poly(n: int, literals) -> MultilinearPoly:
     """Exact polynomial of an OR of literals: 1 - prod (1 - lit)/2."""
     miss = MultilinearPoly.constant(n, 1)

@@ -17,7 +17,10 @@ Every existential step of the analysis (the arrival layer, the fixing)
 is replaced by an exact argmax with deterministic tie-breaking.  The
 chain reads a program's integer path counts (``Robp.accept_counts``
 and ``Robp.reach_counts``); a ``Fraction`` is formed only for a
-reported value or a checked bound.
+reported value or a checked bound.  ``bad_visit_counts``, how many bad
+states each input visits, is kept for criterion 7, which checks the
+lemma Pr[Bad(x) >= t] <= 2^(1-t) and the bound on E[Bad(x) | accepted]
+on it.
 """
 
 from __future__ import annotations
@@ -205,6 +208,10 @@ def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
     epsilon/2, kill top states before the best first-arrival layer and
     bottom states after it."""
     eps = Fraction(epsilon)
+    if f.n < 1:
+        raise ValueError("the reduction chain expects a program of at least one layer")
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], not {epsilon}")
     e_src = f.exact_expectation()
     if e_src < eps:
         raise ValueError(f"acceptance {e_src} below the threshold {eps}")

@@ -107,9 +107,13 @@ def cmd_advantage(args) -> int:
     return 0 if worst <= budget else 1
 
 
-def cmd_hit(args) -> int:
+def _check_eps(args) -> None:
     if not 0 < args.eps <= 1:
         raise ValueError(f"--eps must be in (0, 1], not {args.eps}")
+
+
+def cmd_hit(args) -> int:
+    _check_eps(args)
     if args.corpus:
         _refuse_given(args, "read only for the generated corpus, not with --corpus",
                       "n", "count", "corpus_seed")
@@ -141,6 +145,7 @@ def cmd_hit(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _check_eps(args)
     prog = formats.load_path(args.path)
     cert = bp3.full_reduce(prog, args.eps)
     payload = {

@@ -20,6 +20,11 @@ The recipe's constants are fixed: the schedule stops at ``STOP_WIDTH``,
 bias whose exponent scales with ``FINAL_EXP``, and caps both at
 ``DEFAULT_BIAS_FLOOR``.  A record stores its width and stage specs; its
 schedule is computed from w once and cached.
+
+``materialize_matrix``, ``restrict_rect`` and ``bias_function_cr`` state
+the composition identity and the bias function that criterion 6 checks;
+they are kept for the planned structured walk of the rectangle
+generator, which restricts by one stage's matrix per inner seed.
 """
 
 from __future__ import annotations
@@ -243,13 +248,6 @@ def restrict_rect(rect: CombRect, matrix: LookupMatrix) -> CombRect:
 
 
 def bias_function_cr(rect: CombRect, matrix: LookupMatrix) -> Fraction:
-    """Product over coordinates of the fraction of accepting rows; equals
-    the restricted rectangle's exact expectation."""
-    if matrix.cols != rect.m or matrix.entry_width != rect.w:
-        raise ValueError("matrix geometry does not match the rectangle")
-    acc = Fraction(1)
-    for i in range(rect.m):
-        col = matrix.packed[:, i]
-        hits = sum(rect.coordinate_accepts(i, int(col[a])) for a in range(matrix.rows))
-        acc *= Fraction(hits, matrix.rows)
-    return acc
+    """The restricted rectangle's exact expectation: the product over
+    coordinates of the fraction of accepting rows."""
+    return restrict_rect(rect, matrix).exact_expectation()

@@ -263,9 +263,12 @@ def dump_json(obj) -> str:
 
 
 def load_path(path: str):
+    """Load a text or JSON model file; a parse error names the file."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json(json.loads(text))
-    return loads(text)
+    try:
+        if text.lstrip().startswith("{"):
+            return from_json(json.loads(text))
+        return loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

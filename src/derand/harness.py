@@ -11,7 +11,9 @@ the (live z) x y-words grid, counted by popcount.  Its output histogram
 is, per J, the outer product of the z-part and y-part counts.  Seed
 spaces too large to walk fall back to a declared-size random sample.
 ``advantage_sweep`` is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
-``advantage`` command both run it.
+``advantage`` command both run it.  ``cr_generator``, the rectangle
+generator walked seed by seed, is kept as the oracle of a structured
+rectangle walk that is planned but not yet written.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ import numpy as np
 from . import bp3, cr_prg, formats, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                      and_chain_program, parity_program, tribes)
-from .signs import SignVector, all_sign_rows, bit_rows
+from .signs import all_sign_rows
 from .smallbias import BiasedSpaceSpec, exact_bias, parity_bits_all_seeds, subsets_all_seeds
 from .smallbias import outputs_all_seeds  # noqa: F401 (perfbench/selftest.py traces it here)
 
 NAIVE_WALK_SEED_BITS_LIMIT = 26  # generator seed bits exhaustive_advantage walks one by one
 STATISTICAL_SAMPLES = 1 << 14
 BATCH_SEEDS = 2048  # seeds expanded and scored at once by exhaustive_advantage
-_PLUS_IF_SET = np.array([-1, 1], dtype=np.int8)  # bit -> sign, 1 meaning true
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +53,6 @@ class GeneratorHandle:
     name: str
     seed_bits: int
     sample_batch: Callable[[Sequence[int]], np.ndarray]
-
-
-def uniform_generator(n: int) -> GeneratorHandle:
-    return GeneratorHandle(name=f"uniform{n}", seed_bits=n,
-                           sample_batch=lambda seeds: _PLUS_IF_SET[bit_rows(seeds, n)])
-
-
-def constant_generator(signs: SignVector) -> GeneratorHandle:
-    row = signs.as_array()
-    return GeneratorHandle(name="constant", seed_bits=0,
-                           sample_batch=lambda seeds: np.tile(row, (len(seeds), 1)))
 
 
 def rcnf_generator(params: rcnf_prg.RcnfGenParams) -> GeneratorHandle:

@@ -10,7 +10,10 @@ two integer path counts, backward to Acc and forward from the start,
 its batch evaluations from one layer walk and its table over every
 input from one prefix doubling; ``Fraction`` appears only in the
 values returned.  Everything is immutable after construction; the sign
-convention is the global one (-1 false, +1 true).
+convention is the global one (-1 false, +1 true).  ``bias_function``,
+the expectation under a partial assignment, is kept as the oracle of a
+planned integer walk that splits each landmark's error into restriction
+error and fill error.
 """
 
 from __future__ import annotations
@@ -292,6 +295,8 @@ class Robp:
     def __post_init__(self):
         if self.order is None:
             object.__setattr__(self, "order", tuple(range(self.n)))
+        if self.d < 1:
+            raise ValueError(f"a layer needs at least one slot, not d={self.d}")
         if len(self.next0) != self.n or len(self.next1) != self.n:
             raise ValueError("need one transition row per layer")
         for row in (*self.next0, *self.next1):
@@ -381,12 +386,6 @@ class Robp:
                 r[t + 1][self.next0[t][i]] += paths
                 r[t + 1][self.next1[t][i]] += paths
         return r
-
-    def accept_probabilities(self) -> list:
-        """p[t][i] = c[t][i] / 2^(n-t): the probability of reaching Acc
-        from state (t, i)."""
-        return [[Fraction(v, 1 << (self.n - t)) for v in row]
-                for t, row in enumerate(self.accept_counts())]
 
     def conditional_visit_probs(self) -> list:
         """q(v): probability a uniformly random accepted input visits v,

@@ -27,6 +27,10 @@ read from its subset sampler.
 
 Seed layout, fixed for bit-exact reproducibility: the T z-blocks in
 round order occupy the lowest bits, then the T J-blocks, then y.
+
+``shrink_size_bound``, the shrinkage lemma's per-round budget of
+surviving clauses, is kept for the planned report of surviving terms
+per restriction; today the tests measure shrinkage against it.
 """
 
 from __future__ import annotations

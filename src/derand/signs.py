@@ -10,6 +10,10 @@ Two serialization orders appear, both fixed for reproducibility:
   of the first field element.
 * Sign blocks (rectangle coordinates, lookup-table entries) pack
   big-endian: the first sign of the block is the most significant bit.
+
+``walsh_hadamard`` serves the sandwich verification of ``approx``; with
+``smallbias.output_mask_histogram`` it is also the oracle the tests hold
+``smallbias.exact_bias`` to.
 """
 
 from __future__ import annotations
@@ -39,14 +43,6 @@ class SignVector:
     def __iter__(self):
         return iter(self.values)
 
-    @classmethod
-    def from_int(cls, value: int, n: int) -> "SignVector":
-        """Unpack little-endian: bit i of ``value`` is coordinate i."""
-        return cls(tuple(1 if (value >> i) & 1 else -1 for i in range(n)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int8)
-
 
 def pack_block(signs: Sequence[int]) -> int:
     """Pack a sign block big-endian: first sign is the most significant bit."""
@@ -54,16 +50,6 @@ def pack_block(signs: Sequence[int]) -> int:
     for v in signs:
         acc = (acc << 1) | (1 if v == 1 else 0)
     return acc
-
-
-def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
-    """uint8 matrix whose row j holds bits 0..width-1 of values[j]
-    (little-endian: column i is bit i).  Values may exceed 64 bits."""
-    nbytes = (width + 7) // 8
-    mask = (1 << width) - 1
-    raw = np.frombuffer(b"".join((v & mask).to_bytes(nbytes, "little") for v in values),
-                        dtype=np.uint8).reshape(len(values), nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
 
 
 def all_bit_rows(n: int) -> np.ndarray:
@@ -101,10 +87,6 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         bottom *= -2       # as a - b = (a + b) - 2b
         bottom += top
     return h
-
-
-def seed_bytes(value: int, nbits: int) -> bytes:
-    return value.to_bytes((nbits + 7) // 8, "little")
 
 
 def parse_seed_hex(text: str, nbits: int) -> int:

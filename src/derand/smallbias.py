@@ -41,7 +41,9 @@ with sum_{i in a} s^i = 0 are the kernel of a GF(2)-linear map, reduced
 by one elimination run across all s in numpy and enumerated by doubling.
 Its oracle is ``output_mask_histogram``, the histogram of every seed's
 packed output built from the transposed power table: the Walsh-Hadamard
-transform of that histogram is 2^k times the counts.
+transform of that histogram is 2^k times the counts.  The subset
+samplers' joint deviation from independence is measured only by the
+tests, which count ``sample_subset``'s patterns over every seed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import xor
 
 import numpy as np
@@ -588,23 +589,3 @@ def subsets_all_seeds(spec: SubsetSamplerSpec) -> np.ndarray:
     member = bits.reshape(spec.n, spec.bits_per_index, -1).all(axis=1)
     packed = np.packbits(member, axis=0, bitorder="little").astype(np.int64)
     return (packed << np.arange(0, 8 * len(packed), 8, dtype=np.int64)[:, None]).sum(axis=0)
-
-
-def exact_joint_deviation(spec: SubsetSamplerSpec, max_indices: int) -> Fraction:
-    """Max |Pr[joint pattern] - prod Pr[marginal]| over small index tuples."""
-    if spec.seed_bits > TABLE_SEED_BITS_LIMIT or spec.n > EXHAUSTIVE_N_LIMIT:
-        raise ValueError("instance too large for exhaustive joint-deviation measurement")
-    masks = subsets_all_seeds(spec)
-    total = len(masks)
-    marg = [Fraction(int(((masks >> i) & 1).sum()), total) for i in range(spec.n)]
-    worst = Fraction(0)
-    for arity in range(2, max_indices + 1):
-        for tup in combinations(range(spec.n), arity):
-            joint = np.bincount(sum(((masks >> i) & 1) << j for j, i in enumerate(tup)),
-                                minlength=1 << arity)
-            for pattern in range(1 << arity):  # bit j: index tup[j] included
-                prod = Fraction(1)
-                for j, i in enumerate(tup):
-                    prod *= marg[i] if (pattern >> j) & 1 else 1 - marg[i]
-                worst = max(worst, abs(Fraction(int(joint[pattern]), total) - prod))
-    return worst

@@ -5,9 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from derand.approx import (EXHAUSTIVE_POINT_LIMIT, MultilinearPoly, SandwichPair,
-                           and_of_parities_poly, rcnf_poly, verify_sandwich,
-                           xor_compose)
+from derand.approx import (EXHAUSTIVE_POINT_LIMIT, MultilinearPoly, SandwichPair, rcnf_poly,
+                           verify_sandwich, xor_compose)
 from derand.models import Literal, ReadOnceCnf
 from derand.signs import walsh_hadamard
 from derand.smallbias import BiasedSpaceSpec, exact_bias, outputs_all_seeds
@@ -39,17 +38,27 @@ def test_l1_submultiplicative_sweep():
         assert (a * b).l1() <= a.l1() * b.l1()
 
 
+def _and_of_parities_poly(n, terms):
+    """Exact polynomial of an AND of parity constraints on disjoint
+    variables, each term (indices, target sign) holding when the product
+    of its signs is the target: each factor (1 + target * x^S)/2 keeps
+    the product's L1 norm at 1."""
+    poly = MultilinearPoly.constant(n, 1)
+    for idx, target in terms:
+        poly = poly * MultilinearPoly.build(n, [((), Fraction(1, 2)),
+                                                (tuple(idx), Fraction(target, 2))])
+    return poly
+
+
 def test_and_of_parities():
-    single = and_of_parities_poly(4, [((0, 1), -1)])
+    single = _and_of_parities_poly(4, [((0, 1), -1)])
     assert single.l1() == 1
     for x in product((-1, 1), repeat=4):
         assert single.evaluate(x) == (1 if x[0] * x[1] == -1 else 0)
-    double = and_of_parities_poly(6, [((0, 1), -1), ((2, 3, 4), 1)])
+    double = _and_of_parities_poly(6, [((0, 1), -1), ((2, 3, 4), 1)])
     assert double.l1() == 1
-    empty = and_of_parities_poly(3, [])
+    empty = _and_of_parities_poly(3, [])
     assert empty.evaluate((1, -1, 1)) == 1
-    with pytest.raises(ValueError):
-        and_of_parities_poly(4, [((0, 1), -1), ((1, 2), 1)])
 
 
 def test_rcnf_poly_is_exact():

@@ -203,6 +203,13 @@ def test_sudden_death_boundary_threshold():
         sudden_death_reduce(prog, Fraction(1, 2))
 
 
+def test_reduction_refuses_epsilon_outside_unit_interval():
+    for reduce in (full_reduce, sudden_death_reduce):
+        for eps in (Fraction(-1), Fraction(0), Fraction(2)):
+            with pytest.raises(ValueError, match=re.escape(f"must be in (0, 1], not {eps}")):
+                reduce(and_chain_program(4), eps)
+
+
 def test_sudden_death_always_one_like_program():
     # all paths accept; width 3 with an unreachable bottom
     n = 4
@@ -262,19 +269,25 @@ def test_double_counting_identity():
         assert pow2_leq(rhs / 2, 2 / g.exact_expectation())
 
 
+def _accept_probabilities(prog):
+    """p[t][i]: the probability of reaching Acc from state (t, i)."""
+    return [[Fraction(v, 1 << (prog.n - t)) for v in row]
+            for t, row in enumerate(prog.accept_counts())]
+
+
 def test_small_reject_lemma_exact():
     rng = random.Random(66)
     for _ in range(30):
         f = random_width3(rng, rng.randint(4, 9), Fraction(1, 8))
         g = sudden_death_reduce(f, Fraction(1, 8)).program
-        p = g.accept_probabilities()
+        p = _accept_probabilities(g)
         mu = Fraction(1, 3)
         sel = [(t, i) for t in range(1, g.n) for i in range(3)
                if 0 < p[t][i] <= mu]
         if not sel:
             continue
         g2 = make_rejecting(g, sel)
-        p2 = g2.accept_probabilities()
+        p2 = _accept_probabilities(g2)
         for t in range(g.n + 1):
             for i in range(3):
                 assert p2[t][i] >= p[t][i] - mu

@@ -12,31 +12,44 @@ import pytest
 
 from derand import bp3, cli, cr_prg, formats, harness, rcnf_prg
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, GeneratorHandle,
-                            advantage_sweep, check_models, constant_generator, corpus_generate,
+                            advantage_sweep, check_models, corpus_generate,
                             cr_generator, exhaustive_advantage, hsg_hit_stats,
                             landmark_formulas, random_program, random_read_once_cnf, random_width3,
                             random_xorcnf, rcnf_generator, rcnf_output_histogram,
                             rcnf_structured_advantage, render_report_svg, report,
-                            round_tables, uniform_generator, width3_corpus, write_csv)
+                            round_tables, width3_corpus, write_csv)
 from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                            and_chain_program)
-from derand.signs import SignVector
+from derand.signs import all_sign_rows
 from derand.smallbias import powering_signs, subset_members
+
+
+def _uniform_generator(n: int) -> GeneratorHandle:
+    """Seed m maps to the point whose coordinate i is +1 iff bit i of m is set."""
+    rows = all_sign_rows(n)
+    return GeneratorHandle(name=f"uniform{n}", seed_bits=n,
+                           sample_batch=lambda seeds: rows[list(seeds)])
+
+
+def _constant_generator(signs) -> GeneratorHandle:
+    row = np.array(signs, dtype=np.int8)
+    return GeneratorHandle(name="constant", seed_bits=0,
+                           sample_batch=lambda seeds: np.tile(row, (len(seeds), 1)))
 
 
 def test_uniform_generator_has_zero_advantage():
     rng = random.Random(71)
     f = random_read_once_cnf(rng, 10)
-    rep = exhaustive_advantage(uniform_generator(10), f)
+    rep = exhaustive_advantage(_uniform_generator(10), f)
     assert rep.advantage == 0 and rep.mode == "exhaustive"
 
 
 def test_constant_generator_advantage():
     f = ReadOnceCnf(4, ((Literal(0), Literal(1)),))
-    point = SignVector((1, 1, -1, -1))
-    rep = exhaustive_advantage(constant_generator(point), f)
-    assert rep.gen_e == f.evaluate(point.values)
-    assert rep.advantage == abs(Fraction(f.evaluate(point.values)) - f.exact_expectation())
+    point = (1, 1, -1, -1)
+    rep = exhaustive_advantage(_constant_generator(point), f)
+    assert rep.gen_e == f.evaluate(point)
+    assert rep.advantage == abs(Fraction(f.evaluate(point)) - f.exact_expectation())
 
 
 def test_statistical_fallback_over_limit():
@@ -364,7 +377,17 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
     pytest.param(["hit", "--corpus", "{dir}"],
                  "no program under {dir} accepts at least --eps 1/4 of its inputs",
                  id="hit-corpus-none-dense"),
+    pytest.param(["hit", "--corpus", "{stray}"], "{stray}/stray.txt: line 0: empty input",
+                 id="hit-corpus-stray-file"),
     pytest.param(["hit", "bp3"], "unrecognized arguments: bp3", id="hit-target"),
+    pytest.param(["reduce", "--in", "{robp}", "--eps", "-1"], "--eps must be in (0, 1], not -1",
+                 id="reduce-eps-negative"),
+    pytest.param(["reduce", "--in", "{robp}", "--eps", "0"], "--eps must be in (0, 1], not 0",
+                 id="reduce-eps0"),
+    pytest.param(["reduce", "--in", "{n0}"],
+                 "the reduction chain expects a program of at least one layer", id="reduce-n0"),
+    pytest.param(["eval", "{d0}", "+"], "{d0}: line 1: a layer needs at least one slot, not d=0",
+                 id="eval-d0"),
     pytest.param(["reduce", "bp3", "--in", "{robp}"], "unrecognized arguments: bp3",
                  id="reduce-target"),
     pytest.param(["corpus", "--out", "{dir}", "--max-width", "0"],
@@ -389,12 +412,18 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(formats.dumps(obj))
-    for name, text in (("list", "[1]"), ("misspelled", '{"gama": "1/8"}'),
-                       ("fractional", '{"c2": 2.5}'), ("json_no_n", '{"type": "rcnf"}'),
-                       ("json_tables", '{"type": "rect", "m": 1, "w": 2, "tables": [1]}'),
-                       ("json_no_lits", '{"type": "xorcnf", "n": 2, "terms": [{"kind": "or"}]}')):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(text)
+    for name, text in (("list.json", "[1]"), ("misspelled.json", '{"gama": "1/8"}'),
+                       ("fractional.json", '{"c2": 2.5}'), ("json_no_n.json", '{"type": "rcnf"}'),
+                       ("json_tables.json", '{"type": "rect", "m": 1, "w": 2, "tables": [1]}'),
+                       ("json_no_lits.json",
+                        '{"type": "xorcnf", "n": 2, "terms": [{"kind": "or"}]}'),
+                       ("n0.robp", "robp 0 3\n"), ("d0.robp", "robp 1 0\n")):
+        paths[name.split(".")[0]] = tmp_path / name
+        (tmp_path / name).write_text(text)
+    paths["stray"] = tmp_path / "stray"  # one program file and one empty .txt file
+    paths["stray"].mkdir()
+    (paths["stray"] / "robp.txt").write_text(formats.dumps(files["robp"]))
+    (paths["stray"] / "stray.txt").write_text("")
     try:
         code = cli.main([arg.format(**paths) for arg in argv])
     except SystemExit as exc:  # argparse refuses an option the command does not declare
@@ -449,7 +478,7 @@ def test_statistical_batches_equal_per_seed_average():
 def test_exhaustive_walk_over_several_batches():
     # 2^13 seeds span four batches; the uniform generator is unbiased
     f = random_read_once_cnf(random.Random(76), 13)
-    rep = exhaustive_advantage(uniform_generator(13), f)
+    rep = exhaustive_advantage(_uniform_generator(13), f)
     assert rep.samples == 1 << 13 and rep.gen_e == f.exact_expectation()
 
 
@@ -459,8 +488,8 @@ def test_generator_batches_match_per_seed_outputs():
     seeds = [rng.getrandbits(params.seed_bits) for _ in range(20)]
     assert [tuple(r) for r in cr_generator(params).sample_batch(seeds)] == \
         [cr_prg.sample_cr(params, s).values for s in seeds]
-    assert [tuple(r) for r in uniform_generator(5).sample_batch([0, 19])] == \
-        [SignVector.from_int(0, 5).values, SignVector.from_int(19, 5).values]
+    assert [tuple(r) for r in _uniform_generator(5).sample_batch([0, 19])] == \
+        [(-1, -1, -1, -1, -1), (1, 1, -1, -1, 1)]
 
 
 def test_all_accepting_program_hit_fraction_one():
