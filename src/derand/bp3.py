@@ -210,6 +210,8 @@ def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
     eps = Fraction(epsilon)
     if f.n < 1:
         raise ValueError("the reduction chain expects a program of at least one layer")
+    if f.d < 2:  # from d = 2 on, layer n's bottom slot rejects and meets the cut test
+        raise ValueError(f"the reduction chain expects a program of width at least 2, not {f.d}")
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], not {epsilon}")
     e_src = f.exact_expectation()

@@ -190,38 +190,20 @@ def split_cr_seed(params: CrGenParams, seed: int) -> list:
     return [(seed >> sum(bits[:i])) & ((1 << b) - 1) for i, b in enumerate(bits)]
 
 
-def sample_cr_levels(params: CrGenParams, seed: int) -> list:
-    """Per-level packed blocks of the recursive lookup, innermost first.
-
-    Entry j of the result holds the m blocks at schedule width
-    ``schedule[level]`` for level = stages-1 down to 0; the last entry
-    is the generator output.  Each level's blocks index the rows of the
-    previous stage's matrix in their own column.
-    """
+def sample_cr(params: CrGenParams, seed: int) -> SignVector:
+    """Evaluate the recursive lookup, innermost stage first; output is m
+    blocks of w signs.  Each block of the current level, packed, picks
+    the row of the next stage's matrix in its own column."""
     parts = split_cr_seed(params, seed)
-    dw = params.direct_width
-    direct = generate_biased(params.stage_specs[-1], parts[-1]).values
-    blocks = [pack_block(direct[i * dw:(i + 1) * dw]) for i in range(params.m)]
-    levels = [tuple(blocks)]
+    signs, width = generate_biased(params.stage_specs[-1], parts[-1]).values, params.direct_width
     for stage in range(params.stages - 2, -1, -1):
         rows, entry_w = params.stage_geometry(stage)
         stage_seed = PoweringSeed(params.stage_specs[stage], parts[stage])
-        blocks = [pack_block(stage_seed.signs(i * rows * entry_w + row * entry_w, entry_w))
-                  for i, row in enumerate(blocks)]
-        levels.append(tuple(blocks))
-    return levels
-
-
-def unpack_blocks(blocks, width: int) -> tuple:
-    out = []
-    for b in blocks:
-        out.extend(1 if (b >> (width - 1 - q)) & 1 else -1 for q in range(width))
-    return tuple(out)
-
-
-def sample_cr(params: CrGenParams, seed: int) -> SignVector:
-    """Evaluate the recursive lookup; output is m blocks of w signs."""
-    return SignVector(unpack_blocks(sample_cr_levels(params, seed)[-1], params.w))
+        picked = [pack_block(signs[i * width:(i + 1) * width]) for i in range(params.m)]
+        signs = [v for i, row in enumerate(picked)
+                 for v in stage_seed.signs((i * rows + row) * entry_w, entry_w)]
+        width = entry_w
+    return SignVector(tuple(signs))
 
 
 # ---------------------------------------------------------------------------

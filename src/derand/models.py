@@ -165,10 +165,6 @@ class ReadOnceCnf:
     def terms(self) -> Tuple[Term, ...]:
         return tuple(Term("or", c) for c in self.clauses)
 
-    @property
-    def width(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
-
     size = property(_size)
     variables = _variables
     evaluate = _evaluate

@@ -27,13 +27,14 @@ multiply by u.  That map is tabulated once per seed, byte by byte (in
 one numpy pass above 8 bits); a read starting at block j jumps to u^j
 by square and multiply.  A batch or every seed builds one
 position-major power table, row i holding s^i for each distinct s, by
-doubling: the rows after s^h are the rows before it times s^h.
+doubling: the rows after s^h are the rows before it times s^h, one
+call of the array multiply ``GF2k.mul_vec``.
 ``powering_signs`` gathers a batch's rows from it.  For every seed,
 ``parity_bits_all_seeds`` gathers the 2^k x 2^k table of parity(a & r)
 by it once; the structured walk reads that as it is, ``subsets_all_seeds``
 ANDs its b rows per index and ``outputs_all_seeds`` is its seed-major
-sign view.  The bit-serial ``GF2k.mul`` and ``pow`` and the vectorized
-``GF2k.mul_vec`` are the tests' oracles.
+sign view.  The bit-serial ``GF2k.mul`` and ``pow`` are the tests'
+oracles.
 
 ``exact_bias`` measures a space by the first paragraph's root counting.
 ``root_counts`` reads the power table for every set a at once: the a
@@ -145,14 +146,24 @@ class GF2k:
         return acc
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized mul (broadcasting), any degree up to 64."""
-        a2, b2 = np.broadcast_arrays(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
-        acc = np.zeros(a2.shape, dtype=np.uint64)
-        top, low = np.uint64(self.k - 1), np.uint64(self.modulus ^ self.order)
+        """Vectorized mul (broadcasting), any degree up to 64: the XOR of
+        the images b x^j picked by bit j of a.  b steps through them in
+        its own shape, so a block times a row shifts only the row."""
+        a = np.asarray(a, np.uint64)
+        b = np.array(b, np.uint64)  # a copy, stepped in place
+        acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+        tmp, hi = np.empty_like(acc), np.empty_like(b)
+        top, red = np.uint64(self.k - 1), np.uint64(self.modulus & 0xFFFF_FFFF_FFFF_FFFF)
         for j in range(self.k):
-            acc ^= b2 * ((a2 >> np.uint64(j)) & np.uint64(1))
-            # b2 * x, reduced at once so it stays below 2^k <= 2^64
-            b2 = ((b2 << np.uint64(1)) & np.uint64(self.order - 1)) ^ ((b2 >> top) * low)
+            np.right_shift(a, np.uint64(j), out=tmp)
+            tmp &= np.uint64(1)
+            tmp *= b
+            acc ^= tmp
+            # b x, reduced at once; at k = 64 the shift drops x^64 itself
+            np.right_shift(b, top, out=hi)
+            hi *= red
+            b <<= np.uint64(1)
+            b ^= hi
         return acc
 
 
@@ -335,25 +346,15 @@ def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
     """(count, len(s)) uint64 table of s^0..s^(count-1), row i holding s^i.
 
     Built by doubling: with rows 0..h known, rows h+1..2h are rows 1..h
-    times s^h, the XOR of the images s^h x^j (j < k) picked by bit j of
-    each entry, folded over the whole block; its last row is the square
-    s^(2h) the next round multiplies by.  log2(count) rounds, not count."""
-    s = np.asarray(s, np.uint64)
+    times s^h, one mul_vec of the block by the row; its last row is the
+    square s^(2h) the next round multiplies by.  log2(count) rounds, not
+    count."""
     table = np.empty((max(count, 2), len(s)), dtype=np.uint64)
     table[0], table[1] = 1, s
-    top, red = np.uint64(gf.k - 1), np.uint64(gf.modulus & 0xFFFF_FFFF_FFFF_FFFF)
     h = 1
     while h < count - 1:
         block = table[1:1 + min(h, count - 1 - h)]
-        out, tmp, image = table[h + 1:h + 1 + len(block)], np.empty_like(block), table[h]
-        out[...] = 0
-        for j in range(gf.k):
-            np.right_shift(block, np.uint64(j), out=tmp)
-            tmp &= np.uint64(1)
-            tmp *= image
-            out ^= tmp
-            # times x, reduced at once; at k = 64 the shift drops x^64 itself
-            image = (image << np.uint64(1)) ^ ((image >> top) * red)
+        table[h + 1:h + 1 + len(block)] = gf.mul_vec(block, table[h])
         h += len(block)
     return table[:count]
 

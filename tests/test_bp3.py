@@ -204,10 +204,15 @@ def test_sudden_death_boundary_threshold():
 
 
 def test_reduction_refuses_epsilon_outside_unit_interval():
+    # and a one-slot program, whose only final slot accepts, so that no
+    # layer meets the cut test
+    one_slot = Robp(n=2, d=1, next0=((0,), (0,)), next1=((0,), (0,)))
     for reduce in (full_reduce, sudden_death_reduce):
         for eps in (Fraction(-1), Fraction(0), Fraction(2)):
             with pytest.raises(ValueError, match=re.escape(f"must be in (0, 1], not {eps}")):
                 reduce(and_chain_program(4), eps)
+        with pytest.raises(ValueError, match="width"):
+            reduce(one_slot, Fraction(1, 2))
 
 
 def test_sudden_death_always_one_like_program():

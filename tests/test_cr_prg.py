@@ -21,12 +21,30 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def _stage_matrices(params, seed):
     """All inner-stage lookup matrices of a seed (the direct stage's
-    blocks come from sample_cr_levels)."""
+    blocks are its biased string, packed)."""
     parts = split_cr_seed(params, seed)
     return [materialize_matrix(params.stage_specs[stage], parts[stage],
                                params.stage_geometry(stage)[0], params.m,
                                params.stage_geometry(stage)[1])
             for stage in range(len(params.stage_specs) - 1)]
+
+
+def _materialized_levels(params, seed):
+    """Packed blocks of every level, innermost first, each looked up in
+    the previous stage's materialized matrix; the last level is the
+    output."""
+    mats = _stage_matrices(params, seed)
+    width = params.direct_width
+    direct = generate_biased(params.stage_specs[-1], split_cr_seed(params, seed)[-1]).values
+    levels = [[pack_block(direct[i * width:(i + 1) * width]) for i in range(params.m)]]
+    for mat in reversed(mats):
+        levels.append([int(mat.packed[row, i]) for i, row in enumerate(levels[-1])])
+    return levels
+
+
+def _packed_output(params, seed):
+    out = sample_cr(params, seed)
+    return [pack_block(out[i * params.w:(i + 1) * params.w]) for i in range(params.m)]
 
 
 def load_golden(name):
@@ -153,24 +171,20 @@ def test_composition_identity_matches_sample_cr():
 def test_deeper_chain_identity():
     # the full chain: every restricted level agrees with the original
     # rectangle on the corresponding intermediate blocks
-    from derand.cr_prg import sample_cr_levels, unpack_blocks
     params = explicit_cr_params(2, 16, Fraction(1, 16), degrees=(3, 3, 3, 4))
     rng = random.Random(55)
     assert params.schedule == (16, 12, 9, 6, 4)
     for _ in range(25):
         seed = rng.randrange(1 << params.seed_bits)
         rect = random_rect(rng, 2, 16)
-        mats = _stage_matrices(params, seed)
         chain = [rect]
-        for m in mats:
+        for m in _stage_matrices(params, seed):
             chain.append(restrict_rect(chain[-1], m))
-        levels = sample_cr_levels(params, seed)  # innermost first
-        values = set()
-        for depth, blocks in enumerate(levels):
-            level_rect = chain[len(levels) - 1 - depth]
-            signs = unpack_blocks(blocks, level_rect.w)
-            values.add(level_rect.evaluate(signs))
+        levels = _materialized_levels(params, seed)  # innermost first
+        values = {all(level_rect.coordinate_accepts(i, block) for i, block in enumerate(blocks))
+                  for level_rect, blocks in zip(reversed(chain), levels)}
         assert len(values) == 1
+        assert levels[-1] == _packed_output(params, seed)
 
 
 def test_lazy_positions_match_full_expansion():
@@ -251,13 +265,8 @@ def test_seed_split_and_errors():
 def test_lookup_path_matches_materialized_entries():
     # the sampling path reads entries lazily; they must equal the fully
     # materialized matrix at the looked-up coordinates
-    from derand.cr_prg import sample_cr_levels
     params = desk_cr_preset()
     rng = random.Random(59)
     for _ in range(30):
         seed = rng.randrange(1 << params.seed_bits)
-        levels = sample_cr_levels(params, seed)
-        mats = _stage_matrices(params, seed)
-        inner_blocks, out_blocks = levels[0], levels[1]
-        for i in range(params.m):
-            assert out_blocks[i] == int(mats[0].packed[inner_blocks[i], i])
+        assert _materialized_levels(params, seed)[-1] == _packed_output(params, seed)

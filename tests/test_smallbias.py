@@ -308,32 +308,40 @@ def test_powering_seed_refuses_bad_positions_and_seeds():
 
 
 def test_mul_vec_matches_mul_above_31_bits():
+    # elementwise pairs, a block times a row (the power table's shape)
+    # and a 0-d pair; degrees 1 and 2 have the shortest reduction step
     rng = random.Random(31)
-    for k in (31, 32, 34, 37, 63, 64):
+    for k in (1, 2, 31, 32, 34, 37, 63, 64):
         gf = GF2k(k)
         a = [rng.getrandbits(k) for _ in range(50)]
         b = [rng.getrandbits(k) for _ in range(50)]
         got = gf.mul_vec(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
         assert [int(v) for v in got] == [gf.mul(x, y) for x, y in zip(a, b)]
+        block = [[rng.getrandbits(k) for _ in b] for _ in range(3)]
+        got = gf.mul_vec(np.array(block, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.shape == (3, len(b))
+        assert got.tolist() == [[gf.mul(x, y) for x, y in zip(row, b)] for row in block]
+        got = gf.mul_vec(np.uint64(a[0]), np.uint64(b[0]))
+        assert got.shape == () and int(got) == gf.mul(a[0], b[0])
 
 
-def test_power_table_matches_mul_vec():
-    # row i is mul_vec(row i - 1, s) and the last row the scalar pow;
-    # degrees 1 and 2 have the shortest reduction step, and the counts
-    # give no rows, one row, a short last doubling and 2^j + 1 rows
+def test_power_table_matches_scalar_mul():
+    # row i is the scalar mul of row i - 1 by s and the last row the
+    # scalar pow; degrees 1 and 2 have the shortest reduction step, and
+    # the counts give no rows, one row, a short last doubling and 2^j + 1
+    # rows
     rng = random.Random(33)
     for k, count in ((1, 5), (2, 9), (5, 40), (12, 64), (34, 70), (63, 20), (64, 20),
                      (7, 0), (7, 1), (3, 3), (9, 65), (37, 320)):
         gf = GF2k(k)
         s = [0, 1, gf.order - 1] + [rng.getrandbits(k) for _ in range(60)]
-        s_vec = np.array(s, dtype=np.uint64)
-        table = _power_table(gf, s_vec, count)
+        table = _power_table(gf, np.array(s, dtype=np.uint64), count)
         assert table.dtype == np.uint64 and table.shape == (count, len(s))
         if count:
             assert (table[0] == 1).all()
             assert [int(v) for v in table[-1]] == [gf.pow(x, count - 1) for x in s]
         for i in range(1, count):
-            assert (table[i] == gf.mul_vec(table[i - 1], s_vec)).all()
+            assert table[i].tolist() == [gf.mul(int(v), x) for v, x in zip(table[i - 1], s)]
 
 
 def test_parity_bits_match_powering_seed():
