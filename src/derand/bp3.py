@@ -17,10 +17,11 @@ Every existential step of the analysis (the arrival layer, the fixing)
 is replaced by an exact argmax with deterministic tie-breaking.  The
 chain reads a program's integer path counts (``Robp.accept_counts``
 and ``Robp.reach_counts``); a ``Fraction`` is formed only for a
-reported value or a checked bound.  ``bad_visit_counts``, how many bad
-states each input visits, is kept for criterion 7, which checks the
-lemma Pr[Bad(x) >= t] <= 2^(1-t) and the bound on E[Bad(x) | accepted]
-on it.
+reported value or a checked bound.  Every edge the chain rewires goes
+through one step, ``_redirect``.  ``bad_visit_counts``, how many bad
+states each input visits, runs on ``Robp.prefix_slots`` and is kept
+for criterion 7, which checks the lemma Pr[Bad(x) >= t] <= 2^(1-t) and
+the bound on E[Bad(x) | accepted] on it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .models import Literal, Robp, Term, XorCnf
 from .rcnf_prg import hsg_inner_preset, sample
-from .signs import SignVector, all_bit_rows, all_sign_rows
+from .signs import SignVector, all_sign_rows
 
 
 class BoundViolation(ValueError):
@@ -66,10 +67,17 @@ def relabel_layers(prog: Robp, perms: List[List[int]]) -> Robp:
         for i in range(prog.d):
             next0[t][perms[t][i]] = perms[t + 1][prog.next0[t][i]]
             next1[t][perms[t][i]] = perms[t + 1][prog.next1[t][i]]
-    return Robp(n=prog.n, d=prog.d,
-                next0=tuple(tuple(r) for r in next0),
-                next1=tuple(tuple(r) for r in next1),
-                order=prog.order)
+    return Robp(prog.n, prog.d, next0, next1, prog.order)
+
+
+def _redirect(prog: Robp, edges: Dict[Tuple[int, int], int]) -> Robp:
+    """The program with both out-edges of each state (t, slot) sent to
+    the layer-(t+1) slot ``edges[t, slot]``: the chain's one row edit."""
+    next0 = [list(r) for r in prog.next0]
+    next1 = [list(r) for r in prog.next1]
+    for (t, slot), tgt in edges.items():
+        next0[t][slot] = next1[t][slot] = tgt
+    return Robp(prog.n, prog.d, next0, next1, prog.order)
 
 
 def sort_interior_layers(prog: Robp, score) -> Robp:
@@ -98,8 +106,7 @@ def make_rejecting(prog: Robp, states) -> Robp:
     """
     states = set(states)
     c = prog.accept_counts()
-    next0 = [list(r) for r in prog.next0]
-    next1 = [list(r) for r in prog.next1]
+    edges = {}
     for (t, slot) in sorted(states):
         if t == prog.n:
             if slot == prog.ACC:
@@ -109,13 +116,8 @@ def make_rejecting(prog: Robp, states) -> Robp:
         cands += [i for i in range(prog.d) if c[t + 1][i] == 0]
         if not cands:
             raise ValueError(f"no rejecting target below layer {t}")
-        tgt = min(cands)
-        next0[t][slot] = tgt
-        next1[t][slot] = tgt
-    return Robp(n=prog.n, d=prog.d,
-                next0=tuple(tuple(r) for r in next0),
-                next1=tuple(tuple(r) for r in next1),
-                order=prog.order)
+        edges[t, slot] = min(cands)
+    return _redirect(prog, edges)
 
 
 def normalize_sudden_death(prog: Robp) -> Robp:
@@ -134,16 +136,8 @@ def normalize_sudden_death(prog: Robp) -> Robp:
         if not deads:
             raise ValueError(f"layer {t} has no rejecting state to anchor")
         dead_slot[t] = bottom if c[t][bottom] == 0 else deads[0]
-    next0 = [list(r) for r in prog.next0]
-    next1 = [list(r) for r in prog.next1]
-    for t in range(1, prog.n):
-        tgt = dead_slot[t + 1] if t + 1 < prog.n else bottom
-        next0[t][dead_slot[t]] = tgt
-        next1[t][dead_slot[t]] = tgt
-    rewired = Robp(n=prog.n, d=prog.d,
-                   next0=tuple(tuple(r) for r in next0),
-                   next1=tuple(tuple(r) for r in next1),
-                   order=prog.order)
+    rewired = _redirect(prog, {(t, dead_slot[t]): dead_slot[t + 1] if t + 1 < prog.n else bottom
+                               for t in range(1, prog.n)})
     perms = []
     for t in range(prog.n + 1):
         perm = list(range(prog.d))
@@ -164,9 +158,7 @@ def suffix_program(prog: Robp, k: int, start_slot: int) -> Robp:
     perm0 = list(range(prog.d))
     perm0[start_slot], perm0[0] = 0, start_slot
     perms = [perm0] + [list(range(prog.d)) for _ in range(prog.n - k)]
-    shifted = Robp(n=prog.n - k, d=prog.d,
-                   next0=prog.next0[k:], next1=prog.next1[k:],
-                   order=tuple(range(prog.n - k)))
+    shifted = Robp(n=prog.n - k, d=prog.d, next0=prog.next0[k:], next1=prog.next1[k:])
     return relabel_layers(shifted, perms)
 
 
@@ -186,20 +178,14 @@ class SuddenDeathResult:
 
 def first_top_arrival(prog: Robp) -> List[int]:
     """q[j] = how many of the 2^n inputs first occupy slot 0 at layer j
-    (slot 0 of layers >= 1 is the top level)."""
-    q = [0] * (prog.n + 1)
-    cur: Dict[int, int] = {0: 1}
-    for t in range(prog.n):
-        nxt: Dict[int, int] = {}
-        for slot, paths in cur.items():
-            for table in (prog.next0, prog.next1):
-                u = table[t][slot]
-                if u == 0:
-                    q[t + 1] += paths << (prog.n - t - 1)
-                else:
-                    nxt[u] = nxt.get(u, 0) + paths
-        cur = nxt
-    return q
+    (slot 0 of layers >= 1 is the top level).  With the top made
+    absorbing, top[j] = reach_counts()[j][0] j-bit prefixes have met it,
+    two per earlier one, so q[j] = (top[j] - 2 top[j-1]) 2^(n-j) for
+    j >= 2 and q[1] = top[1] 2^(n-1)."""
+    absorbing = _redirect(prog, {(t, 0): 0 for t in range(1, prog.n)})
+    top = [r[0] for r in absorbing.reach_counts()]
+    return [0] + [(top[j] - 2 * top[j - 1] if j > 1 else top[1]) << (prog.n - j)
+                  for j in range(1, prog.n + 1)]
 
 
 def sudden_death_reduce(f: Robp, epsilon) -> SuddenDeathResult:
@@ -300,14 +286,15 @@ def bad_state_analysis(g: Robp) -> BadStateReport:
 
 
 def bad_visit_counts(prog: Robp) -> np.ndarray:
-    """Bad(x) for every input (indexed by little-endian bit packing)."""
+    """Bad(x) for every input (indexed by little-endian bit packing):
+    layer t's bad-slot flags over the 2^t prefixes, tiled 2^(n-t) times
+    (an input extends its low t read bits), summed in read order."""
     bad = bad_states(prog)
     counts = np.zeros(1 << prog.n, dtype=np.int16)
-    for t, state in enumerate(prog.walk(all_bit_rows(prog.n))):
-        for i in range(prog.d):
-            if (t, i) in bad:
-                counts += state == i
-    return counts
+    for t, slots in enumerate(prog.prefix_slots()):
+        is_bad = np.array([(t, i) in bad for i in range(prog.d)])
+        counts += np.tile(is_bad[slots], 1 << (prog.n - t))
+    return prog.in_variable_order(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +341,9 @@ class IntersectionResult:
 
 def hardwire(prog: Robp, forced: Dict[int, int]) -> Robp:
     """The layer reading a forced variable follows only the forced edge."""
-    next0 = [list(r) for r in prog.next0]
-    next1 = [list(r) for r in prog.next1]
-    for t in range(prog.n):
-        var = prog.order[t]
-        if var in forced:
-            src = prog.next1[t] if forced[var] else prog.next0[t]
-            next0[t] = list(src)
-            next1[t] = list(src)
-    return Robp(n=prog.n, d=prog.d,
-                next0=tuple(tuple(r) for r in next0),
-                next1=tuple(tuple(r) for r in next1), order=prog.order)
+    return _redirect(prog, {(t, i): (prog.next1 if forced[var] else prog.next0)[t][i]
+                            for t, var in enumerate(prog.order) if var in forced
+                            for i in range(prog.d)})
 
 
 MAX_FIXED_VARS = 20
@@ -514,15 +493,11 @@ def width2_to_decision_list(h: Width2Bp) -> DecisionList:
         maps = [(layer[0][b], layer[1][b]) for b in (0, 1)]
         perm = [m[0] != m[1] for m in maps]
         a = [m[0] for m in maps]  # shift when perm, target when collapse
-        if perm[0] and perm[1]:
+        if perm[0] == perm[1]:  # both bits permute, or both collapse
             const ^= a[0]
             if a[0] != a[1]:
                 parity ^= {var}
-        elif not perm[0] and not perm[1]:
-            const ^= a[0]
-            if a[0] != a[1]:
-                parity ^= {var}
-            gamma = 0
+            gamma = int(perm[0])
         else:
             beta = 0 if not perm[0] else 1
             leaf = ParityLeaf(variables=frozenset(parity), constant=const ^ a[beta])

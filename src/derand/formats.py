@@ -98,6 +98,8 @@ def _load_rect(no, fields, body):
         m, w = int(fields[1]), int(fields[2])
     except (IndexError, ValueError):
         raise FormatError(no, "header must be 'rect m w'") from None
+    if w < 0:
+        raise FormatError(no, f"block width w must be at least 0, not {w}")
     digits = max(1, (1 << w) // 4 + (1 if (1 << w) % 4 else 0))
     tables = []
     for lno, line in body:
@@ -152,10 +154,7 @@ def _load_robp(no, fields, body):
             if next0[t][i] is None or next1[t][i] is None:
                 raise FormatError(no, f"missing transition for layer {t + 1} state {i + 1}")
     try:
-        return Robp(n=n, d=d,
-                    next0=tuple(tuple(row) for row in next0),
-                    next1=tuple(tuple(row) for row in next1),
-                    order=order)
+        return Robp(n, d, next0, next1, order)
     except ValueError as exc:
         raise FormatError(no, str(exc)) from None
 
@@ -203,7 +202,15 @@ def _lit_json(lit: Literal) -> int:
     return -(lit.index + 1) if lit.negated else lit.index + 1
 
 
-def _lit_from_json(v: int, n: int) -> Literal:
+def _int(value, field: str) -> int:
+    """A JSON integer field; a bool or a float is refused, not read as an int."""
+    if type(value) is not int:
+        raise FormatError(0, f"field {field!r} holds {json.dumps(value)}, not an integer")
+    return value
+
+
+def _lit_from_json(v, n: int, field: str) -> Literal:
+    v = _int(v, field)
     if v == 0 or abs(v) > n:
         raise ValueError(f"literal {v} outside 1..{n}")
     return Literal(abs(v) - 1, v < 0)
@@ -234,23 +241,23 @@ def from_json(data: dict):
     kind = data.get("type")
     try:
         if kind == "rcnf":
-            n = data["n"]
+            n = _int(data["n"], "n")
             return ReadOnceCnf(n=n, clauses=tuple(
-                tuple(_lit_from_json(v, n) for v in c) for c in data["clauses"]))
+                tuple(_lit_from_json(v, n, "clauses") for v in c) for c in data["clauses"]))
         if kind == "xorcnf":
-            n = data["n"]
+            n = _int(data["n"], "n")
             return XorCnf(n=n, terms=tuple(
-                Term(t["kind"], tuple(_lit_from_json(v, n) for v in t["lits"]),
-                     t.get("target", 1))
+                Term(t["kind"], tuple(_lit_from_json(v, n, "lits") for v in t["lits"]),
+                     _int(t.get("target", 1), "target"))
                 for t in data["terms"]))
         if kind == "rect":
-            return CombRect(m=data["m"], w=data["w"],
+            return CombRect(m=_int(data["m"], "m"), w=_int(data["w"], "w"),
                             tables=tuple(int(t, 16) for t in data["tables"]))
-        if kind == "robp":
-            return Robp(n=data["n"], d=data["d"],  # order is optional, as in the text form
-                        next0=tuple(tuple(r) for r in data["next0"]),
-                        next1=tuple(tuple(r) for r in data["next1"]),
-                        order=tuple(v - 1 for v in data["order"]) if "order" in data else None)
+        if kind == "robp":  # order is optional, as in the text form
+            return Robp(_int(data["n"], "n"), _int(data["d"], "d"),
+                        [[_int(v, "next0") for v in r] for r in data["next0"]],
+                        [[_int(v, "next1") for v in r] for r in data["next1"]],
+                        [_int(v, "order") - 1 for v in data["order"]] if "order" in data else None)
     except KeyError as exc:
         raise FormatError(0, f"{kind} object has no {exc.args[0]!r} field") from None
     except TypeError as exc:

@@ -407,8 +407,8 @@ def random_rect(rng: random.Random, m: int, w: int) -> CombRect:
 def random_program(rng: random.Random, n: int, d: int,
                    min_expectation: Optional[Fraction] = None) -> Robp:
     for _ in range(MAX_TRIES):
-        next0 = tuple(tuple(rng.randrange(d) for _ in range(d)) for _ in range(n))
-        next1 = tuple(tuple(rng.randrange(d) for _ in range(d)) for _ in range(n))
+        next0 = [[rng.randrange(d) for _ in range(d)] for _ in range(n)]
+        next1 = [[rng.randrange(d) for _ in range(d)] for _ in range(n)]
         prog = Robp(n=n, d=d, next0=next0, next1=next1)
         if min_expectation is None or prog.exact_expectation() >= min_expectation:
             return prog
@@ -436,7 +436,7 @@ def bad_heavy_program(n: int) -> Robp:
         else:
             next0.append((0, 1, 2))
             next1.append((0, 1, 2))
-    return Robp(n=n, d=3, next0=tuple(next0), next1=tuple(next1))
+    return Robp(n=n, d=3, next0=next0, next1=next1)
 
 
 def landmark_formulas(n_limit: int = 64) -> List[Tuple[str, object]]:

@@ -7,9 +7,10 @@ evaluation.  A read-once CNF is the all-OR case of a parity-CNF: both
 formula classes run one term engine over their ``terms``, and one
 restriction serves both.  A branching program's expectations come from
 two integer path counts, backward to Acc and forward from the start,
-its batch evaluations from one layer walk and its table over every
-input from one prefix doubling; ``Fraction`` appears only in the
-values returned.  Everything is immutable after construction; the sign
+its batch evaluations from one layer walk and its tables over every
+input (accept flags, bp3's bad-state visits) from one prefix doubling
+and one read-order transpose; ``Fraction`` appears only in the values
+returned.  Everything is immutable after construction; the sign
 convention is the global one (-1 false, +1 true).  ``bias_function``,
 the expectation under a partial assignment, is kept as the oracle of a
 planned integer walk that splits each landmark's error into restriction
@@ -226,8 +227,10 @@ class CombRect:
     def __post_init__(self):
         if len(self.tables) != self.m:
             raise ValueError("need one table per coordinate")
-        limit = 1 << (1 << self.w)
-        if any(not 0 <= t < limit for t in self.tables):
+        if self.w < 0:
+            raise ValueError(f"block width w must be at least 0, not {self.w}")
+        # by bit length: the bound 1 << (1 << w) is 2^w bits, 128 GiB at w = 40
+        if any(t < 0 or t.bit_length() > 1 << self.w for t in self.tables):
             raise ValueError(f"tables must have exactly {1 << self.w} entries")
 
     @property
@@ -279,7 +282,8 @@ class Robp:
     state is (0, 0); in the final layer slot 0 is Acc and every other
     slot is Rej.  ``next0[t][i]`` / ``next1[t][i]`` give the slot in
     layer t+1 followed on bit 0 / 1, and layer t reads variable
-    ``order[t]`` (identity by default).
+    ``order[t]`` (identity by default).  Rows and order may be given
+    as any sequences; they are stored as tuples.
     """
 
     n: int
@@ -289,15 +293,18 @@ class Robp:
     order: Tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", tuple(range(self.n)))
+        object.__setattr__(self, "next0", tuple(map(tuple, self.next0)))
+        object.__setattr__(self, "next1", tuple(map(tuple, self.next1)))
+        order = range(self.n) if self.order is None else self.order
+        object.__setattr__(self, "order", tuple(order))
         if self.d < 1:
             raise ValueError(f"a layer needs at least one slot, not d={self.d}")
         if len(self.next0) != self.n or len(self.next1) != self.n:
             raise ValueError("need one transition row per layer")
-        for row in (*self.next0, *self.next1):
-            if len(row) != self.d or any(not 0 <= v < self.d for v in row):
-                raise ValueError("transition rows must map d slots into d slots")
+        slots = set(range(self.d))
+        if any(len(row) != self.d or not slots.issuperset(row)
+               for row in (*self.next0, *self.next1)):
+            raise ValueError("transition rows must map d slots into d slots")
         if sorted(self.order) != list(range(self.n)):
             raise ValueError("order must be a permutation of the variables")
 
@@ -328,7 +335,7 @@ class Robp:
         ``bits`` holds one input per row, column i set when variable i
         is true; the batch size is its row count, so n = 0 works.  Run
         over every input, this walk is the oracle the tests hold
-        eval_all to."""
+        eval_all and bp3.bad_visit_counts to."""
         next0, next1 = self._transitions()
         state = np.zeros(bits.shape[0], dtype=next0.dtype)
         yield state
@@ -336,25 +343,35 @@ class Robp:
             state = np.where(bits[:, var], next1[t][state], next0[t][state])
             yield state
 
-    def eval_all(self) -> np.ndarray:
-        """Accept flags for every input, indexed by the little-endian
-        bit packing of the assignment (bit i = variable i, 1 = true).
-
-        Prefix doubling: after layer t, entry j holds the slot reached
-        by the prefix whose bit u is the bit layer u read, so layer t
-        maps the 2^t prefixes to their 2^(t+1) extensions, bit t clear
-        then set, one gather each: under 2^(n+1) gathers and no bit
-        matrix.  A non-identity order permutes the axes of the (2,)*n
-        view once.  The walk over every input is the oracle."""
+    def prefix_slots(self):
+        """Yield, for t = 0..n, the slots of the 2^t prefixes read by
+        layers 0..t-1: entry j is the slot reached by the prefix whose
+        bit u is the bit layer u read.  Layer t maps the 2^t prefixes to
+        their 2^(t+1) extensions, bit t clear then set, one gather each:
+        under 2^(n+1) gathers and no bit matrix."""
         next0, next1 = self._transitions()
         state = np.zeros(1, dtype=next0.dtype)
+        yield state
         for t in range(self.n):
             state = np.concatenate((next0[t][state], next1[t][state]))
-        acc = state == self.ACC
-        if self.order != tuple(range(self.n)):  # view axis t is bit t, read by layer t
-            acc = acc.reshape((2,) * self.n, order="F").transpose(
-                np.argsort(self.order)).ravel(order="F")
-        return acc
+            yield state
+
+    def in_variable_order(self, table: np.ndarray) -> np.ndarray:
+        """Reindex a table over the read-order packings (bit t = the bit
+        layer t read) by the variable packing (bit i = variable i): a
+        non-identity order permutes the axes of the (2,)*n view once."""
+        if self.order == tuple(range(self.n)):
+            return table
+        return table.reshape((2,) * self.n, order="F").transpose(
+            np.argsort(self.order)).ravel(order="F")
+
+    def eval_all(self) -> np.ndarray:
+        """Accept flags for every input, indexed by the little-endian
+        bit packing of the assignment (bit i = variable i, 1 = true): the
+        last prefix layer, in variable order.  The walk is the oracle."""
+        for state in self.prefix_slots():
+            pass
+        return self.in_variable_order(state == self.ACC)
 
     def eval_batch(self, signs: np.ndarray) -> np.ndarray:
         if signs.shape[1] != self.n:
@@ -377,10 +394,10 @@ class Robp:
         0..t-1 lead from the start to state (t, i)."""
         r = [[0] * self.d for _ in range(self.n + 1)]
         r[0][0] = 1
-        for t in range(self.n):
-            for i, paths in enumerate(r[t]):
-                r[t + 1][self.next0[t][i]] += paths
-                r[t + 1][self.next1[t][i]] += paths
+        for cur, nxt, row0, row1 in zip(r, r[1:], self.next0, self.next1):
+            for paths, a, b in zip(cur, row0, row1):
+                nxt[a] += paths
+                nxt[b] += paths
         return r
 
     def conditional_visit_probs(self) -> list:
@@ -415,7 +432,7 @@ def parity_program(n: int) -> Robp:
     next1 = [(1, 0, 2)] * n
     # final layer: the slot holding odd parity must land on slot 0 (Acc)
     next0[-1], next1[-1] = (1, 0, 2), (0, 1, 2)
-    return Robp(n=n, d=3, next0=tuple(next0), next1=tuple(next1))
+    return Robp(n=n, d=3, next0=next0, next1=next1)
 
 
 # ---------------------------------------------------------------------------

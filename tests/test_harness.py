@@ -401,6 +401,16 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
     pytest.param(["eval", "{json_tables}", "++"], "malformed rect object", id="json-rect-tables"),
     pytest.param(["advantage", "--formula", "{json_no_lits}"], "xorcnf object has no 'lits' field",
                  id="json-xorcnf-no-lits"),
+    pytest.param(["eval", "{json_float_lit}", "++"], "field 'clauses' holds 1.5, not an integer",
+                 id="json-rcnf-float-literal"),
+    pytest.param(["eval", "{json_bool_lit}", "++"], "field 'clauses' holds true, not an integer",
+                 id="json-rcnf-bool-literal"),
+    pytest.param(["eval", "{json_float_m}", "+-"], "field 'm' holds 1.0, not an integer",
+                 id="json-rect-float-m"),
+    pytest.param(["eval", "{json_float_d}", "+"], "field 'd' holds 3.0, not an integer",
+                 id="json-robp-float-d"),
+    pytest.param(["eval", "{neg_w}", "+"],
+                 "{neg_w}: line 1: block width w must be at least 0, not -1", id="rect-negative-w"),
 ])
 def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     rng = random.Random(5)
@@ -417,6 +427,12 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
                        ("json_tables.json", '{"type": "rect", "m": 1, "w": 2, "tables": [1]}'),
                        ("json_no_lits.json",
                         '{"type": "xorcnf", "n": 2, "terms": [{"kind": "or"}]}'),
+                       ("json_float_lit.json", '{"type":"rcnf","n":2,"clauses":[[1.5]]}'),
+                       ("json_bool_lit.json", '{"type":"rcnf","n":2,"clauses":[[true]]}'),
+                       ("json_float_m.json", '{"type":"rect","m":1.0,"w":2,"tables":["f"]}'),
+                       ("json_float_d.json",
+                        '{"type":"robp","n":1,"d":3.0,"next0":[[0,0,0]],"next1":[[0,0,0]]}'),
+                       ("neg_w.rect", "rect 1 -1\n"),
                        ("n0.robp", "robp 0 3\n"), ("d0.robp", "robp 1 0\n")):
         paths[name.split(".")[0]] = tmp_path / name
         (tmp_path / name).write_text(text)
@@ -431,6 +447,26 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: " in err and reason.format(**paths) in err and "Traceback" not in err
+
+
+WIDE_RECT_UNDER_MEMORY_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from derand import cli
+sys.exit(cli.main(["eval", sys.argv[1], "+" * 40]))
+"""
+
+
+def test_wide_rect_loads_under_a_memory_cap(tmp_path):
+    # a 43-byte file declaring 2^40 patterns per table: the table check must
+    # not build a 2^(2^40) bound; the cap turns a regression into a failure
+    # of the child, not of the host
+    path = tmp_path / "wide.json"
+    path.write_text('{"type":"rect","m":1,"w":40,"tables":["f"]}')
+    proc = subprocess.run([sys.executable, "-c", WIDE_RECT_UNDER_MEMORY_CAP, str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from derand.harness import random_read_once_cnf, random_width3, random_xorcnf
 from derand.models import (CombRect, Literal, ReadOnceCnf, Restriction, Robp,
                            Term, XorCnf, and_chain_program, apply_restriction,
                            bias_function, parity_program, tribes)
-from derand.signs import all_sign_rows
+from derand.signs import all_bit_rows, all_sign_rows
 
 
 def all_signs(n):
@@ -315,6 +315,30 @@ def test_eval_all_matches_walk_under_random_orders(d):
             prog = _random_ordered_program(rng, n, d)
             acc = prog.eval_all()
             assert acc.dtype == bool and (acc == _walked_table(prog)).all()
+
+
+def _walked_bad_visits(prog):
+    """The oracle for bad_visit_counts: walk the 2^n x n bit matrix and
+    count each input's visits to bad states, layer by layer."""
+    from derand.bp3 import bad_states
+    bad = bad_states(prog)
+    counts = np.zeros(1 << prog.n, dtype=np.int16)
+    for t, state in enumerate(prog.walk(all_bit_rows(prog.n))):
+        for i in range(prog.d):
+            if (t, i) in bad:
+                counts += state == i
+    return counts
+
+
+def test_bad_visit_counts_match_walk_under_random_orders():
+    from derand.bp3 import bad_visit_counts
+    rng = random.Random(20)
+    for n in range(11):
+        for d in range(2, 5):
+            prog = _random_ordered_program(rng, n, d)
+            counts = bad_visit_counts(prog)
+            assert counts.dtype == np.int16
+            assert counts.tolist() == _walked_bad_visits(prog).tolist()
 
 
 def test_eval_all_matches_walk_on_width3_corpus():
