@@ -20,6 +20,8 @@ import json
 
 from .models import CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf
 
+RECT_TEXT_MAX_W = 30  # widest rectangle dumps writes: a table line is 2^w / 4 hex digits, 256 MiB
+
 
 class FormatError(ValueError):
     def __init__(self, line: int, message: str):
@@ -177,6 +179,10 @@ def dumps(obj) -> str:
             lines.append(prefix + " ".join(str(lit) for lit in lits) + " 0")
         return "\n".join(lines) + "\n"
     if isinstance(obj, CombRect):
+        if obj.w > RECT_TEXT_MAX_W:
+            raise ValueError(f"a rectangle of block width w = {obj.w} has no text form: each "
+                             f"table would be 2^{obj.w} / 4 hex digits, and the text form "
+                             f"writes w <= {RECT_TEXT_MAX_W}; use the JSON form")
         digits = max(1, (1 << obj.w) // 4 + (1 if (1 << obj.w) % 4 else 0))
         lines = [f"rect {obj.m} {obj.w}"]
         for t in obj.tables:

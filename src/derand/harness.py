@@ -8,8 +8,11 @@ tables cached for the last parameter record, y packed 64 seeds to a
 word: per subset seed J, a term with no z-literal narrows a packed y
 vector, one with no y-literal a z vector, and only split terms meet
 the (live z) x y-words grid, counted by popcount.  Its output histogram
-is, per J, the outer product of the z-part and y-part counts.  Seed
-spaces too large to walk fall back to a declared-size random sample.
+is, per J, the outer product of the z-part and y-part counts.  The
+hitting sweep builds one such histogram per output layout, folds it to
+each shorter length, and walks each length's programs in one batched
+prefix doubling.  Seed spaces too large to walk fall back to a
+declared-size random sample.
 ``advantage_sweep`` is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
 ``advantage`` command both run it.  ``cr_generator``, the rectangle
 generator walked seed by seed, is kept as the oracle of a structured
@@ -31,12 +34,14 @@ import numpy as np
 
 from . import bp3, cr_prg, formats, rcnf_prg
 from .models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
-                     and_chain_program, parity_program, tribes)
+                     and_chain_program, batch_prefix_slots, parity_program, tribes)
 from .signs import all_sign_rows
 from .smallbias import BiasedSpaceSpec, exact_bias, parity_bits_all_seeds, subsets_all_seeds
 from .smallbias import outputs_all_seeds  # noqa: F401 (perfbench/selftest.py traces it here)
 
 NAIVE_WALK_SEED_BITS_LIMIT = 26  # generator seed bits exhaustive_advantage walks one by one
+OUTPUT_HISTOGRAM_MAX_N = 24  # longest output rcnf_output_histogram tabulates, 2^n counts
+HIT_WALK_SLOTS = 1 << 22  # final-layer slots one batched walk of hsg_hit_stats holds
 STATISTICAL_SAMPLES = 1 << 14
 BATCH_SEEDS = 2048  # seeds expanded and scored at once by exhaustive_advantage
 
@@ -296,8 +301,8 @@ def rcnf_output_histogram(params: rcnf_prg.RcnfGenParams) -> np.ndarray:
     Per subset mask J the z and y parts of an output occupy disjoint
     bits, so the counts are the outer product of the z-part and y-part
     counts, each pattern a distinct sum."""
-    if params.n > 24:
-        raise ValueError("output histogram needs n <= 24")
+    if params.n > OUTPUT_HISTOGRAM_MAX_N:
+        raise ValueError(f"output histogram needs n <= {OUTPUT_HISTOGRAM_MAX_N}")
     tables = round_tables(params)
     weights = np.int64(1) << np.arange(params.n, dtype=np.int64)
     ybits = np.unpackbits(tables.y.astype("<u8").view(np.uint8), axis=1, bitorder="little")
@@ -312,6 +317,58 @@ def rcnf_output_histogram(params: rcnf_prg.RcnfGenParams) -> np.ndarray:
     return hist
 
 
+def _output_layout(params: rcnf_prg.RcnfGenParams) -> tuple:
+    """Everything but n that fixes a seed's outputs: output i of a
+    powering space depends only on (k, seed, i), so of two records that
+    agree here, the shorter one's outputs are prefixes of the longer
+    one's."""
+    return (params.rounds, params.z_spec.field_degree, params.subset_spec.base.field_degree,
+            params.bits_per_index, params.y_spec.field_degree)
+
+
+def _fold(hist: np.ndarray, n: int) -> np.ndarray:
+    """The histogram of the low n output bits, one top bit folded away
+    at a time."""
+    while hist.size > 1 << n:
+        hist = hist.reshape(2, -1).sum(axis=0)
+    return hist
+
+
+def _hsg_output_counts(n: int, inner_hist: np.ndarray) -> np.ndarray:
+    """How many bp3.hsg_sample seeds output each input of length n: per
+    zero-prefix length r, weighted by the prefix codes that decode to
+    it, the inner histogram folded to n - r bits and shifted past the
+    prefix."""
+    rweight = [0] * n
+    for raw in range(1 << bp3.hsg_prefix_bits(n)):
+        rweight[bp3.hsg_prefix_length(n, raw)] += 1
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for r in range(n):
+        inner_hist = _fold(inner_hist, n - r)
+        counts[::1 << r] += rweight[r] * inner_hist
+    return counts
+
+
+def _dense_programs(progs: Sequence[Robp], eps: Fraction) -> list:
+    """(index in progs, E[f], accept flags in variable order) of each
+    program of progs, which share n and d, that accepts at least eps of
+    its inputs.  One batched prefix doubling gives every accept table,
+    HIT_WALK_SLOTS final slots at a time, and E[f] is its row count."""
+    n = progs[0].n
+    step = max(1, HIT_WALK_SLOTS >> n)
+    out = []
+    for lo in range(0, len(progs), step):
+        batch = progs[lo:lo + step]
+        for slots in batch_prefix_slots(batch):
+            pass
+        accepts = slots == Robp.ACC
+        for i, (prog, row, count) in enumerate(zip(batch, accepts, accepts.sum(axis=1))):
+            expectation = Fraction(int(count), 1 << n)
+            if expectation >= eps:
+                out.append((lo + i, expectation, prog.in_variable_order(row)))
+    return out
+
+
 @dataclass(frozen=True)
 class HitStats:
     instance: str
@@ -323,46 +380,51 @@ class HitStats:
 
 def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStats]:
     """Exhaustive hitting sweep: per program, the exact fraction of
-    bp3.hsg_sample seeds whose output it accepts.
+    bp3.hsg_sample seeds whose output it accepts, by length, then in
+    input order within a length.
 
     Programs below the expectation threshold are excluded (the hitting
-    contract only covers dense functions).  The sweep builds one table
-    per distinct program length: how many seeds output each input, from
-    the inner generator's output histogram summed over the prefix
-    lengths.  A program's hits are that table summed over its accept
-    flags, which Robp.eval_all gives for every input at once.
+    contract only covers dense functions).  The programs of each (n, d)
+    are walked together by one batched prefix doubling, which gives
+    every accept table and, by row count, every E[f].  The kept lengths
+    are grouped by the inner generator's output layout, and each group
+    builds one output histogram, at its longest kept length; a shorter
+    length's histogram is that one with its top bits folded away.  A
+    program's hits are the seeds outputting each input, summed over its
+    accept flags.  A program too long for the histogram is not walked:
+    it is refused if dense and left out otherwise.
     """
     if not programs:
         raise ValueError("hitting sweep needs a nonempty corpus")
     eps = Fraction(epsilon)
-    by_n: Dict[int, list] = {}
-    for name, prog in programs:
-        expectation = prog.exact_expectation()
-        if expectation >= eps:
-            by_n.setdefault(prog.n, []).append((name, prog, expectation))
-    out: List[HitStats] = []
-    for n, progs in sorted(by_n.items()):
-        inner_hist = rcnf_output_histogram(bp3.hsg_inner_preset(n))
-        rbits, seed_bits = bp3.hsg_prefix_bits(n), bp3.hsg_seed_bits(n)
-        final = np.zeros(1 << n, dtype=np.int64)
-        rweight = [0] * n
-        for raw in range(1 << rbits):
-            rweight[bp3.hsg_prefix_length(n, raw)] += 1
-        for r in range(n):
-            if not rweight[r]:
-                continue
-            low = n - r
-            trunc = inner_hist.reshape(1 << r, 1 << low).sum(axis=0) if r else inner_hist
-            idx = np.arange(1 << low, dtype=np.int64) << r
-            final[idx] += rweight[r] * trunc
-        total = 1 << seed_bits
-        for name, prog, expectation in progs:
-            acc = prog.eval_all()
-            hits = int(final[acc].sum())
-            out.append(HitStats(instance=name, n=n, expectation=expectation,
-                                hit_fraction=Fraction(hits, total),
-                                seed_bits=seed_bits))
-    return out
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for pos, (_name, prog) in enumerate(programs):
+        shapes.setdefault((prog.n, prog.d), []).append(pos)
+    hists: Dict[tuple, np.ndarray] = {}  # per layout, the histogram at the last length kept
+    rows = []
+    for n, d in sorted(shapes, reverse=True):
+        positions = shapes[n, d]
+        group = [programs[pos][1] for pos in positions]
+        if n > OUTPUT_HISTOGRAM_MAX_N:
+            if any(prog.exact_expectation() >= eps for prog in group):
+                raise ValueError(f"output histogram needs n <= {OUTPUT_HISTOGRAM_MAX_N}")
+            continue
+        kept = _dense_programs(group, eps)
+        if not kept:
+            continue
+        params = bp3.hsg_inner_preset(n)
+        layout = _output_layout(params)
+        hists[layout] = (rcnf_output_histogram(params) if layout not in hists
+                         else _fold(hists[layout], n))
+        counts = _hsg_output_counts(n, hists[layout])
+        seed_bits = bp3.hsg_seed_bits(n)
+        for i, expectation, accepts in kept:
+            pos = positions[i]
+            rows.append((n, pos, HitStats(
+                instance=programs[pos][0], n=n, expectation=expectation,
+                hit_fraction=Fraction(int(counts[accepts].sum()), 1 << seed_bits),
+                seed_bits=seed_bits)))
+    return [stats for _n, _pos, stats in sorted(rows, key=lambda row: row[:2])]
 
 
 # ---------------------------------------------------------------------------

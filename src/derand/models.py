@@ -8,10 +8,12 @@ formula classes run one term engine over their ``terms``, and one
 restriction serves both.  A branching program's expectations come from
 two integer path counts, backward to Acc and forward from the start,
 its batch evaluations from one layer walk and its tables over every
-input (accept flags, bp3's bad-state visits) from one prefix doubling
-and one read-order transpose; ``Fraction`` appears only in the values
-returned.  Everything is immutable after construction; the sign
-convention is the global one (-1 false, +1 true).  ``bias_function``,
+input (accept flags, bp3's bad-state visits) from one prefix doubling,
+``batch_prefix_slots``, and one read-order transpose; the doubling walks
+any batch of programs that share n and d, the hitting sweep's or one
+program's.  ``Fraction`` appears only in the values returned.
+Everything is immutable after construction; the sign convention is the
+global one (-1 false, +1 true).  ``bias_function``,
 the expectation under a partial assignment, is kept as the oracle of a
 planned integer walk that splits each landmark's error into restriction
 error and fill error.
@@ -254,13 +256,13 @@ class CombRect:
             raise ValueError("assignment width mismatch")
         acc = np.ones(signs.shape[0], dtype=bool)
         weights = 1 << np.arange(self.w - 1, -1, -1, dtype=np.int64)
-        for i in range(self.m):
+        for i, t in enumerate(self.tables):
             block = (signs[:, i * self.w:(i + 1) * self.w] == 1).astype(np.int64)
-            idx = block @ weights
-            table = np.array(
-                [(self.tables[i] >> a) & 1 for a in range(1 << self.w)], dtype=bool
-            )
-            acc &= table[idx]
+            # the table's bits up to at least one clear bit past its top
+            # one, so a pattern past them reads the last, clear, bit
+            bits = np.unpackbits(np.frombuffer(t.to_bytes(t.bit_length() // 8 + 1, "little"),
+                                               np.uint8), bitorder="little")
+            acc &= bits.take(block @ weights, mode="clip").astype(bool)
         return acc
 
     def exact_expectation(self) -> Fraction:
@@ -322,21 +324,14 @@ class Robp:
             slot = (self.next1 if x[var] == 1 else self.next0)[t][slot]
         return 1 if slot == self.ACC else 0
 
-    def _transitions(self):
-        """next0 and next1 as (n, d) arrays of the narrowest unsigned
-        dtype that holds slot d - 1."""
-        dtype = np.min_scalar_type(self.d - 1)
-        return (np.array(self.next0, dtype).reshape(self.n, self.d),
-                np.array(self.next1, dtype).reshape(self.n, self.d))
-
     def walk(self, bits: np.ndarray):
         """Yield, for t = 0..n, the slot each input occupies at layer t.
 
         ``bits`` holds one input per row, column i set when variable i
         is true; the batch size is its row count, so n = 0 works.  Run
         over every input, this walk is the oracle the tests hold
-        eval_all and bp3.bad_visit_counts to."""
-        next0, next1 = self._transitions()
+        batch_prefix_slots, eval_all and bp3.bad_visit_counts to."""
+        next0, next1, _codes = _coded_transitions((self,))
         state = np.zeros(bits.shape[0], dtype=next0.dtype)
         yield state
         for t, var in enumerate(self.order):
@@ -345,16 +340,9 @@ class Robp:
 
     def prefix_slots(self):
         """Yield, for t = 0..n, the slots of the 2^t prefixes read by
-        layers 0..t-1: entry j is the slot reached by the prefix whose
-        bit u is the bit layer u read.  Layer t maps the 2^t prefixes to
-        their 2^(t+1) extensions, bit t clear then set, one gather each:
-        under 2^(n+1) gathers and no bit matrix."""
-        next0, next1 = self._transitions()
-        state = np.zeros(1, dtype=next0.dtype)
-        yield state
-        for t in range(self.n):
-            state = np.concatenate((next0[t][state], next1[t][state]))
-            yield state
+        layers 0..t-1: ``batch_prefix_slots`` over a batch of one."""
+        for slots in batch_prefix_slots((self,)):
+            yield slots[0]
 
     def in_variable_order(self, table: np.ndarray) -> np.ndarray:
         """Reindex a table over the read-order packings (bit t = the bit
@@ -419,6 +407,40 @@ class Robp:
             self.next0[t][b] == b and self.next1[t][b] == b
             for t in range(1, self.n)
         )
+
+
+def _coded_transitions(programs: Sequence[Robp]):
+    """next0 and next1 of programs that share n and d as (n, P*d)
+    arrays, plus the (P, 1) codes of their slot 0: program p's slot i
+    is coded p*d + i, so entry [t, p*d + i] is the code of the slot p
+    goes to from (t, i).  The dtype is the narrowest unsigned one that
+    holds P*d - 1; a batch of one holds the plain rows."""
+    n, d, size = programs[0].n, programs[0].d, len(programs)
+    if any((prog.n, prog.d) != (n, d) for prog in programs):
+        raise ValueError("a batch of programs must share n and d")
+    dtype = np.min_scalar_type(size * d - 1)
+    codes = np.arange(0, size * d, d, dtype=dtype)[:, None]
+
+    def coded(rows):
+        table = np.array([getattr(prog, rows) for prog in programs], dtype).reshape(size, n, d)
+        return (table + codes[:, :, None]).transpose(1, 0, 2).reshape(n, size * d)
+    return coded("next0"), coded("next1"), codes
+
+
+def batch_prefix_slots(programs: Sequence[Robp]):
+    """Yield, for t = 0..n, a (P, 2^t) array whose row p holds the slots
+    of program p's 2^t prefixes read by layers 0..t-1: entry j is the
+    slot reached by the prefix whose bit u is the bit layer u read.  The
+    programs share n and d.  Layer t maps the 2^t prefixes to their
+    2^(t+1) extensions, bit t clear then set, with one gather per bit
+    value for the whole batch on the coded slots (p*d + slot): under
+    2^(n+1) gathers per program and no bit matrix."""
+    next0, next1, codes = _coded_transitions(programs)
+    state = codes
+    yield state - codes
+    for t in range(programs[0].n):
+        state = np.concatenate((next0[t].take(state), next1[t].take(state)), axis=1)
+        yield state - codes
 
 
 def and_chain_program(n: int) -> Robp:

@@ -179,6 +179,15 @@ def test_histogram_matches_direct_enumeration():
         assert (rcnf_output_histogram(params) == np.bincount(packed, minlength=1 << n)).all()
 
 
+def test_inner_histograms_are_folds_of_the_longest():
+    # every hsg inner preset has one output layout, so the n-bit histogram
+    # is the 16-bit one with its top 16 - n bits summed away
+    longest = rcnf_output_histogram(bp3.hsg_inner_preset(16))
+    for n in range(1, 17):
+        folded = longest.reshape(-1, 1 << n).sum(axis=0)
+        assert (rcnf_output_histogram(bp3.hsg_inner_preset(n)) == folded).all()
+
+
 def test_hit_stats_basics():
     corpus = [("and3", and_chain_program(3))]
     stats = hsg_hit_stats(corpus, Fraction(1, 16))
@@ -379,6 +388,10 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
                  id="hit-corpus-none-dense"),
     pytest.param(["hit", "--corpus", "{stray}"], "{stray}/stray.txt: line 0: empty input",
                  id="hit-corpus-stray-file"),
+    pytest.param(["hit", "--corpus", "{hit_n0}"], "generator length n must be positive, not 0",
+                 id="hit-corpus-n0"),
+    pytest.param(["hit", "--corpus", "{hit_n25}"], "output histogram needs n <= 24",
+                 id="hit-corpus-n25"),
     pytest.param(["hit", "bp3"], "unrecognized arguments: bp3", id="hit-target"),
     pytest.param(["reduce", "--in", "{robp}", "--eps", "-1"], "--eps must be in (0, 1], not -1",
                  id="reduce-eps-negative"),
@@ -440,6 +453,11 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     paths["stray"].mkdir()
     (paths["stray"] / "robp.txt").write_text(formats.dumps(files["robp"]))
     (paths["stray"] / "stray.txt").write_text("")
+    always = Robp(n=25, d=3, next0=((0, 0, 2),) * 25, next1=((0, 0, 2),) * 25)
+    for name, text in (("hit_n0", "robp 0 3\n"), ("hit_n25", formats.dumps(always))):
+        paths[name] = tmp_path / name  # a directory of one dense program
+        paths[name].mkdir()
+        (paths[name] / "prog.txt").write_text(text)
     try:
         code = cli.main([arg.format(**paths) for arg in argv])
     except SystemExit as exc:  # argparse refuses an option the command does not declare
@@ -452,21 +470,37 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
 WIDE_RECT_UNDER_MEMORY_CAP = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from derand import cli
+import numpy as np
+from derand import cli, formats
+rect = formats.load_path(sys.argv[1])
+signs = np.array([[1] * 40, [-1] * 40, [-1] * 38 + [1, 1], [-1] * 39 + [1], [1] + [-1] * 39],
+                 dtype=np.int8)
+print(rect.eval_batch(signs).tolist() == [rect.evaluate(row) == 1 for row in signs.tolist()],
+      rect.eval_batch(signs).tolist())
+try:
+    formats.dumps(rect)
+except ValueError as exc:
+    print(exc)
 sys.exit(cli.main(["eval", sys.argv[1], "+" * 40]))
 """
 
 
 def test_wide_rect_loads_under_a_memory_cap(tmp_path):
     # a 43-byte file declaring 2^40 patterns per table: the table check must
-    # not build a 2^(2^40) bound; the cap turns a regression into a failure
-    # of the child, not of the host
+    # not build a 2^(2^40) bound, eval_batch must read only the table's 4
+    # bits, and the text form, 2^38 hex digits, is refused before it is
+    # built; the cap turns a regression into a failure of the child, not of
+    # the host
     path = tmp_path / "wide.json"
     path.write_text('{"type":"rect","m":1,"w":40,"tables":["f"]}')
     proc = subprocess.run([sys.executable, "-c", WIDE_RECT_UNDER_MEMORY_CAP, str(path)],
                           capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    batch, refusal, evaluated = proc.stdout.splitlines()
+    assert batch == "True [False, True, True, True, False]"
+    assert refusal.startswith("a rectangle of block width w = 40 has no text form")
+    assert evaluated == "0"
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
@@ -536,25 +570,65 @@ def test_all_accepting_program_hit_fraction_one():
     assert stats[0].hit_fraction == 1
 
 
-def test_hit_stats_match_a_per_seed_walk(monkeypatch):
-    # inner presets of 8 seed bits (at most 11 with the prefix) let every
-    # hsg_sample seed be walked; n = 3, 5 and 6 wrap the prefix code past n
+def _hit_stats_against_a_per_seed_walk(monkeypatch, k_y_above_3, layouts):
+    # inner presets of 8 seed bits (at most 13 with a wider y and the
+    # prefix) let every hsg_sample seed be walked; n = 3, 5 and 6 wrap the
+    # prefix code past n
     @functools.lru_cache(maxsize=None)
     def tiny(n):
-        return rcnf_prg.explicit_params(n, Fraction(1, 4), k_subset=1, k_z=1, k_y=2,
-                                        bits_per_index=1)
+        return rcnf_prg.explicit_params(n, Fraction(1, 4), k_subset=1, k_z=1,
+                                        k_y=2 if n <= 3 else k_y_above_3, bits_per_index=1)
     monkeypatch.setattr(rcnf_prg, "hsg_inner_preset", tiny)
     monkeypatch.setattr(bp3, "hsg_inner_preset", tiny)
     rng = random.Random(78)
     eps = Fraction(1, 8)
     corpus = [(f"w3-{n}-{i}", random_width3(rng, n, eps)) for n in (2, 3, 5, 6) for i in range(4)]
+    assert len({tiny(n).y_spec.field_degree for n in (2, 3, 5, 6)}) == layouts
     stats = hsg_hit_stats(corpus, eps)
     assert [s.instance for s in stats] == [name for name, _prog in corpus]
     for st, (_name, prog) in zip(stats, corpus):
         bits = bp3.hsg_seed_bits(prog.n)
-        assert bits <= 11
+        assert bits <= 13
         hits = sum(prog.evaluate(bp3.hsg_sample(prog.n, eps, s).values) for s in range(1 << bits))
         assert (st.seed_bits, st.hit_fraction) == (bits, Fraction(hits, 1 << bits))
+
+
+def test_hit_stats_match_a_per_seed_walk(monkeypatch):
+    _hit_stats_against_a_per_seed_walk(monkeypatch, k_y_above_3=2, layouts=1)
+
+
+def test_hit_stats_match_a_per_seed_walk_across_two_layouts(monkeypatch):
+    # a y degree that changes with n splits the lengths into two output
+    # layouts, each with its own histogram
+    _hit_stats_against_a_per_seed_walk(monkeypatch, k_y_above_3=3, layouts=2)
+
+
+def test_hit_stats_order_and_the_histogram_length(monkeypatch):
+    # by length, then input order within a length; a program below eps is
+    # left out and, though longest, builds no histogram: the one histogram
+    # is the longest kept length's, and every shorter length folds it
+    built = []
+
+    def recording(params):
+        built.append(params.n)
+        return rcnf_output_histogram(params)
+    monkeypatch.setattr(harness, "rcnf_output_histogram", recording)
+    rng = random.Random(79)
+    eps = Fraction(1, 4)
+    dense = {n: [random_width3(rng, n, eps) for _ in range(2)] for n in (4, 6)}
+    sparse = and_chain_program(9)
+    corpus = [("a", dense[6][0]), ("b", dense[4][0]), ("c", sparse), ("d", dense[4][1]),
+              ("e", dense[6][1]), ("f", and_chain_program(30))]
+    stats = hsg_hit_stats(corpus, eps)
+    assert [st.instance for st in stats] == ["b", "d", "a", "e"]
+    assert built == [6]
+    for st, (_name, prog) in zip(stats, [corpus[i] for i in (1, 3, 0, 4)]):
+        alone = hsg_hit_stats([("alone", prog)], eps)[0]
+        assert (st.n, st.expectation, st.hit_fraction) == \
+            (prog.n, prog.exact_expectation(), alone.hit_fraction)
+    # batches of one program each walk the same tables
+    monkeypatch.setattr(harness, "HIT_WALK_SLOTS", 1 << 4)
+    assert hsg_hit_stats(corpus, eps) == stats
 
 
 def test_advantage_sweep_reports_each_instance_in_order():

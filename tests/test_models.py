@@ -11,7 +11,7 @@ import pytest
 from derand.harness import random_read_once_cnf, random_width3, random_xorcnf
 from derand.models import (CombRect, Literal, ReadOnceCnf, Restriction, Robp,
                            Term, XorCnf, and_chain_program, apply_restriction,
-                           bias_function, parity_program, tribes)
+                           batch_prefix_slots, bias_function, parity_program, tribes)
 from derand.signs import all_bit_rows, all_sign_rows
 
 
@@ -339,6 +339,34 @@ def test_bad_visit_counts_match_walk_under_random_orders():
             counts = bad_visit_counts(prog)
             assert counts.dtype == np.int16
             assert counts.tolist() == _walked_bad_visits(prog).tolist()
+
+
+@pytest.mark.parametrize("d, size", [(2, 7), (3, 90), (130, 3), (300, 4)])
+def test_batch_prefix_slots_match_walk_under_mixed_orders(d, size):
+    # one batch of programs with their own read orders; coded slots pass
+    # 255 at d = 3 with 90 programs and at d = 130, and stay uint16 at
+    # d = 300: at every layer, prefix j of program p holds the slot the
+    # walk reaches on every input whose low read bits are j
+    rng = random.Random(d)
+    n = 7
+    progs = [_random_ordered_program(rng, n, d) for _ in range(size)]
+    rows = all_bit_rows(n)
+    walks = []
+    for prog in progs:
+        bits = np.empty_like(rows)
+        bits[:, list(prog.order)] = rows  # column u of rows is the bit layer u reads
+        walks.append(list(prog.walk(bits)))
+    layers = list(batch_prefix_slots(progs))
+    assert len(layers) == n + 1
+    for t, slots in enumerate(layers):
+        assert slots.shape == (size, 1 << t) and int(slots.max()) < d
+        low = np.arange(1 << n) & ((1 << t) - 1)
+        for row, walked in zip(slots, walks):
+            assert (row[low] == walked[t]).all()
+    for row, prog in zip(layers[-1], progs):
+        assert (prog.in_variable_order(row == Robp.ACC) == _walked_table(prog)).all()
+    with pytest.raises(ValueError, match="must share n and d"):
+        next(batch_prefix_slots([progs[0], _random_ordered_program(rng, n + 1, d)]))
 
 
 def test_eval_all_matches_walk_on_width3_corpus():
