@@ -3,7 +3,7 @@ generators for read-once formulas and combinatorial rectangles, a
 width-3 branching-program hitting generator, and the exact-measurement
 harness that verifies all of it at enumerable scale."""
 
-from .models import CombRect, Literal, ReadOnceCnf, Restriction, Robp, Term, XorCnf
+from .models import CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf
 from .signs import SignVector
 from .smallbias import BiasedSpaceSpec, SubsetSamplerSpec
 
@@ -14,7 +14,6 @@ __all__ = [
     "CombRect",
     "Literal",
     "ReadOnceCnf",
-    "Restriction",
     "Robp",
     "SignVector",
     "SubsetSamplerSpec",

@@ -17,9 +17,9 @@ block.
 
 The recipe's constants are fixed: the schedule stops at ``STOP_WIDTH``,
 ``derive_cr_params`` asks for inner bias delta^INNER_EXP and a final
-bias whose exponent scales with ``FINAL_EXP``, and caps both at
-``DEFAULT_BIAS_FLOOR``.  A record stores its width and stage specs; its
-schedule is computed from w once and cached.
+bias whose exponent scales with ``FINAL_EXP``, and raises either one
+below ``DEFAULT_BIAS_FLOOR`` to it.  A record stores its width and
+stage specs; its schedule is computed from w once and cached.
 
 ``materialize_matrix``, ``restrict_rect`` and ``bias_function_cr`` state
 the composition identity and the bias function that criterion 6 checks;
@@ -39,7 +39,8 @@ import numpy as np
 
 from .models import CombRect
 from .signs import SignVector, pack_block
-from .smallbias import DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed, generate_biased
+from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed, floor_biases,
+                        generate_biased)
 
 STOP_WIDTH = 4  # the width schedule stops at the first width <= this
 INNER_EXP = 13  # inner-stage bias delta^INNER_EXP
@@ -109,16 +110,16 @@ def _stage_lengths(m: int, sched: Tuple[int, ...]) -> list:
 
 def derive_cr_params(m: int, w: int, delta) -> CrGenParams:
     """Formula-driven parameters: inner bias delta^INNER_EXP, final bias
-    delta^(FINAL_EXP loglog(1/delta) logloglog(1/delta)), both capped at
-    DEFAULT_BIAS_FLOOR."""
+    delta^(FINAL_EXP loglog(1/delta) logloglog(1/delta)), both passed
+    through floor_biases at DEFAULT_BIAS_FLOOR."""
     d = Fraction(delta)
     if not 0 < d < 1 or w < 1 or m < 1:
         raise ValueError("need m, w >= 1 and delta in (0,1)")
     ll = math.log2(max(2.0, math.log2(1 / float(d))))
     lll = math.log2(max(2.0, ll))
     demanded = {"epsilon1": d**INNER_EXP, "epsilon2": d**max(1, math.ceil(FINAL_EXP * ll * lll))}
-    hits = tuple(name for name, eps in demanded.items() if eps < DEFAULT_BIAS_FLOOR)
-    eps1, eps2 = (max(eps, DEFAULT_BIAS_FLOOR) for eps in demanded.values())
+    biases, hits = floor_biases(demanded, DEFAULT_BIAS_FLOOR)
+    eps1, eps2 = biases.values()
     lengths = _stage_lengths(m, width_schedule(w))
     specs = [BiasedSpaceSpec.for_bias(n, eps1) for n in lengths[:-1]]
     specs.append(BiasedSpaceSpec.for_bias(lengths[-1], eps2))

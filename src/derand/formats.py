@@ -10,8 +10,10 @@ Text format, one object per file:
                         1-based layers and states, optional
                         ``order ...`` line (1-based variables)
 
-Lines starting with ``c`` are comments.  Parsers reject read-once /
-disjointness violations with a line-numbered diagnostic.
+Lines whose first token is ``c`` are comments; ``dumps`` writes the
+rect bitmaps in upper-case hex, so a one-digit bitmap of 12 is ``C``
+and never reads as one.  Parsers reject read-once / disjointness
+violations with a line-numbered diagnostic.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ def _load_cnf(no, fields, body):
         raise FormatError(no, str(exc)) from None
 
 
+def _rect_hex_digits(w: int) -> int:
+    """Hex digits of one table line: max(1, ceil(2^w / 4))."""
+    return max(1, -(-(1 << w) // 4))
+
+
 def _load_rect(no, fields, body):
     try:
         m, w = int(fields[1]), int(fields[2])
@@ -102,7 +109,7 @@ def _load_rect(no, fields, body):
         raise FormatError(no, "header must be 'rect m w'") from None
     if w < 0:
         raise FormatError(no, f"block width w must be at least 0, not {w}")
-    digits = max(1, (1 << w) // 4 + (1 if (1 << w) % 4 else 0))
+    digits = _rect_hex_digits(w)
     tables = []
     for lno, line in body:
         tok = line.split()[0]
@@ -183,10 +190,10 @@ def dumps(obj) -> str:
             raise ValueError(f"a rectangle of block width w = {obj.w} has no text form: each "
                              f"table would be 2^{obj.w} / 4 hex digits, and the text form "
                              f"writes w <= {RECT_TEXT_MAX_W}; use the JSON form")
-        digits = max(1, (1 << obj.w) // 4 + (1 if (1 << obj.w) % 4 else 0))
+        digits = _rect_hex_digits(obj.w)
         lines = [f"rect {obj.m} {obj.w}"]
         for t in obj.tables:
-            lines.append(format(t, f"0{digits}x"))
+            lines.append(format(t, f"0{digits}X"))
         return "\n".join(lines) + "\n"
     if isinstance(obj, Robp):
         lines = [f"robp {obj.n} {obj.d}"]

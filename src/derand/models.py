@@ -5,18 +5,20 @@ rectangles and layered read-once branching programs, each with exact
 (rational) expectation computation, restriction application and batch
 evaluation.  A read-once CNF is the all-OR case of a parity-CNF: both
 formula classes run one term engine over their ``terms``, and one
-restriction serves both.  A branching program's expectations come from
-two integer path counts, backward to Acc and forward from the start,
-its batch evaluations from one layer walk and its tables over every
-input (accept flags, bp3's bad-state visits) from one prefix doubling,
-``batch_prefix_slots``, and one read-order transpose; the doubling walks
-any batch of programs that share n and d, the hitting sweep's or one
-program's.  ``Fraction`` appears only in the values returned.
-Everything is immutable after construction; the sign convention is the
-global one (-1 false, +1 true).  ``bias_function``,
-the expectation under a partial assignment, is kept as the oracle of a
-planned integer walk that splits each landmark's error into restriction
-error and fill error.
+``apply_restriction`` serves both.  A restriction is a mapping from
+variable index to sign; a generator round's maps each index it covers
+first to that round's z sign.  A branching program's expectations
+come from two integer path counts, backward to Acc and forward from
+the start, its batch evaluations from one layer walk and its tables
+over every input (accept flags, bp3's bad-state visits) from one
+prefix doubling, ``batch_prefix_slots``, and one read-order transpose;
+the doubling walks any batch of programs that share n and d, the
+hitting sweep's or one program's.  ``Fraction`` appears only in the
+values returned.  Everything is immutable after construction; the
+sign convention is the global one (-1 false, +1 true).
+``bias_function``, the expectation under a restriction, is kept as the
+oracle of a planned integer walk that splits each landmark's error
+into restriction error and fill error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -461,34 +463,21 @@ def parity_program(n: int) -> Robp:
 # Restrictions and bias functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Restriction:
-    """A partial assignment: sorted variable indices with their signs."""
-
-    indices: Tuple[int, ...]
-    signs: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.signs):
-            raise ValueError("one sign per restricted index required")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be sorted and distinct")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("restriction signs must be -1 or +1")
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.indices, self.signs))
-
-
-def apply_restriction(f, rho: Restriction):
-    """Fix the restricted variables; satisfied conjuncts drop out and a
-    falsified conjunct collapses the formula to constant 0.  The terms
-    are restricted once and the input's class is rebuilt."""
+def apply_restriction(f, fixed: Mapping[int, int]):
+    """Fix the variables of ``fixed``, a map from variable index to sign;
+    satisfied conjuncts drop out and a falsified conjunct collapses the
+    formula to constant 0.  The terms are restricted once and the
+    input's class is rebuilt.  A key outside [0, n) or a sign other
+    than +-1 raises ValueError."""
     if not isinstance(f, (ReadOnceCnf, XorCnf)):
         raise TypeError(f"cannot restrict {type(f).__name__}")
+    for i, s in fixed.items():
+        if not 0 <= i < f.n:
+            raise ValueError(f"restricted index {i} outside [0,{f.n})")
+        if s not in (-1, 1):
+            raise ValueError(f"restriction sign of {i} must be -1 or +1, not {s!r}")
     if f.is_false:
         return f
-    fixed = rho.as_dict()
     terms = []
     for term in f.terms:
         keep = tuple(lit for lit in term.literals if lit.index not in fixed)
@@ -509,9 +498,6 @@ def apply_restriction(f, rho: Restriction):
     return XorCnf(n=f.n, terms=tuple(terms))
 
 
-def bias_function(f, indices: Iterable[int], signs: Sequence[int]) -> Fraction:
-    """E over uniform completions of f with the given variables fixed."""
-    idx = tuple(indices)
-    rho = Restriction(indices=tuple(sorted(idx)),
-                      signs=tuple(s for _, s in sorted(zip(idx, signs))))
-    return apply_restriction(f, rho).exact_expectation()
+def bias_function(f, fixed: Mapping[int, int]) -> Fraction:
+    """E over uniform completions of f with the variables of ``fixed`` set."""
+    return apply_restriction(f, fixed).exact_expectation()

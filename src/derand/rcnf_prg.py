@@ -5,6 +5,8 @@ sign string z^t from a small-bias space; the freshly covered indices
 I_t = J_t minus earlier rounds get their z^t signs.  After T rounds the
 remaining indices are filled from one final small-bias string y.  The
 same generator serves formulas with parity terms unchanged.
+``restriction_trace`` gives each round's restriction as a map from
+the indices of I_t to their signs, the form ``apply_restriction`` takes.
 ``sample`` expands one seed; ``sample_batch`` gives the same rows for a
 batch of seeds, any number of rounds.
 
@@ -12,11 +14,11 @@ Two parameterization paths exist:
 
 * ``derive_params`` follows the asymptotic recipe with the constants of
   a ``GenConstants`` (C, c, c1, c2 and gamma in its JSON form, the only
-  keys the CLI's ``--constants`` file takes), capping the demanded
-  biases at ``DEFAULT_BIAS_FLOOR`` (the formula-driven biases are
-  astronomically small even at toy sizes; the derived record reports
-  the honest seed length either way).  Its subset sampler always reads
-  ``BITS_PER_INDEX`` signs per index.
+  keys the CLI's ``--constants`` file takes).  The formula-driven
+  biases are astronomically small even at toy sizes, so the record is
+  built from them raised to ``DEFAULT_BIAS_FLOOR``; only
+  ``bias_floor=None`` gives the recipe's own seed length.  Its subset
+  sampler always reads ``BITS_PER_INDEX`` signs per index.
 * ``explicit_params`` pins field degrees under the default constants;
   ``desk_preset`` and ``hsg_inner_preset`` are such records, whose full
   seed space can be enumerated exhaustively, for measured (not claimed)
@@ -44,8 +46,9 @@ from typing import Tuple
 import numpy as np
 
 from .signs import SignVector
-from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, SubsetSamplerSpec,
-                        generate_biased, powering_signs, sample_subset, subset_members)
+from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, SubsetSamplerSpec, floor_biases,
+                        generate_biased, powering_signs, sample_subset, subset_bias_budget,
+                        subset_members)
 
 BITS_PER_INDEX = 5  # signs per index in the subset sampler: alpha = 2^-5
 
@@ -179,8 +182,8 @@ def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
                   bias_floor: Fraction | None = DEFAULT_BIAS_FLOOR) -> RcnfGenParams:
     """Concrete parameters from the asymptotic recipe.
 
-    Raises nothing on floor collisions: the capped record carries a
-    diagnostic list in ``floor_hits`` (the suggested alternative for
+    Every demanded bias passes through ``floor_biases`` once, and
+    ``floor_hits`` names those raised (the suggested alternative for
     exhaustive work is ``desk_preset``).
     """
     eps = Fraction(epsilon)
@@ -188,28 +191,22 @@ def derive_params(n: int, epsilon, constants: GenConstants = GenConstants(),
         raise ValueError("need n >= 2 and epsilon in (0,1)")
     rounds = max(1, math.ceil(float(constants.rounds_scale)
                               * math.log2(math.log2(max(n, 4)))))
-    hits = []
     delta = (eps / n) ** constants.subset_exp
-    delta1 = eps / sandwich_norm_bound(n, eps, constants)
-    if bias_floor is not None and delta1 < bias_floor:
-        delta1 = bias_floor
-        hits.append("delta1")
     lg_ratio = math.log2(float(Fraction(n) / eps))
     big_m = max(2, math.ceil(lg_ratio ** (constants.shrink_exp * rounds)))
     e2 = math.ceil(constants.shrink_exp * math.log2(1 / float(eps)))
-    delta2 = Fraction(1, big_m**max(e2, 1))
-    if bias_floor is not None and delta2 < bias_floor:
-        delta2 = bias_floor
-        hits.append("delta2")
-    subset = SubsetSamplerSpec.build(n, BITS_PER_INDEX, delta, bias_floor=bias_floor)
-    if bias_floor is not None and subset.base.epsilon == bias_floor:
-        hits.append("subset")
+    biases, hits = floor_biases({"delta1": eps / sandwich_norm_bound(n, eps, constants),
+                                 "delta2": Fraction(1, big_m**max(e2, 1)),
+                                 "subset": subset_bias_budget(delta, BITS_PER_INDEX)},
+                                bias_floor)
     return RcnfGenParams(
         n=n, epsilon=eps, rounds=rounds,
-        z_spec=BiasedSpaceSpec.for_bias(n, delta1),
-        subset_spec=subset,
-        y_spec=BiasedSpaceSpec.for_bias(n, delta2),
-        constants=constants, floor_hits=tuple(hits),
+        z_spec=BiasedSpaceSpec.for_bias(n, biases["delta1"]),
+        subset_spec=SubsetSamplerSpec(
+            n=n, bits_per_index=BITS_PER_INDEX, delta=delta,
+            base=BiasedSpaceSpec.for_bias(n * BITS_PER_INDEX, biases["subset"])),
+        y_spec=BiasedSpaceSpec.for_bias(n, biases["delta2"]),
+        constants=constants, floor_hits=hits,
     )
 
 
@@ -260,12 +257,13 @@ def split_seed(params: RcnfGenParams, seed: int):
 
 
 def restriction_trace(params: RcnfGenParams, seed: int):
-    """The per-round restrictions (I_t, signs on I_t) plus the fill string
-    y, or None when the rounds cover every index.
+    """The per-round restrictions, each a map from the indices I_t the
+    round covers first to their z^t signs, plus the fill string y, or
+    None when the rounds cover every index.
 
-    Reassembling the trace reproduces sample() exactly; the I_t are
-    disjoint by construction.  A round's z is expanded only when it
-    covers a fresh index.
+    Reassembling the trace reproduces sample() exactly; the maps' key
+    sets are disjoint by construction.  A round's z is expanded only
+    when it covers a fresh index.
     """
     z_seeds, j_seeds, y_seed = split_seed(params, seed)
     covered: set = set()
@@ -274,7 +272,7 @@ def restriction_trace(params: RcnfGenParams, seed: int):
         fresh = sample_subset(params.subset_spec, j_seeds[t]) - covered
         z = generate_biased(params.z_spec, z_seeds[t]) if fresh else None
         covered |= fresh
-        trace.append((fresh, {i: z[i] for i in fresh}))
+        trace.append({i: z[i] for i in fresh})
     y = generate_biased(params.y_spec, y_seed) if len(covered) < params.n else None
     return trace, y
 
@@ -284,7 +282,7 @@ def sample(params: RcnfGenParams, seed: int) -> SignVector:
     the rest take y."""
     trace, y = restriction_trace(params, seed)
     out = list(y.values) if y is not None else [0] * params.n
-    for _, assigned in trace:
+    for assigned in trace:
         for i, s in assigned.items():
             out[i] = s
     return SignVector(tuple(out))

@@ -62,12 +62,21 @@ EXHAUSTIVE_N_LIMIT = 20
 # seed bits of one space enumerated whole (all-seeds tables and histograms);
 # the structured walk of harness is bounded by it on each component space
 TABLE_SEED_BITS_LIMIT = 24
-# SubsetSamplerSpec.build budgets its bias for joint events over at
-# most this many indices
+# subset_bias_budget budgets the sampler's bias for joint events over
+# at most this many indices
 SUBSET_MAX_ARITY = 3
 # the generators' parameter recipes raise every demanded bias below this
-# floor to it and report the raised names as floor hits
+# floor to it (floor_biases) and report the raised names as floor hits
 DEFAULT_BIAS_FLOOR = Fraction(1, 1 << 24)
+
+
+def floor_biases(demanded: dict, floor: Fraction | None) -> tuple:
+    """(biases, raised): each demanded bias strictly below ``floor``
+    raised to it, and the names raised, in order; None means no floor."""
+    if floor is None:
+        return demanded, ()
+    raised = tuple(name for name, eps in demanded.items() if eps < floor)
+    return {name: max(eps, floor) for name, eps in demanded.items()}, raised
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +527,17 @@ def exact_bias(spec: BiasedSpaceSpec) -> tuple:
 # Almost-independent subset sampler
 # ---------------------------------------------------------------------------
 
+def subset_bias_budget(delta, bits_per_index: int) -> Fraction:
+    """The subset sampler's space bias delta * 2^(-b * SUBSET_MAX_ARITY).
+
+    Each joint event over j <= SUBSET_MAX_ARITY indices is a function of
+    b*j biased positions, so this Vazirani-style budget targets
+    joint deviations of at most delta; the achieved deviation is
+    measured, never assumed.
+    """
+    return Fraction(delta) / (1 << (bits_per_index * SUBSET_MAX_ARITY))
+
+
 @dataclass(frozen=True)
 class SubsetSamplerSpec:
     """Block sampler over [n]: index i enters when its b signs are all -1."""
@@ -526,23 +546,6 @@ class SubsetSamplerSpec:
     bits_per_index: int
     delta: Fraction
     base: BiasedSpaceSpec
-
-    @classmethod
-    def build(cls, n: int, bits_per_index: int, delta,
-              bias_floor: Fraction | None = None) -> "SubsetSamplerSpec":
-        """Derive the underlying space at bias delta * 2^(-b * SUBSET_MAX_ARITY).
-
-        Each joint event over j <= SUBSET_MAX_ARITY indices is a function of
-        b*j biased positions, so this Vazirani-style budget targets
-        joint deviations of at most delta; the achieved deviation is
-        measured, never assumed.
-        """
-        d = Fraction(delta)
-        eps = d * Fraction(1, 1 << (bits_per_index * SUBSET_MAX_ARITY))
-        if bias_floor is not None and eps < bias_floor:
-            eps = Fraction(bias_floor)
-        return cls(n=n, bits_per_index=bits_per_index, delta=d,
-                   base=BiasedSpaceSpec.for_bias(n * bits_per_index, eps))
 
     @classmethod
     def with_degree(cls, n: int, bits_per_index: int, k: int,

@@ -13,8 +13,8 @@ from derand.cr_prg import (LookupMatrix, bias_function_cr, derive_cr_params, des
 from derand.harness import random_rect
 from derand.models import CombRect
 from derand.signs import pack_block
-from derand.smallbias import (BiasedSpaceSpec, PoweringSeed, generate_biased,
-                              outputs_all_seeds)
+from derand.smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed,
+                              generate_biased, outputs_all_seeds)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -72,6 +72,9 @@ def test_derived_params_match_golden():
     params = derive_cr_params(8, 8, Fraction(1, 16))
     assert json.dumps(params.to_json(), indent=1, sort_keys=True) + "\n" == \
         load_golden("cr_derived_8x8.json")
+    # epsilon1 = 2^-52 is raised; epsilon2 = 2^-24 is demanded at the floor, not a hit
+    assert params.floor_hits == ("epsilon1",)
+    assert {spec.epsilon for spec in params.stage_specs} == {DEFAULT_BIAS_FLOOR}
 
 
 def test_golden_desk_samples():

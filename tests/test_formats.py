@@ -7,7 +7,7 @@ from derand import formats
 from derand.formats import FormatError
 from derand.harness import (random_read_once_cnf, random_rect, random_width3,
                             random_xorcnf)
-from derand.models import Literal, ReadOnceCnf
+from derand.models import CombRect, Literal, ReadOnceCnf
 
 
 def test_rcnf_roundtrip_text_and_json():
@@ -32,6 +32,14 @@ def test_rect_roundtrip():
         r = random_rect(rng, rng.randint(1, 4), rng.randint(1, 4))
         assert formats.loads(formats.dumps(r)) == r
         assert formats.from_json(json.loads(formats.dump_json(r))) == r
+    # a table line is max(1, ceil(2^w / 4)) hex digits: one digit through w = 2,
+    # where 12 must not come out as the comment token c
+    for w in range(6):
+        full = (1 << (1 << w)) - 1
+        for r in (random_rect(rng, 3, w), CombRect(m=3, w=w, tables=(0, 12 & full, full))):
+            text = formats.dumps(r)
+            assert [len(line) for line in text.splitlines()[1:]] == [max(1, (1 << w) // 4)] * r.m
+            assert formats.loads(text) == r
 
 
 def test_robp_roundtrip():

@@ -9,19 +9,14 @@ import numpy as np
 import pytest
 
 from derand.harness import random_read_once_cnf, random_width3, random_xorcnf
-from derand.models import (CombRect, Literal, ReadOnceCnf, Restriction, Robp,
-                           Term, XorCnf, and_chain_program, apply_restriction,
-                           batch_prefix_slots, bias_function, parity_program, tribes)
+from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
+                           and_chain_program, apply_restriction, batch_prefix_slots,
+                           bias_function, parity_program, tribes)
 from derand.signs import all_bit_rows, all_sign_rows
 
 
 def all_signs(n):
     return list(product((-1, 1), repeat=n))
-
-
-def _restriction(assignment: dict) -> Restriction:
-    idx = tuple(sorted(assignment))
-    return Restriction(indices=idx, signs=tuple(assignment[i] for i in idx))
 
 
 def test_all_sign_rows_matches_where_construction():
@@ -82,11 +77,24 @@ def test_monotone_under_clause_removal():
 
 def test_apply_restriction_examples():
     f = ReadOnceCnf(3, ((Literal(0), Literal(1)), (Literal(2),)))
-    sat = apply_restriction(f, _restriction({0: 1}))
+    sat = apply_restriction(f, {0: 1})
     assert sat.size == 1 and sat.exact_expectation() == Fraction(1, 2)
-    dead = apply_restriction(ReadOnceCnf(3, ((Literal(2),),)),
-                             _restriction({2: -1}))
+    dead = apply_restriction(ReadOnceCnf(3, ((Literal(2),),)), {2: -1})
     assert dead.is_false and dead.exact_expectation() == 0
+
+
+def test_apply_restriction_refuses_bad_keys_and_signs():
+    # a key outside [0, n) is refused, not skipped as a variable no term reads
+    f = ReadOnceCnf(3, ((Literal(0), Literal(1)),))
+    g = XorCnf(3, (Term("xor", (Literal(0), Literal(2)), 1),))
+    for fixed, message in (({7: 1}, "index 7 outside"), ({-1: 1}, "index -1 outside"),
+                           ({0: 0}, "must be -1 or \\+1"), ({1: 1, 2: 2}, "must be -1 or \\+1")):
+        for h in (f, g, ReadOnceCnf.constant_zero(3)):
+            with pytest.raises(ValueError, match=message):
+                apply_restriction(h, fixed)
+            with pytest.raises(ValueError, match=message):
+                bias_function(h, fixed)
+    assert apply_restriction(f, {2: -1}) == f  # index 2 is in range, read by no term
 
 
 def test_restriction_constant_zero_is_distinguished():
@@ -99,9 +107,9 @@ def test_restriction_constant_zero_is_distinguished():
 def test_bias_function_boundary_cases():
     rng = random.Random(11)
     f = random_read_once_cnf(rng, 8)
-    assert bias_function(f, (), ()) == f.exact_expectation()
+    assert bias_function(f, {}) == f.exact_expectation()
     x = tuple(rng.choice((-1, 1)) for _ in range(8))
-    assert bias_function(f, range(8), x) == f.evaluate(x)
+    assert bias_function(f, dict(enumerate(x))) == f.evaluate(x)
 
 
 def test_bias_function_matches_enumeration():
@@ -120,16 +128,16 @@ def test_bias_function_matches_enumeration():
             for v, s in zip(free, completion):
                 full[v] = s
             total += f.evaluate(full)
-        assert bias_function(f, keep, xs) == Fraction(total, 1 << len(free))
+        assert bias_function(f, dict(zip(keep, xs))) == Fraction(total, 1 << len(free))
 
 
 def test_xorcnf_restriction_folds_parity_target():
     g = XorCnf(3, (Term("xor", (Literal(0), Literal(1)), 1),))
-    fixed_true = apply_restriction(g, _restriction({0: 1}))
+    fixed_true = apply_restriction(g, {0: 1})
     assert fixed_true.terms[0].target == 0
-    gone = apply_restriction(g, _restriction({0: 1, 1: -1}))
+    gone = apply_restriction(g, {0: 1, 1: -1})
     assert gone.size == 0 and gone.exact_expectation() == 1
-    dead = apply_restriction(g, _restriction({0: 1, 1: 1}))
+    dead = apply_restriction(g, {0: 1, 1: 1})
     assert dead.is_false
 
 
@@ -145,8 +153,7 @@ def test_read_once_cnf_runs_as_its_or_terms():
         assert [f.evaluate(x) for x in all_signs(n)] == [g.evaluate(x) for x in all_signs(n)]
         assert (f.size, f.variables(), f.exact_expectation()) == \
             (g.size, g.variables(), g.exact_expectation())
-        rho = _restriction({v: rng.choice((-1, 1))
-                            for v in rng.sample(range(n), rng.randint(0, n))})
+        rho = {v: rng.choice((-1, 1)) for v in rng.sample(range(n), rng.randint(0, n))}
         rf, rg = apply_restriction(f, rho), apply_restriction(g, rho)
         assert type(rf) is ReadOnceCnf and type(rg) is XorCnf
         assert rf.is_false == rg.is_false and rf.terms == rg.terms
@@ -459,7 +466,7 @@ def test_half_restricted_tribes_bias_formula():
     f = ReadOnceCnf(32, tuple(tuple(Literal(4 * i + q) for q in range(4)) for i in range(8)))
     half = [v.index for c in f.clauses for v in c[:2]]
     xs = [-1] * len(half)
-    got = bias_function(f, half, xs)
+    got = bias_function(f, dict(zip(half, xs)))
     per_clause = 1 - Fraction(1, 4)  # no clause satisfied by the fixed half
     assert got == per_clause ** 8
     # per-clause brute force over the free half agrees

@@ -10,8 +10,8 @@ import pytest
 from derand import rcnf_prg
 from derand.harness import (exhaustive_advantage, random_read_once_cnf, rcnf_generator,
                             rcnf_structured_advantage)
-from derand.models import Literal, Term, XorCnf, apply_restriction, Restriction
-from derand.rcnf_prg import (GenConstants, derive_params, desk_preset,
+from derand.models import Literal, Term, XorCnf, apply_restriction
+from derand.rcnf_prg import (BITS_PER_INDEX, GenConstants, derive_params, desk_preset,
                              explicit_params, restriction_trace, sample,
                              sample_batch, shrink_size_bound, split_seed)
 from derand.smallbias import GF2k
@@ -44,6 +44,30 @@ def test_seed_length_grows_as_error_shrinks():
         prev = params.seed_bits
 
 
+def test_floor_hits_name_only_biases_raised_from_below(tmp_path, capsys):
+    from derand import cli
+    from derand.smallbias import DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, subset_bias_budget
+
+    # c = 3 at n = 2, eps = 1/4 demands a subset bias of exactly the floor:
+    # it is met, not raised, so only delta1 and delta2 are hits
+    c3 = derive_params(2, Fraction(1, 4), GenConstants(subset_exp=3))
+    assert subset_bias_budget(c3.delta, BITS_PER_INDEX) == DEFAULT_BIAS_FLOOR
+    assert c3.subset_spec.base == BiasedSpaceSpec.for_bias(2 * BITS_PER_INDEX,
+                                                           DEFAULT_BIAS_FLOOR)
+    assert c3.floor_hits == ("delta1", "delta2")
+    constants = tmp_path / "c.json"
+    constants.write_text(json.dumps({"c": 3}), encoding="ascii")
+    assert cli.main(["gen", "rcnf", "--preset", "derived", "--n", "2", "--eps", "1/4",
+                     "--constants", str(constants), "--dump-params"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record == c3.to_json() and record["floorHits"] == ["delta1", "delta2"]
+    # every demanded bias below the floor, and none without one
+    assert derive_params(64, Fraction(1, 16)).floor_hits == ("delta1", "delta2", "subset")
+    uncapped = derive_params(64, Fraction(1, 16), bias_floor=None)
+    assert uncapped.floor_hits == ()
+    assert uncapped.subset_spec.base.epsilon < DEFAULT_BIAS_FLOOR
+
+
 def test_desk_preset_is_enumerable():
     params = desk_preset()
     assert params.n == 64
@@ -58,10 +82,10 @@ def test_partition_property():
         seed = rng.randrange(1 << params.seed_bits)
         trace, y = restriction_trace(params, seed)
         seen = set()
-        for part, assigned in trace:
-            assert not (part & seen)
-            assert set(assigned) == set(part)
-            seen |= part
+        for assigned in trace:
+            assert not (assigned.keys() & seen)
+            assert set(assigned.values()) <= {-1, 1}
+            seen |= assigned.keys()
         # restricted plus free indices cover everything exactly once
         assert seen | (set(range(params.n)) - seen) == set(range(params.n))
 
@@ -73,12 +97,12 @@ def test_trace_replay_reproduces_sample():
         seed = rng.randrange(1 << params.seed_bits)
         trace, y = restriction_trace(params, seed)
         out = list(y.values) if y is not None else [None] * params.n
-        for _part, assigned in trace:
+        for assigned in trace:
             for i, s in assigned.items():
                 out[i] = s
         assert tuple(out) == sample(params, seed).values
         # y is left out exactly when the rounds cover every index
-        assert (y is None) == (sum(len(part) for part, _ in trace) == params.n)
+        assert (y is None) == (sum(map(len, trace)) == params.n)
 
 
 def test_forced_extreme_subsets():
@@ -86,7 +110,7 @@ def test_forced_extreme_subsets():
     params = explicit_params(8, Fraction(1, 4), k_subset=2, k_z=2, k_y=3)
     for seed in range(1 << params.seed_bits):
         trace, y = restriction_trace(params, seed)
-        (part, _assigned), = trace
+        part, = trace
         out = sample(params, seed)
         if not part:
             assert out.values == y.values
@@ -200,9 +224,7 @@ def test_shrinkage_and_bias_preservation_reports():
         for jm in jmasks:
             part = [i for i in range(params.n) if (int(jm) >> i) & 1]
             for zrow in range(zout.shape[0]):
-                rho = Restriction(indices=tuple(part),
-                                  signs=tuple(int(zout[zrow, i]) for i in part))
-                g = apply_restriction(f, rho)
+                g = apply_restriction(f, {i: int(zout[zrow, i]) for i in part})
                 total += 1
                 if (0 if g.is_false else g.size) > bound:
                     exceed += 1
@@ -255,7 +277,7 @@ def test_bias_function_is_fooled_at_the_small_bias_level():
     outs = outputs_all_seeds(spec)
     acc = Fraction(0)
     for row in outs:
-        acc += bias_function(f, half, [int(v) for v in row])
+        acc += bias_function(f, {i: int(v) for i, v in zip(half, row)})
     restricted_adv = abs(acc / len(outs) - exact)
     full_spec = BiasedSpaceSpec.with_degree(f.n, 6)
     full_outs = outputs_all_seeds(full_spec)
@@ -290,12 +312,11 @@ def test_sample_skips_strings_no_output_reads(monkeypatch):
     for seed, row in zip(seeds, sample_batch(params, seeds)):
         calls.clear()
         trace, y = restriction_trace(params, seed)
-        parts = [part for part, _ in trace]
-        want = [params.z_spec] * sum(1 for part in parts if part)
-        if sum(map(len, parts)) < params.n:
+        want = [params.z_spec] * sum(1 for part in trace if part)
+        if sum(map(len, trace)) < params.n:
             want.append(params.y_spec)
         assert calls == want and (y is None) == (params.y_spec not in want)
-        kinds |= {"empty round" for part in parts if not part}
+        kinds |= {"empty round" for part in trace if not part}
         kinds |= {"all covered"} if y is None else set()
         assert sample(params, seed).values == tuple(row)
     assert kinds == {"empty round", "all covered"}

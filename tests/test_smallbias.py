@@ -8,7 +8,8 @@ import pytest
 
 from derand.smallbias import (BiasedSpaceSpec, GF2k, PoweringSeed,
                               SubsetSamplerSpec, _power_table, ceil_log2_fraction, exact_bias,
-                              generate_biased, irreducible_poly, output_mask_histogram,
+                              floor_biases, generate_biased, irreducible_poly,
+                              output_mask_histogram,
                               outputs_all_seeds, parity_bits_all_seeds,
                               powering_signs, root_counts, sample_subset,
                               subset_members, subsets_all_seeds)
@@ -363,13 +364,14 @@ def test_parity_bits_match_powering_seed():
         parity_bits_all_seeds(BiasedSpaceSpec.with_degree(4, 13))
 
 
-def test_subset_members_match_sample_subset():
-    spec = SubsetSamplerSpec.with_degree(9, 3, 5)
-    rng = random.Random(12)
-    seeds = [rng.getrandbits(spec.seed_bits) for _ in range(200)]
-    rows = subset_members(spec, seeds)
-    assert [frozenset(np.flatnonzero(row).tolist()) for row in rows] == \
-        [sample_subset(spec, seed) for seed in seeds]
+def test_floor_biases_raise_only_biases_strictly_below():
+    floor = Fraction(1, 8)
+    demanded = {"low": Fraction(1, 16), "at": floor, "high": Fraction(1, 2), "lower": Fraction(0)}
+    biases, raised = floor_biases(demanded, floor)
+    assert raised == ("low", "lower")
+    assert biases == {"low": floor, "at": floor, "high": Fraction(1, 2), "lower": floor}
+    assert list(biases) == list(demanded)
+    assert floor_biases(demanded, None) == (demanded, ())
 
 
 def test_field_axioms_exhaustive_k8_vectorized():
@@ -433,7 +435,7 @@ def test_strided_reader_refuses_bad_blocks():
         PoweringSeed(spec, 3, stride=0)
 
 
-@pytest.mark.parametrize("k", [2, 3, 34])
+@pytest.mark.parametrize("k", [2, 3, 5, 34])
 def test_sample_subset_matches_subset_members(k):
     rng = random.Random(300 + k)
     for n, b in ((9, 3), (16, 5), (64, 1)):
