@@ -35,7 +35,7 @@ import numpy as np
 
 from .models import Literal, Robp, Term, XorCnf
 from .rcnf_prg import hsg_inner_preset, sample
-from .signs import SignVector, all_sign_rows
+from .signs import SignVector, all_sign_rows, split_seeds
 
 
 class BoundViolation(ValueError):
@@ -673,8 +673,13 @@ def hsg_prefix_length(n: int, seed: int) -> int:
     return (seed & ((1 << hsg_prefix_bits(n)) - 1)) % n
 
 
+def _hsg_seed_widths(n: int) -> tuple:
+    """Seed field widths, lowest first: the prefix code, then the inner seed."""
+    return hsg_prefix_bits(n), hsg_inner_preset(n).seed_bits
+
+
 def hsg_seed_bits(n: int) -> int:
-    return hsg_prefix_bits(n) + hsg_inner_preset(n).seed_bits
+    return sum(_hsg_seed_widths(n))
 
 
 def hsg_sample(n: int, epsilon, seed: int) -> SignVector:
@@ -684,11 +689,7 @@ def hsg_sample(n: int, epsilon, seed: int) -> SignVector:
     The inner generator is ``hsg_inner_preset(n)`` whatever ``epsilon``
     is; the argument stays for positional callers.
     """
-    params = hsg_inner_preset(n)
-    rbits = hsg_prefix_bits(n)
-    total = rbits + params.seed_bits
-    if seed < 0 or seed >> total:
-        raise ValueError(f"seed must fit in {total} bits")
-    r = hsg_prefix_length(n, seed)
-    inner = sample(params, seed >> rbits)
+    (code,), (inner_seed,) = split_seeds(_hsg_seed_widths(n), [seed])
+    r = hsg_prefix_length(n, code)
+    inner = sample(hsg_inner_preset(n), inner_seed)
     return SignVector((-1,) * r + inner.values[: n - r])

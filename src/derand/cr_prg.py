@@ -4,22 +4,24 @@ The width schedule iterates v_{j+1} = floor(3 v_j / 4) from v_0 = w
 down to the stop width.  Every inner stage j draws a lookup matrix
 (2^{v_j} rows by m columns of width-v_{j-1} sign blocks) from one
 small-bias string; the last stage draws m width-v_{t-1} blocks
-directly.  Evaluation walks the stages backwards, each output block
-selecting a row of the previous stage's matrix in its own column, so
-for any rectangle f the evaluation satisfies
+directly, as a one-row matrix; ``_stage_shapes`` gives each stage's
+(rows, entry width).  Evaluation walks the stages backwards, each
+output block selecting a row of the previous stage's matrix in its own
+column, so for any rectangle f the evaluation satisfies
 f(s_0(x)) = f^1(s_1(x)) = ... with f^j the rectangle restricted by the
 j-th matrix.
 
 Matrix bit layout within its biased string is column-major (all rows of
 column 0, then column 1, ...), each entry serialized most significant
 sign first.  Row indices are the big-endian packing of the selecting
-block.
+block.  A seed concatenates the stage seeds, first stage lowest, at the
+widths a record's ``seed_widths`` states.
 
 The recipe's constants are fixed: the schedule stops at ``STOP_WIDTH``,
 ``derive_cr_params`` asks for inner bias delta^INNER_EXP and a final
 bias whose exponent scales with ``FINAL_EXP``, and raises either one
 below ``DEFAULT_BIAS_FLOOR`` to it.  A record stores its width and
-stage specs; its schedule is computed from w once and cached.
+stage specs; its schedule and stage shapes are computed once and cached.
 
 ``materialize_matrix``, ``restrict_rect`` and ``bias_function_cr`` state
 the composition identity and the bias function that criterion 6 checks;
@@ -38,7 +40,7 @@ from typing import Tuple
 import numpy as np
 
 from .models import CombRect
-from .signs import SignVector, pack_block
+from .signs import SignVector, pack_block, split_seeds
 from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed, floor_biases,
                         generate_biased)
 
@@ -72,19 +74,17 @@ class CrGenParams:
     def stages(self) -> int:
         return len(self.stage_specs)
 
-    @property
-    def direct_width(self) -> int:
-        return self.schedule[-2] if len(self.schedule) >= 2 else self.schedule[0]
+    @cached_property
+    def stage_shapes(self) -> Tuple[Tuple[int, int], ...]:
+        return _stage_shapes(self.schedule)
+
+    @cached_property
+    def seed_widths(self) -> Tuple[int, ...]:
+        return tuple(s.seed_bits for s in self.stage_specs)
 
     @property
     def seed_bits(self) -> int:
-        return sum(s.seed_bits for s in self.stage_specs)
-
-    def stage_geometry(self, stage: int) -> tuple:
-        """(rows, entry_width) of the lookup matrix at inner stage index
-        ``stage`` (0-based among inner stages)."""
-        rows = 1 << self.schedule[stage + 1]
-        return rows, self.schedule[stage]
+        return sum(self.seed_widths)
 
     def to_json(self) -> dict:
         return {
@@ -101,11 +101,12 @@ class CrGenParams:
         }
 
 
-def _stage_lengths(m: int, sched: Tuple[int, ...]) -> list:
-    """String length of each inner stage's matrix, then of the direct stage."""
-    t = len(sched) - 1
-    return ([(1 << sched[j]) * m * sched[j - 1] for j in range(1, t)]
-            + [m * (sched[t - 1] if t >= 1 else sched[0])])
+def _stage_shapes(sched: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """(rows, entry width) of each stage's lookup matrix: inner stage j
+    has 2^{v_{j+1}} rows of width-v_j entries, and the direct stage one
+    row of width-v_{t-1} entries (v_0 when the schedule is w alone)."""
+    inner = tuple((1 << sched[j + 1], sched[j]) for j in range(len(sched) - 2))
+    return inner + ((1, sched[max(len(sched) - 2, 0)]),)
 
 
 def derive_cr_params(m: int, w: int, delta) -> CrGenParams:
@@ -120,9 +121,9 @@ def derive_cr_params(m: int, w: int, delta) -> CrGenParams:
     demanded = {"epsilon1": d**INNER_EXP, "epsilon2": d**max(1, math.ceil(FINAL_EXP * ll * lll))}
     biases, hits = floor_biases(demanded, DEFAULT_BIAS_FLOOR)
     eps1, eps2 = biases.values()
-    lengths = _stage_lengths(m, width_schedule(w))
-    specs = [BiasedSpaceSpec.for_bias(n, eps1) for n in lengths[:-1]]
-    specs.append(BiasedSpaceSpec.for_bias(lengths[-1], eps2))
+    *inner, direct = [rows * m * width for rows, width in _stage_shapes(width_schedule(w))]
+    specs = [BiasedSpaceSpec.for_bias(n, eps1) for n in inner]
+    specs.append(BiasedSpaceSpec.for_bias(direct, eps2))
     return CrGenParams(m=m, w=w, delta=d, stage_specs=tuple(specs), floor_hits=hits)
 
 
@@ -131,18 +132,18 @@ def explicit_cr_params(m: int, w: int, delta, degrees, preset: str = "") -> CrGe
     if m < 1 or w < 1:
         raise ValueError(f"need m, w >= 1, not m={m}, w={w}")
     sched = width_schedule(w)
-    expect = max(len(sched) - 1, 1)
-    if len(degrees) != expect:
-        raise ValueError(f"schedule {sched} needs {expect} stage degrees")
-    specs = [BiasedSpaceSpec.with_degree(n, k) for n, k in zip(_stage_lengths(m, sched), degrees)]
+    shapes = _stage_shapes(sched)
+    if len(degrees) != len(shapes):
+        raise ValueError(f"schedule {sched} needs {len(shapes)} stage degrees")
+    specs = [BiasedSpaceSpec.with_degree(rows * m * width, k)
+             for (rows, width), k in zip(shapes, degrees)]
     return CrGenParams(m=m, w=w, delta=Fraction(delta), stage_specs=tuple(specs),
                        preset=preset)
 
 
 def desk_cr_preset(m: int = 8, w: int = 8) -> CrGenParams:
     """Exhaustive-scale preset: small enough for every-seed sweeps."""
-    sched = width_schedule(w)
-    degrees = tuple([3] * max(len(sched) - 2, 0) + [4])
+    degrees = (3,) * (len(_stage_shapes(width_schedule(w))) - 1) + (4,)
     return explicit_cr_params(m, w, Fraction(1, 16), degrees=degrees,
                               preset=f"desk-cr{m}x{w}")
 
@@ -184,21 +185,15 @@ def materialize_matrix(spec: BiasedSpaceSpec, seed: int, rows: int, cols: int,
     return pack_matrix(signs, rows, cols, entry_width)
 
 
-def split_cr_seed(params: CrGenParams, seed: int) -> list:
-    if seed < 0 or seed >> params.seed_bits:
-        raise ValueError(f"seed must fit in {params.seed_bits} bits")
-    bits = [spec.seed_bits for spec in params.stage_specs]
-    return [(seed >> sum(bits[:i])) & ((1 << b) - 1) for i, b in enumerate(bits)]
-
-
 def sample_cr(params: CrGenParams, seed: int) -> SignVector:
     """Evaluate the recursive lookup, innermost stage first; output is m
     blocks of w signs.  Each block of the current level, packed, picks
     the row of the next stage's matrix in its own column."""
-    parts = split_cr_seed(params, seed)
-    signs, width = generate_biased(params.stage_specs[-1], parts[-1]).values, params.direct_width
+    parts = [field for field, in split_seeds(params.seed_widths, [seed])]
+    signs = generate_biased(params.stage_specs[-1], parts[-1]).values
+    width = params.stage_shapes[-1][1]
     for stage in range(params.stages - 2, -1, -1):
-        rows, entry_w = params.stage_geometry(stage)
+        rows, entry_w = params.stage_shapes[stage]
         stage_seed = PoweringSeed(params.stage_specs[stage], parts[stage])
         picked = [pack_block(signs[i * width:(i + 1) * width]) for i in range(params.m)]
         signs = [v for i, row in enumerate(picked)

@@ -9,9 +9,9 @@ word: per subset seed J, a term with no z-literal narrows a packed y
 vector, one with no y-literal a z vector, and only split terms meet
 the (live z) x y-words grid, counted by popcount.  Its output histogram
 is, per J, the outer product of the z-part and y-part counts.  The
-hitting sweep builds one such histogram per output layout, folds it to
-each shorter length, and walks each length's programs in one batched
-prefix doubling.  Seed spaces too large to walk fall back to a
+hitting sweep builds one such histogram, at its longest length, folds
+it to each shorter length, and walks each length's programs in one
+batched prefix doubling.  Seed spaces too large to walk fall back to a
 declared-size random sample.
 ``advantage_sweep`` is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
 ``advantage`` command both run it.  ``cr_generator``, the rectangle
@@ -217,9 +217,6 @@ def _term_rows(f, tables: RoundTables) -> list:
     literals' bits and their truth rows in z and in packed y.  A parity
     term with target 0 is read as one with target 1 and its first
     literal negated, so every term is satisfied when its reduction is 1."""
-    if not isinstance(f, (ReadOnceCnf, XorCnf)):
-        raise ValueError(f"structured advantage needs a read-once or parity formula, "
-                         f"not {type(f).__name__}")
     rows = []
     for term in f.terms:
         var = np.array([l.index for l in term.literals], dtype=np.intp)
@@ -275,12 +272,15 @@ def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "")
     walk's NAIVE_WALK_SEED_BITS_LIMIT on their sum.  The seed tables
     come from ``round_tables``, which expands them once per record.
     """
+    if not isinstance(f, (ReadOnceCnf, XorCnf)):
+        raise ValueError(f"structured advantage needs a read-once or parity formula, "
+                         f"not {type(f).__name__}")
     if f.n > params.n:
         raise ValueError("formula is wider than the generator output")
     klass, n, m, w = _instance_shape(f)
     exact = f.exact_expectation()
     t0 = time.monotonic()
-    count = 0 if getattr(f, "is_false", False) else _structured_count(f, round_tables(params))
+    count = 0 if f.is_false else _structured_count(f, round_tables(params))
     mean = Fraction(count, 1 << params.seed_bits)
     ms = int((time.monotonic() - t0) * 1000)
     return AdvantageReport(instance=name, klass=klass, n=n, m=m, w=w,
@@ -315,15 +315,6 @@ def rcnf_output_histogram(params: rcnf_prg.RcnfGenParams) -> np.ndarray:
         ypat, ycount = np.unique(yfull & ~jm, return_counts=True)
         hist[(zpat[:, None] | ypat).ravel()] += times * np.outer(zcount, ycount).ravel()
     return hist
-
-
-def _output_layout(params: rcnf_prg.RcnfGenParams) -> tuple:
-    """Everything but n that fixes a seed's outputs: output i of a
-    powering space depends only on (k, seed, i), so of two records that
-    agree here, the shorter one's outputs are prefixes of the longer
-    one's."""
-    return (params.rounds, params.z_spec.field_degree, params.subset_spec.base.field_degree,
-            params.bits_per_index, params.y_spec.field_degree)
 
 
 def _fold(hist: np.ndarray, n: int) -> np.ndarray:
@@ -386,13 +377,14 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
     Programs below the expectation threshold are excluded (the hitting
     contract only covers dense functions).  The programs of each (n, d)
     are walked together by one batched prefix doubling, which gives
-    every accept table and, by row count, every E[f].  The kept lengths
-    are grouped by the inner generator's output layout, and each group
-    builds one output histogram, at its longest kept length; a shorter
-    length's histogram is that one with its top bits folded away.  A
-    program's hits are the seeds outputting each input, summed over its
-    accept flags.  A program too long for the histogram is not walked:
-    it is refused if dense and left out otherwise.
+    every accept table and, by row count, every E[f].  One output
+    histogram is built, at the longest kept length, and a shorter length
+    folds its top bits away: every ``hsg_inner_preset(n)`` has the same
+    rounds, field degrees and bits per index, so a shorter preset's
+    outputs are prefixes of a longer one's.  A program's hits are the
+    seeds outputting each input, summed over its accept flags.  A
+    program too long for the histogram is not walked: it is refused if
+    dense and left out otherwise.
     """
     if not programs:
         raise ValueError("hitting sweep needs a nonempty corpus")
@@ -400,7 +392,7 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
     shapes: Dict[Tuple[int, int], List[int]] = {}
     for pos, (_name, prog) in enumerate(programs):
         shapes.setdefault((prog.n, prog.d), []).append(pos)
-    hists: Dict[tuple, np.ndarray] = {}  # per layout, the histogram at the last length kept
+    hist = None  # the inner output histogram at the last length kept
     rows = []
     for n, d in sorted(shapes, reverse=True):
         positions = shapes[n, d]
@@ -412,11 +404,9 @@ def hsg_hit_stats(programs: Sequence[Tuple[str, Robp]], epsilon) -> List[HitStat
         kept = _dense_programs(group, eps)
         if not kept:
             continue
-        params = bp3.hsg_inner_preset(n)
-        layout = _output_layout(params)
-        hists[layout] = (rcnf_output_histogram(params) if layout not in hists
-                         else _fold(hists[layout], n))
-        counts = _hsg_output_counts(n, hists[layout])
+        hist = (rcnf_output_histogram(bp3.hsg_inner_preset(n)) if hist is None
+                else _fold(hist, n))
+        counts = _hsg_output_counts(n, hist)
         seed_bits = bp3.hsg_seed_bits(n)
         for i, expectation, accepts in kept:
             pos = positions[i]

@@ -270,7 +270,7 @@ class CombRect:
     def exact_expectation(self) -> Fraction:
         acc = Fraction(1)
         for t in self.tables:
-            acc *= Fraction(bin(t).count("1"), 1 << self.w)
+            acc *= Fraction(t.bit_count(), 1 << self.w)
         return acc
 
 

@@ -13,7 +13,7 @@ batch of seeds, any number of rounds.
 Two parameterization paths exist:
 
 * ``derive_params`` follows the asymptotic recipe with the constants of
-  a ``GenConstants`` (C, c, c1, c2 and gamma in its JSON form, the only
+  a ``GenConstants`` (C, c, c2 and gamma in its JSON form, the only
   keys the CLI's ``--constants`` file takes).  The formula-driven
   biases are astronomically small even at toy sizes, so the record is
   built from them raised to ``DEFAULT_BIAS_FLOOR``; only
@@ -27,8 +27,9 @@ Two parameterization paths exist:
 A record stores each value once: ``bits_per_index`` and ``delta`` are
 read from its subset sampler.
 
-Seed layout, fixed for bit-exact reproducibility: the T z-blocks in
-round order occupy the lowest bits, then the T J-blocks, then y.
+Seed layout, fixed for bit-exact reproducibility: a record's
+``seed_widths`` states it, the T z-blocks in round order lowest, then
+the T J-blocks, then y; ``split_seed`` cuts a batch of seeds by it.
 
 ``shrink_size_bound``, the shrinkage lemma's per-round budget of
 surviving clauses, is kept for the planned report of surviving terms
@@ -40,12 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .signs import SignVector
+from .signs import SignVector, split_seeds
 from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, SubsetSamplerSpec, floor_biases,
                         generate_biased, powering_signs, sample_subset, subset_bias_budget,
                         subset_members)
@@ -59,7 +60,6 @@ class GenConstants:
 
     rounds_scale: Fraction = Fraction(1)   # C in T = ceil(C loglog n)
     subset_exp: int = 2                    # c in the J-sampler slack (eps/n)^c
-    width_cut: int = 13                    # c1, small-width cutoff scale (> 12)
     shrink_exp: int = 3                    # c2 in the shrink/final-bias recipe
     shrink_gamma: Fraction = Fraction(1, 8)  # gamma, per-round size decay
 
@@ -67,7 +67,6 @@ class GenConstants:
         return {
             "C": str(self.rounds_scale),
             "c": self.subset_exp,
-            "c1": self.width_cut,
             "c2": self.shrink_exp,
             "gamma": str(self.shrink_gamma),
         }
@@ -97,8 +96,8 @@ class GenConstants:
         return cls(**values)
 
 
-_CONSTANT_KEYS = {"C": "rounds_scale", "c": "subset_exp", "c1": "width_cut",
-                  "c2": "shrink_exp", "gamma": "shrink_gamma"}  # JSON key -> field
+_CONSTANT_KEYS = {"C": "rounds_scale", "c": "subset_exp", "c2": "shrink_exp",
+                  "gamma": "shrink_gamma"}  # JSON key -> field
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,14 @@ class RcnfGenParams:
     def delta2(self) -> Fraction:
         return self.y_spec.epsilon
 
+    @cached_property
+    def seed_widths(self) -> Tuple[int, ...]:
+        return ((self.z_spec.seed_bits,) * self.rounds
+                + (self.subset_spec.seed_bits,) * self.rounds + (self.y_spec.seed_bits,))
+
     @property
     def seed_bits(self) -> int:
-        return (self.rounds * (self.z_spec.seed_bits + self.subset_spec.seed_bits)
-                + self.y_spec.seed_bits)
+        return sum(self.seed_widths)
 
     def bias_budget(self) -> Fraction:
         """The configured error budget delta1 * L * T + 2 eps T, L the
@@ -240,18 +243,10 @@ def hsg_inner_preset(n: int) -> RcnfGenParams:
     return explicit_params(n, Fraction(1, 4), k_subset=2, k_z=3, k_y=6, preset=f"hsg{n}")
 
 
-def _seed_layout(params: RcnfGenParams) -> list:
-    """(offset, bits) of z_1..z_T, then J_1..J_T, then y within a seed."""
-    sizes = ([params.z_spec.seed_bits] * params.rounds
-             + [params.subset_spec.seed_bits] * params.rounds + [params.y_spec.seed_bits])
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    return list(zip(offsets, sizes))
-
-
-def split_seed(params: RcnfGenParams, seed: int):
-    if seed < 0 or seed >> params.seed_bits:
-        raise ValueError(f"seed must fit in {params.seed_bits} bits")
-    fields = [(seed >> offset) & ((1 << bits) - 1) for offset, bits in _seed_layout(params)]
+def split_seed(params: RcnfGenParams, seeds):
+    """The z seeds of every round, the J seeds of every round and the y
+    seeds of a batch of seeds, each field a list over the batch."""
+    fields = split_seeds(params.seed_widths, seeds)
     t = params.rounds
     return fields[:t], fields[t:2 * t], fields[2 * t]
 
@@ -265,12 +260,12 @@ def restriction_trace(params: RcnfGenParams, seed: int):
     sets are disjoint by construction.  A round's z is expanded only
     when it covers a fresh index.
     """
-    z_seeds, j_seeds, y_seed = split_seed(params, seed)
+    z_seeds, j_seeds, (y_seed,) = split_seed(params, [seed])
     covered: set = set()
     trace = []
-    for t in range(params.rounds):
-        fresh = sample_subset(params.subset_spec, j_seeds[t]) - covered
-        z = generate_biased(params.z_spec, z_seeds[t]) if fresh else None
+    for (z_seed,), (j_seed,) in zip(z_seeds, j_seeds):
+        fresh = sample_subset(params.subset_spec, j_seed) - covered
+        z = generate_biased(params.z_spec, z_seed) if fresh else None
         covered |= fresh
         trace.append({i: z[i] for i in fresh})
     y = generate_biased(params.y_spec, y_seed) if len(covered) < params.n else None
@@ -292,17 +287,12 @@ def sample_batch(params: RcnfGenParams, seeds) -> np.ndarray:
     """Outputs of a batch of seeds (len(seeds) x n, int8); row j equals
     sample(params, seeds[j]).  Every round's z, J and the fill y are
     expanded for the whole batch at once."""
-    seeds, width = list(seeds), params.seed_bits
-    if any(seed < 0 or seed >> width for seed in seeds):
-        raise ValueError(f"seed must fit in {width} bits")
-    blocks = [[(seed >> offset) & ((1 << bits) - 1) for seed in seeds]
-              for offset, bits in _seed_layout(params)]
-    t = params.rounds
-    out = powering_signs(params.y_spec, blocks[2 * t])
+    z_seeds, j_seeds, y_seeds = split_seed(params, seeds)
+    out = powering_signs(params.y_spec, y_seeds)
     covered = np.zeros(out.shape, dtype=bool)
-    for r in range(t):
-        z = powering_signs(params.z_spec, blocks[r])
-        fresh = subset_members(params.subset_spec, blocks[t + r]) & ~covered
+    for z_seed, j_seed in zip(z_seeds, j_seeds):
+        z = powering_signs(params.z_spec, z_seed)
+        fresh = subset_members(params.subset_spec, j_seed) & ~covered
         out[fresh] = z[fresh]
         covered |= fresh
     return out

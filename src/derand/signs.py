@@ -7,7 +7,9 @@ When signs are packed into integers or table indices, false maps to bit
 Two serialization orders appear, both fixed for reproducibility:
 
 * Seeds are little-endian: bit 0 of byte 0 is the least-significant bit
-  of the first field element.
+  of the first field element.  A generator's seed concatenates its
+  component seeds, first field lowest; each parameter record states
+  its field widths once, and ``split_seeds`` cuts every seed by them.
 * Sign blocks (rectangle coordinates, lookup-table entries) pack
   big-endian: the first sign of the block is the most significant bit.
 
@@ -87,6 +89,21 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
         bottom *= -2       # as a - b = (a + b) - 2b
         bottom += top
     return h
+
+
+def split_seeds(widths: Sequence[int], seeds) -> list:
+    """Each field's values over a batch of seeds, field i being the
+    widths[i] bits above fields 0..i-1; refuses a seed outside
+    [0, 2^sum(widths)).  A single seed is a batch of one."""
+    seeds, total = list(seeds), sum(widths)
+    if any(seed < 0 or seed >> total for seed in seeds):
+        raise ValueError(f"seed must fit in {total} bits")
+    fields, shift = [], 0
+    for bits in widths:
+        mask = (1 << bits) - 1
+        fields.append([(seed >> shift) & mask for seed in seeds])
+        shift += bits
+    return fields
 
 
 def parse_seed_hex(text: str, nbits: int) -> int:

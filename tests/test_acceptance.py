@@ -89,9 +89,8 @@ def test_criterion_6_cr_sampler():
     inner_spec, direct_spec = params.stage_specs
     from derand.smallbias import outputs_all_seeds
     inner_out = outputs_all_seeds(inner_spec)
-    rows, entry_w = params.stage_geometry(0)
+    (rows, entry_w), (_one, dw) = params.stage_shapes
     direct_out = outputs_all_seeds(direct_spec)
-    dw = params.direct_width
     ok = True
     for rect in rects:
         weights = 1 << np.arange(dw - 1, -1, -1, dtype=np.int64)

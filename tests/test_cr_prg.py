@@ -9,24 +9,28 @@ import pytest
 
 from derand.cr_prg import (LookupMatrix, bias_function_cr, derive_cr_params, desk_cr_preset,
                            explicit_cr_params, materialize_matrix, pack_matrix, restrict_rect,
-                           sample_cr, split_cr_seed, width_schedule)
+                           sample_cr, width_schedule)
 from derand.harness import random_rect
 from derand.models import CombRect
-from derand.signs import pack_block
+from derand.signs import pack_block, split_seeds
 from derand.smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed,
                               generate_biased, outputs_all_seeds)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _parts(params, seed):
+    """The stage seeds of one seed, first stage first."""
+    return [part for part, in split_seeds(params.seed_widths, [seed])]
+
+
 def _stage_matrices(params, seed):
     """All inner-stage lookup matrices of a seed (the direct stage's
     blocks are its biased string, packed)."""
-    parts = split_cr_seed(params, seed)
-    return [materialize_matrix(params.stage_specs[stage], parts[stage],
-                               params.stage_geometry(stage)[0], params.m,
-                               params.stage_geometry(stage)[1])
-            for stage in range(len(params.stage_specs) - 1)]
+    parts = _parts(params, seed)
+    return [materialize_matrix(spec, part, rows, params.m, width)
+            for spec, part, (rows, width) in zip(params.stage_specs[:-1], parts,
+                                                 params.stage_shapes[:-1])]
 
 
 def _materialized_levels(params, seed):
@@ -34,8 +38,8 @@ def _materialized_levels(params, seed):
     the previous stage's materialized matrix; the last level is the
     output."""
     mats = _stage_matrices(params, seed)
-    width = params.direct_width
-    direct = generate_biased(params.stage_specs[-1], split_cr_seed(params, seed)[-1]).values
+    width = params.stage_shapes[-1][1]
+    direct = generate_biased(params.stage_specs[-1], _parts(params, seed)[-1]).values
     levels = [[pack_block(direct[i * width:(i + 1) * width]) for i in range(params.m)]]
     for mat in reversed(mats):
         levels.append([int(mat.packed[row, i]) for i, row in enumerate(levels[-1])])
@@ -134,8 +138,7 @@ def test_composition_identity_every_seed_on_one_rectangle():
     direct_spec = params.stage_specs[1]
     inner_out = outputs_all_seeds(inner_spec)
     direct_out = outputs_all_seeds(direct_spec)
-    rows, entry_w = params.stage_geometry(0)
-    dw = params.direct_width
+    (rows, entry_w), (_one, dw) = params.stage_shapes
     weights = 1 << np.arange(dw - 1, -1, -1, dtype=np.int64)
     blocks = np.stack([
         ((direct_out[:, i * dw:(i + 1) * dw] == 1).astype(np.int64) * weights).sum(axis=1)
@@ -166,8 +169,7 @@ def test_composition_identity_matches_sample_cr():
         out = sample_cr(params, seed)
         mats = _stage_matrices(params, seed)
         restricted = restrict_rect(rect, mats[0])
-        parts = split_cr_seed(params, seed)
-        direct = generate_biased(params.stage_specs[-1], parts[-1])
+        direct = generate_biased(params.stage_specs[-1], _parts(params, seed)[-1])
         assert rect.evaluate(out.values) == restricted.evaluate(direct.values)
 
 
@@ -258,9 +260,18 @@ def test_degenerate_probability_coordinates():
 
 
 def test_seed_split_and_errors():
+    # the inner stage's 6 seed bits are the lowest, the direct stage's 8
+    # above them; the golden seeds do not pin that order (0000 and ff3f
+    # read the same either way, and 1234 happens to give one output)
     params = desk_cr_preset()
-    parts = split_cr_seed(params, (1 << params.seed_bits) - 1)
-    assert all(p < (1 << s.seed_bits) for p, s in zip(parts, params.stage_specs))
+    assert (params.seed_widths, params.stage_shapes) == ((6, 8), ((64, 8), (1, 6)))
+    rng = random.Random(60)
+    for seed in [rng.getrandbits(14) for _ in range(20)]:
+        matrix = materialize_matrix(params.stage_specs[0], seed & 63, 64, 8, 8)
+        direct = generate_biased(params.stage_specs[1], seed >> 6).values
+        rows = [pack_block(direct[6 * i:6 * i + 6]) for i in range(8)]
+        assert _packed_output(params, seed) == [int(matrix.packed[row, i])
+                                                for i, row in enumerate(rows)]
     with pytest.raises(ValueError):
         sample_cr(params, 1 << params.seed_bits)
 
@@ -273,3 +284,18 @@ def test_lookup_path_matches_materialized_entries():
     for _ in range(30):
         seed = rng.randrange(1 << params.seed_bits)
         assert _materialized_levels(params, seed)[-1] == _packed_output(params, seed)
+
+
+def test_stage_shapes_give_every_stage_length():
+    # inner stage j: 2^{v_{j+1}} rows of width-v_j entries; the direct
+    # stage: one row of width-v_{t-1} entries, v_0 for a one-width schedule
+    for w in (3, 5, 8, 16, 64):
+        sched = width_schedule(w)
+        want = [(1 << sched[j + 1], sched[j]) for j in range(len(sched) - 2)]
+        want.append((1, sched[-2] if len(sched) >= 2 else sched[0]))
+        for params in (desk_cr_preset(3, w), derive_cr_params(3, w, Fraction(1, 8))):
+            assert list(params.stage_shapes) == want
+            assert [spec.n for spec in params.stage_specs] == \
+                [rows * params.m * width for rows, width in params.stage_shapes]
+        with pytest.raises(ValueError, match=f"needs {len(want)} stage degrees"):
+            explicit_cr_params(3, w, Fraction(1, 8), degrees=(3,) * (len(want) + 1))

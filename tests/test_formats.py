@@ -110,3 +110,60 @@ def test_seed_hex_roundtrip():
         parse_seed_hex("ff", 7)  # padding bit set
     with _pytest.raises(ValueError):
         parse_seed_hex("ffff", 8)  # wrong byte count
+
+
+def _seed_records():
+    """(name, field widths, seed bits, sampler) of each generator record
+    the splitter serves: rcnf at one and three rounds, the rectangle
+    presets with two and four inner stages, and hsg at four lengths."""
+    from fractions import Fraction
+
+    from derand import bp3, cr_prg, rcnf_prg
+
+    out = []
+    for name, p in (("rcnf-desk", rcnf_prg.desk_preset()),
+                    ("rcnf-derived64", rcnf_prg.derive_params(64, Fraction(1, 16)))):
+        out.append((name, p.seed_widths, p.seed_bits, lambda s, p=p: rcnf_prg.sample(p, s)))
+    for name, p in (("rect-desk", cr_prg.desk_cr_preset(8, 8)),
+                    ("rect-derived", cr_prg.derive_cr_params(8, 8, Fraction(1, 16))),
+                    ("rect-2x16", cr_prg.explicit_cr_params(2, 16, Fraction(1, 16),
+                                                            degrees=(3, 3, 3, 4)))):
+        out.append((name, p.seed_widths, p.seed_bits, lambda s, p=p: cr_prg.sample_cr(p, s)))
+    for n in (1, 5, 14, 30):
+        out.append((f"hsg{n}", bp3._hsg_seed_widths(n), bp3.hsg_seed_bits(n),
+                    lambda s, n=n: bp3.hsg_sample(n, Fraction(1, 4), s)))
+    return out
+
+
+def test_split_seeds_fields_concatenate_back():
+    from derand.signs import split_seeds
+    records = _seed_records()
+    assert [len(widths) for _name, widths, _bits, _sample in records[:2]] == [3, 7]
+    rng = random.Random(4)
+    for name, widths, bits, _sample in records:
+        assert bits == sum(widths), name
+        seeds = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(20)]
+        fields = split_seeds(widths, seeds)
+        assert len(fields) == len(widths), name
+        for j, seed in enumerate(seeds):
+            back, shift = 0, 0
+            for width, field in zip(widths, fields):
+                assert 0 <= field[j] < 1 << width, name
+                back |= field[j] << shift
+                shift += width
+            assert back == seed, name
+    assert split_seeds((3, 5), []) == [[], []]
+
+
+def test_split_seeds_refuses_seeds_outside_the_space():
+    from derand.rcnf_prg import desk_preset, sample_batch
+    from derand.signs import split_seeds
+    for name, widths, bits, sample in _seed_records():
+        message = f"seed must fit in {bits} bits"
+        for seed in (-1, 1 << bits):
+            with pytest.raises(ValueError, match=message):
+                split_seeds(widths, [5, seed])
+            with pytest.raises(ValueError, match=message):
+                sample(seed)
+    params = desk_preset()
+    assert sample_batch(params, []).shape == (0, params.n)

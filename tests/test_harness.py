@@ -18,6 +18,7 @@ from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, GeneratorHandl
                             random_xorcnf, rcnf_generator, rcnf_output_histogram,
                             rcnf_structured_advantage, render_report_svg, report,
                             round_tables, width3_corpus, write_csv)
+from derand.harness import OUTPUT_HISTOGRAM_MAX_N
 from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                            and_chain_program)
 from derand.signs import all_sign_rows
@@ -339,6 +340,9 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
                  "must be a JSON object", id="constants-list"),
     pytest.param(["gen", "rcnf", "--preset", "derived", "--constants", "{misspelled}"],
                  "unknown generator constants ['gama']", id="constants-misspelled"),
+    pytest.param(["gen", "rcnf", "--preset", "derived", "--constants", "{width_cut}"],
+                 "unknown generator constants ['c1']; the keys are C, c, c2, gamma",
+                 id="constants-c1"),
     pytest.param(["advantage", "--preset", "derived", "--constants", "{fractional}"],
                  "constant c2 must be an integer", id="constants-fractional"),
     pytest.param(["gen", "rcnf", "--constants", "{list}", "--dump-params"],
@@ -436,6 +440,7 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(formats.dumps(obj))
     for name, text in (("list.json", "[1]"), ("misspelled.json", '{"gama": "1/8"}'),
+                       ("width_cut.json", '{"c1": 13}'),
                        ("fractional.json", '{"c2": 2.5}'), ("json_no_n.json", '{"type": "rcnf"}'),
                        ("json_tables.json", '{"type": "rect", "m": 1, "w": 2, "tables": [1]}'),
                        ("json_no_lits.json",
@@ -465,6 +470,23 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: " in err and reason.format(**paths) in err and "Traceback" not in err
+
+
+def test_structured_advantage_refuses_before_any_evaluation(tmp_path, monkeypatch, capsys):
+    # the exact expectation of a dense rectangle costs memory in its table
+    # size, so a non-formula is refused before anything is evaluated
+    def evaluated(self):
+        raise AssertionError(f"{type(self).__name__} evaluated before the refusal")
+    monkeypatch.setattr(CombRect, "exact_expectation", evaluated)
+    monkeypatch.setattr(Robp, "exact_expectation", evaluated)
+    params = rcnf_prg.desk_preset()
+    for f in (CombRect(m=1, w=12, tables=((1 << (1 << 12)) - 1,)), and_chain_program(4)):
+        with pytest.raises(ValueError, match="read-once or parity formula, not"):
+            rcnf_structured_advantage(params, f)
+    path = tmp_path / "rect.txt"
+    path.write_text(formats.dumps(CombRect(m=2, w=3, tables=(0xF0, 0x3C))))
+    assert cli.main(["advantage", "--formula", str(path)]) == 2
+    assert "read-once or parity formula, not CombRect" in capsys.readouterr().err
 
 
 WIDE_RECT_UNDER_MEMORY_CAP = """
@@ -570,37 +592,35 @@ def test_all_accepting_program_hit_fraction_one():
     assert stats[0].hit_fraction == 1
 
 
-def _hit_stats_against_a_per_seed_walk(monkeypatch, k_y_above_3, layouts):
-    # inner presets of 8 seed bits (at most 13 with a wider y and the
-    # prefix) let every hsg_sample seed be walked; n = 3, 5 and 6 wrap the
-    # prefix code past n
+def test_hit_stats_match_a_per_seed_walk(monkeypatch):
+    # inner presets of 8 seed bits (11 with the prefix) let every
+    # hsg_sample seed be walked; n = 3, 5 and 6 wrap the prefix code past n
     @functools.lru_cache(maxsize=None)
     def tiny(n):
-        return rcnf_prg.explicit_params(n, Fraction(1, 4), k_subset=1, k_z=1,
-                                        k_y=2 if n <= 3 else k_y_above_3, bits_per_index=1)
+        return rcnf_prg.explicit_params(n, Fraction(1, 4), k_subset=1, k_z=1, k_y=2,
+                                        bits_per_index=1)
     monkeypatch.setattr(rcnf_prg, "hsg_inner_preset", tiny)
     monkeypatch.setattr(bp3, "hsg_inner_preset", tiny)
     rng = random.Random(78)
     eps = Fraction(1, 8)
     corpus = [(f"w3-{n}-{i}", random_width3(rng, n, eps)) for n in (2, 3, 5, 6) for i in range(4)]
-    assert len({tiny(n).y_spec.field_degree for n in (2, 3, 5, 6)}) == layouts
     stats = hsg_hit_stats(corpus, eps)
     assert [s.instance for s in stats] == [name for name, _prog in corpus]
     for st, (_name, prog) in zip(stats, corpus):
         bits = bp3.hsg_seed_bits(prog.n)
-        assert bits <= 13
+        assert bits <= 11
         hits = sum(prog.evaluate(bp3.hsg_sample(prog.n, eps, s).values) for s in range(1 << bits))
         assert (st.seed_bits, st.hit_fraction) == (bits, Fraction(hits, 1 << bits))
 
 
-def test_hit_stats_match_a_per_seed_walk(monkeypatch):
-    _hit_stats_against_a_per_seed_walk(monkeypatch, k_y_above_3=2, layouts=1)
-
-
-def test_hit_stats_match_a_per_seed_walk_across_two_layouts(monkeypatch):
-    # a y degree that changes with n splits the lengths into two output
-    # layouts, each with its own histogram
-    _hit_stats_against_a_per_seed_walk(monkeypatch, k_y_above_3=3, layouts=2)
+def test_hsg_inner_presets_share_one_output_layout():
+    # the hitting sweep folds one histogram to every shorter length, so a
+    # shorter preset's outputs must be prefixes of a longer one's: output
+    # i of a powering space depends only on (k, seed, i)
+    layouts = {(p.rounds, p.z_spec.field_degree, p.subset_spec.base.field_degree,
+                p.bits_per_index, p.y_spec.field_degree)
+               for p in map(rcnf_prg.hsg_inner_preset, range(1, OUTPUT_HISTOGRAM_MAX_N + 1))}
+    assert len(layouts) == 1
 
 
 def test_hit_stats_order_and_the_histogram_length(monkeypatch):

@@ -115,9 +115,9 @@ def test_forced_extreme_subsets():
         if not part:
             assert out.values == y.values
         if len(part) == params.n:
-            zs, _js, _ys = split_seed(params, seed)
+            ((z_seed,),), _js, _ys = split_seed(params, [seed])
             from derand.smallbias import generate_biased
-            z = generate_biased(params.z_spec, zs[0])
+            z = generate_biased(params.z_spec, z_seed)
             assert out.values == z.values
 
 
@@ -237,12 +237,12 @@ def test_shrinkage_and_bias_preservation_reports():
 
 
 def test_constants_record_round_trip():
-    c = GenConstants(rounds_scale=Fraction(1, 2), subset_exp=3, width_cut=14,
+    c = GenConstants(rounds_scale=Fraction(1, 2), subset_exp=3,
                      shrink_exp=2, shrink_gamma=Fraction(1, 4))
     params = derive_params(32, Fraction(1, 8), constants=c)
     assert params.constants == c
     data = params.to_json()
-    assert data["constants"]["c1"] == 14
+    assert data["constants"] == {"C": "1/2", "c": 3, "c2": 2, "gamma": "1/4"}
 
 
 def test_seed_length_errors():
@@ -323,14 +323,14 @@ def test_sample_skips_strings_no_output_reads(monkeypatch):
 
 
 def test_constants_json_round_trip_and_defaults():
-    c = GenConstants(rounds_scale=Fraction(1, 2), subset_exp=3, width_cut=14,
+    c = GenConstants(rounds_scale=Fraction(1, 2), subset_exp=3,
                      shrink_exp=2, shrink_gamma=Fraction(1, 4))
     assert GenConstants.from_json(c.to_json()) == c
     assert GenConstants.from_json({}) == GenConstants()
     assert GenConstants.from_json({"C": 2, "gamma": "1/4"}) == \
         GenConstants(rounds_scale=Fraction(2), shrink_gamma=Fraction(1, 4))
-    for bad in ([1], {"gama": "1/8"}, {"c": 1.5}, {"c": [2]}, {"c1": True}, {"C": "x"},
-                {"gamma": float("inf")}):
+    for bad in ([1], {"gama": "1/8"}, {"c1": 13}, {"c": 1.5}, {"c": [2]}, {"c2": True},
+                {"C": "x"}, {"gamma": float("inf")}):
         with pytest.raises(ValueError):
             GenConstants.from_json(bad)
 
