@@ -23,9 +23,11 @@ bias whose exponent scales with ``FINAL_EXP``, and raises either one
 below ``DEFAULT_BIAS_FLOOR`` to it.  A record stores its width and
 stage specs; its schedule and stage shapes are computed once and cached.
 
-``materialize_matrix``, ``restrict_rect`` and ``bias_function_cr`` state
-the composition identity and the bias function that criterion 6 checks;
-they are kept for the planned structured walk of the rectangle
+A stage's lookup matrix is a (rows, cols) int64 array of packed
+entries, ``pack_matrix`` of the stage's biased string.  ``restrict_rect``,
+one ``CombRect.accepts_at`` gather per coordinate, and ``bias_function_cr``
+state the composition identity and the bias function that criterion 6
+checks; they are kept for the planned structured walk of the rectangle
 generator, which restricts by one stage's matrix per inner seed.
 """
 
@@ -40,7 +42,7 @@ from typing import Tuple
 import numpy as np
 
 from .models import CombRect
-from .signs import SignVector, pack_block, split_seeds
+from .signs import SignVector, pack_block, pack_blocks, split_seeds
 from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed, floor_biases,
                         generate_biased)
 
@@ -152,18 +154,8 @@ def desk_cr_preset(m: int = 8, w: int = 8) -> CrGenParams:
 # Lookup matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LookupMatrix:
-    """One inner stage's table: entry [row, col] is a packed sign block."""
-
-    rows: int
-    cols: int
-    entry_width: int
-    packed: np.ndarray  # shape (rows, cols), int64 of big-endian packed entries
-
-
-def pack_matrix(signs: np.ndarray, rows: int, cols: int, entry_width: int) -> LookupMatrix:
-    """Pack a stage's sign string into its lookup matrix.
+def pack_matrix(signs, rows: int, cols: int, entry_width: int) -> np.ndarray:
+    """Pack a stage's sign string into its (rows, cols) int64 lookup matrix.
 
     Bits are consumed column-major with entries MSB-first, so position
     col*(rows*W) + row*W + q carries bit (W-1-q) of entry [row, col].
@@ -171,18 +163,7 @@ def pack_matrix(signs: np.ndarray, rows: int, cols: int, entry_width: int) -> Lo
     expect = rows * cols * entry_width
     if len(signs) != expect:
         raise ValueError(f"stage string covers {len(signs)} positions, need {expect}")
-    cube = np.asarray(signs, dtype=np.int8).reshape(cols, rows, entry_width)
-    bits = (cube == 1).astype(np.int64)
-    weights = 1 << np.arange(entry_width - 1, -1, -1, dtype=np.int64)
-    packed = (bits * weights).sum(axis=2).T.copy()
-    return LookupMatrix(rows=rows, cols=cols, entry_width=entry_width, packed=packed)
-
-
-def materialize_matrix(spec: BiasedSpaceSpec, seed: int, rows: int, cols: int,
-                       entry_width: int) -> LookupMatrix:
-    """Expand a stage seed into its full lookup matrix."""
-    signs = np.array(generate_biased(spec, seed).values, dtype=np.int8)
-    return pack_matrix(signs, rows, cols, entry_width)
+    return pack_blocks(np.asarray(signs, dtype=np.int8).reshape(cols, rows, entry_width)).T
 
 
 def sample_cr(params: CrGenParams, seed: int) -> SignVector:
@@ -206,26 +187,24 @@ def sample_cr(params: CrGenParams, seed: int) -> SignVector:
 # Restriction by a lookup matrix
 # ---------------------------------------------------------------------------
 
-def restrict_rect(rect: CombRect, matrix: LookupMatrix) -> CombRect:
+def restrict_rect(rect: CombRect, matrix: np.ndarray) -> CombRect:
     """Compose each coordinate with its column's lookup: the restricted
-    table at row a holds the original flag of entry [a, i]."""
-    if matrix.cols != rect.m or matrix.entry_width != rect.w:
-        raise ValueError("matrix geometry does not match the rectangle")
-    v = matrix.rows.bit_length() - 1
-    if 1 << v != matrix.rows:
-        raise ValueError("matrix row count must be a power of two")
-    tables = []
-    for i in range(rect.m):
-        tbl = 0
-        col = matrix.packed[:, i]
-        for a in range(matrix.rows):
-            if rect.coordinate_accepts(i, int(col[a])):
-                tbl |= 1 << a
-        tables.append(tbl)
-    return CombRect(m=rect.m, w=v, tables=tuple(tables))
+    table at row a holds the original flag of entry [a, i].  The matrix
+    needs m columns, 2^v rows and entries in [0, 2^w)."""
+    rows, cols = matrix.shape
+    if cols != rect.m:
+        raise ValueError(f"matrix has {cols} columns, the rectangle {rect.m} coordinates")
+    if rows < 1 or rows & (rows - 1):
+        raise ValueError(f"matrix row count must be a power of two, not {rows}")
+    if matrix.size and (matrix.min() < 0 or int(matrix.max()) >> rect.w):
+        raise ValueError(f"matrix entries must lie in [0, 2^{rect.w})")
+    tables = tuple(int.from_bytes(np.packbits(rect.accepts_at(i, matrix[:, i]),
+                                              bitorder="little").tobytes(), "little")
+                   for i in range(rect.m))
+    return CombRect(m=rect.m, w=rows.bit_length() - 1, tables=tables)
 
 
-def bias_function_cr(rect: CombRect, matrix: LookupMatrix) -> Fraction:
+def bias_function_cr(rect: CombRect, matrix: np.ndarray) -> Fraction:
     """The restricted rectangle's exact expectation: the product over
     coordinates of the fraction of accepting rows."""
     return restrict_rect(rect, matrix).exact_expectation()

@@ -14,9 +14,10 @@ it to each shorter length, and walks each length's programs in one
 batched prefix doubling.  Seed spaces too large to walk fall back to a
 declared-size random sample.
 ``advantage_sweep`` is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
-``advantage`` command both run it.  ``cr_generator``, the rectangle
-generator walked seed by seed, is kept as the oracle of a structured
-rectangle walk that is planned but not yet written.
+``advantage`` command both run it.  ``cr_generator`` walks the rectangle
+generator seed by seed: criterion 6 holds the acceptance it sums over
+every inner seed's restriction to it, and it stays the oracle of the
+planned structured rectangle walk.
 """
 
 from __future__ import annotations

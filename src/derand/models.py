@@ -23,14 +23,14 @@ into restriction error and fill error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .signs import pack_block
+from .signs import pack_block, pack_blocks
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,15 @@ class CombRect:
     """AND of per-coordinate predicates over m blocks of w signs.
 
     Each table is a bitmask over the 2^w block patterns: bit a holds
-    the accept flag for the block whose big-endian packing is a.
+    the accept flag for the block whose big-endian packing is a.  One
+    pattern is read by a shift, ``coordinate_accepts``; an array of
+    patterns by one gather, ``accepts_at``.  The repr leaves the tables
+    out: a wide one has more digits than ``int`` will print.
     """
 
     m: int
     w: int
-    tables: Tuple[int, ...]
+    tables: Tuple[int, ...] = field(repr=False)
 
     def __post_init__(self):
         if len(self.tables) != self.m:
@@ -244,6 +247,15 @@ class CombRect:
     def coordinate_accepts(self, i: int, block_index: int) -> int:
         return (self.tables[i] >> block_index) & 1
 
+    def accepts_at(self, i: int, patterns: np.ndarray) -> np.ndarray:
+        """Coordinate i's accept flags (bool) at an array of patterns."""
+        t = self.tables[i]
+        # the table's bits up to at least one clear bit past its top
+        # one, so a pattern past them reads the last, clear, bit
+        bits = np.unpackbits(np.frombuffer(t.to_bytes(t.bit_length() // 8 + 1, "little"),
+                                           np.uint8), bitorder="little")
+        return bits.take(patterns, mode="clip").astype(bool)
+
     def evaluate(self, x) -> int:
         if len(x) != self.n:
             raise ValueError(f"assignment length {len(x)} != m*w={self.n}")
@@ -257,14 +269,8 @@ class CombRect:
         if signs.shape[1] != self.n:
             raise ValueError("assignment width mismatch")
         acc = np.ones(signs.shape[0], dtype=bool)
-        weights = 1 << np.arange(self.w - 1, -1, -1, dtype=np.int64)
-        for i, t in enumerate(self.tables):
-            block = (signs[:, i * self.w:(i + 1) * self.w] == 1).astype(np.int64)
-            # the table's bits up to at least one clear bit past its top
-            # one, so a pattern past them reads the last, clear, bit
-            bits = np.unpackbits(np.frombuffer(t.to_bytes(t.bit_length() // 8 + 1, "little"),
-                                               np.uint8), bitorder="little")
-            acc &= bits.take(block @ weights, mode="clip").astype(bool)
+        for i in range(self.m):
+            acc &= self.accepts_at(i, pack_blocks(signs[:, i * self.w:(i + 1) * self.w]))
         return acc
 
     def exact_expectation(self) -> Fraction:

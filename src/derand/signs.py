@@ -12,6 +12,8 @@ Two serialization orders appear, both fixed for reproducibility:
   its field widths once, and ``split_seeds`` cuts every seed by them.
 * Sign blocks (rectangle coordinates, lookup-table entries) pack
   big-endian: the first sign of the block is the most significant bit.
+  ``pack_block`` packs one block, for the per-seed paths; ``pack_blocks``
+  packs the last axis of an array, for the batch paths.
 
 ``walsh_hadamard`` serves the sandwich verification of ``approx``; with
 ``smallbias.output_mask_histogram`` it is also the oracle the tests hold
@@ -52,6 +54,12 @@ def pack_block(signs: Sequence[int]) -> int:
     for v in signs:
         acc = (acc << 1) | (1 if v == 1 else 0)
     return acc
+
+
+def pack_blocks(signs: np.ndarray) -> np.ndarray:
+    """``pack_block`` over the last axis: (..., w) -> (...) int64; w = 0 gives 0."""
+    weights = 1 << np.arange(signs.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return (signs == 1) @ weights
 
 
 def all_bit_rows(n: int) -> np.ndarray:

@@ -15,11 +15,11 @@ from itertools import product
 import numpy as np
 
 from derand import bp3, cr_prg, rcnf_prg
-from derand.harness import (check_approx, check_models, check_sympoly,
-                            desk_advantage_sweep, hsg_hit_stats, random_rect,
-                            width3_corpus, write_csv)
-from derand.smallbias import BiasedSpaceSpec, exact_bias
-from derand.signs import pack_block
+from derand.harness import (check_approx, check_models, check_sympoly, cr_generator,
+                            desk_advantage_sweep, exhaustive_advantage, hsg_hit_stats,
+                            random_rect, width3_corpus, write_csv)
+from derand.smallbias import BiasedSpaceSpec, exact_bias, generate_biased, outputs_all_seeds
+from derand.signs import pack_block, pack_blocks
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -85,42 +85,37 @@ def test_criterion_5_rcnf_generator_fooling():
 def test_criterion_6_cr_sampler():
     params = cr_prg.desk_cr_preset()
     rng = random.Random(106)
-    rects = [random_rect(rng, rng.randint(1, 8), 8) for _ in range(20)]
+    # the first rectangle spans all m blocks, so its every-seed sum of
+    # the left side is the generator's exact acceptance
+    rects = [random_rect(rng, params.m, 8)]
+    rects += [random_rect(rng, rng.randint(1, 8), 8) for _ in range(19)]
     inner_spec, direct_spec = params.stage_specs
-    from derand.smallbias import outputs_all_seeds
     inner_out = outputs_all_seeds(inner_spec)
     (rows, entry_w), (_one, dw) = params.stage_shapes
-    direct_out = outputs_all_seeds(direct_spec)
+    direct_blocks = pack_blocks(outputs_all_seeds(direct_spec).reshape(-1, params.m, dw))
     ok = True
     for rect in rects:
-        weights = 1 << np.arange(dw - 1, -1, -1, dtype=np.int64)
-        blocks = np.stack([
-            ((direct_out[:, i * dw:(i + 1) * dw] == 1).astype(np.int64) * weights).sum(axis=1)
-            for i in range(rect.m)], axis=1)
-        tables = [np.array([(rect.tables[i] >> a) & 1 for a in range(1 << rect.w)],
-                           dtype=bool) for i in range(rect.m)]
+        hits = 0
         for inner_seed in range(1 << inner_spec.seed_bits):
             matrix = cr_prg.pack_matrix(inner_out[inner_seed, : rows * rect.m * entry_w],
                                         rows, rect.m, entry_w)
             restricted = cr_prg.restrict_rect(rect, matrix)
-            left = np.ones(direct_out.shape[0], dtype=bool)
-            right = np.ones(direct_out.shape[0], dtype=bool)
+            left = np.ones(direct_blocks.shape[0], dtype=bool)
+            right = np.ones(direct_blocks.shape[0], dtype=bool)
             for i in range(rect.m):
-                entries = matrix.packed[blocks[:, i], i]
-                left &= tables[i][entries]
-                rtab = np.array([(restricted.tables[i] >> a) & 1
-                                 for a in range(1 << restricted.w)], dtype=bool)
-                right &= rtab[blocks[:, i]]
-            if not (left == right).all():
-                ok = False
-                break
-        if not ok:
-            break
+                left &= rect.accepts_at(i, matrix[direct_blocks[:, i], i])
+                right &= restricted.accepts_at(i, direct_blocks[:, i])
+            ok &= bool((left == right).all())
+            hits += int(left.sum())
+        if rect is rects[0]:
+            oracle = exhaustive_advantage(cr_generator(params), rect)
+            ok &= Fraction(hits, 1 << params.seed_bits) == oracle.gen_e
     # bias function equals enumeration at v <= 4
-    for _ in range(5):
+    for _ in range(10):
         rect = random_rect(rng, 3, 4)
         spec = BiasedSpaceSpec.with_degree((1 << 3) * 3 * 4, 5)
-        matrix = cr_prg.materialize_matrix(spec, rng.randrange(1 << spec.seed_bits), 8, 3, 4)
+        signs = generate_biased(spec, rng.randrange(1 << spec.seed_bits)).values
+        matrix = cr_prg.pack_matrix(signs, 8, 3, 4)
         value = cr_prg.bias_function_cr(rect, matrix)
         restricted = cr_prg.restrict_rect(rect, matrix)
         total = 0
@@ -131,9 +126,12 @@ def test_criterion_6_cr_sampler():
             total += good
         if value != Fraction(total, 512):
             ok = False
+    # the 8x8 advantage is a finding, not a bound: 8x8 rectangles above
+    # 1/10 exist at this preset
     assert _verdict(6, "rectangle sampler identities", ok,
-                    "20 rectangles x full seed space"), \
-        "a composition identity or bias-function enumeration failed"
+                    f"20 rectangles x full seed space, 8x8 advantage "
+                    f"{float(oracle.advantage):.4f}"), \
+        "a composition identity, the exact acceptance or a bias-function enumeration failed"
 
 
 def test_criterion_7_reduction_chain():

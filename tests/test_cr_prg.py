@@ -7,12 +7,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from derand.cr_prg import (LookupMatrix, bias_function_cr, derive_cr_params, desk_cr_preset,
-                           explicit_cr_params, materialize_matrix, pack_matrix, restrict_rect,
-                           sample_cr, width_schedule)
+from derand.cr_prg import (bias_function_cr, derive_cr_params, desk_cr_preset,
+                           explicit_cr_params, pack_matrix, restrict_rect, sample_cr,
+                           width_schedule)
 from derand.harness import random_rect
 from derand.models import CombRect
-from derand.signs import pack_block, split_seeds
+from derand.signs import pack_block, pack_blocks, split_seeds
 from derand.smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed,
                               generate_biased, outputs_all_seeds)
 
@@ -28,21 +28,20 @@ def _stage_matrices(params, seed):
     """All inner-stage lookup matrices of a seed (the direct stage's
     blocks are its biased string, packed)."""
     parts = _parts(params, seed)
-    return [materialize_matrix(spec, part, rows, params.m, width)
+    return [pack_matrix(generate_biased(spec, part).values, rows, params.m, width)
             for spec, part, (rows, width) in zip(params.stage_specs[:-1], parts,
                                                  params.stage_shapes[:-1])]
 
 
-def _materialized_levels(params, seed):
+def _materialized_levels(params, seed, mats):
     """Packed blocks of every level, innermost first, each looked up in
-    the previous stage's materialized matrix; the last level is the
-    output."""
-    mats = _stage_matrices(params, seed)
+    the previous stage's materialized matrix (``mats``, the seed's
+    ``_stage_matrices``); the last level is the output."""
     width = params.stage_shapes[-1][1]
     direct = generate_biased(params.stage_specs[-1], _parts(params, seed)[-1]).values
     levels = [[pack_block(direct[i * width:(i + 1) * width]) for i in range(params.m)]]
     for mat in reversed(mats):
-        levels.append([int(mat.packed[row, i]) for i, row in enumerate(levels[-1])])
+        levels.append([int(mat[row, i]) for i, row in enumerate(levels[-1])])
     return levels
 
 
@@ -95,9 +94,7 @@ def test_golden_desk_samples():
 def test_constant_matrix_forwards_the_block():
     rng = random.Random(51)
     rect = random_rect(rng, 3, 4)
-    const = LookupMatrix(rows=8, cols=3, entry_width=4,
-                         packed=np.full((8, 3), 0b1010, dtype=np.int64))
-    restricted = restrict_rect(rect, const)
+    restricted = restrict_rect(rect, np.full((8, 3), 0b1010, dtype=np.int64))
     for i in range(3):
         want = rect.coordinate_accepts(i, 0b1010)
         assert restricted.tables[i] == (0xFF if want else 0)
@@ -108,7 +105,8 @@ def test_bias_function_equals_enumeration_small_v():
     for _ in range(10):
         rect = random_rect(rng, 3, 4)
         spec = BiasedSpaceSpec.with_degree((1 << 3) * 3 * 4, 5)
-        matrix = materialize_matrix(spec, rng.randrange(1 << spec.seed_bits), 8, 3, 4)
+        signs = generate_biased(spec, rng.randrange(1 << spec.seed_bits)).values
+        matrix = pack_matrix(signs, 8, 3, 4)
         value = bias_function_cr(rect, matrix)
         restricted = restrict_rect(rect, matrix)
         assert value == restricted.exact_expectation()
@@ -123,8 +121,7 @@ def test_bias_function_equals_enumeration_small_v():
 
 def test_all_accepting_and_half_accepting_rows():
     rect = CombRect(1, 2, (0b1111,))
-    m = LookupMatrix(rows=4, cols=1, entry_width=2,
-                     packed=np.arange(4, dtype=np.int64).reshape(4, 1))
+    m = np.arange(4, dtype=np.int64).reshape(4, 1)
     assert bias_function_cr(rect, m) == 1
     rect_half = CombRect(1, 2, (0b0011,))
     assert bias_function_cr(rect_half, m) == Fraction(1, 2)
@@ -134,30 +131,35 @@ def test_composition_identity_every_seed_on_one_rectangle():
     params = desk_cr_preset()
     rng = random.Random(53)
     rect = random_rect(rng, params.m, params.w)
-    inner_spec = params.stage_specs[0]
-    direct_spec = params.stage_specs[1]
+    inner_spec, direct_spec = params.stage_specs
     inner_out = outputs_all_seeds(inner_spec)
-    direct_out = outputs_all_seeds(direct_spec)
     (rows, entry_w), (_one, dw) = params.stage_shapes
-    weights = 1 << np.arange(dw - 1, -1, -1, dtype=np.int64)
-    blocks = np.stack([
-        ((direct_out[:, i * dw:(i + 1) * dw] == 1).astype(np.int64) * weights).sum(axis=1)
-        for i in range(params.m)], axis=1)
+    blocks = pack_blocks(outputs_all_seeds(direct_spec).reshape(-1, params.m, dw))
     for inner_seed in range(1 << inner_spec.seed_bits):
         matrix = pack_matrix(inner_out[inner_seed], rows, params.m, entry_w)
         restricted = restrict_rect(rect, matrix)
         # left side: evaluate the original rectangle on the looked-up entries
-        left = np.ones(direct_out.shape[0], dtype=bool)
-        right = np.ones(direct_out.shape[0], dtype=bool)
+        left = np.ones(blocks.shape[0], dtype=bool)
+        right = np.ones(blocks.shape[0], dtype=bool)
         for i in range(params.m):
-            entries = matrix.packed[blocks[:, i], i]
-            table = np.array([(rect.tables[i] >> a) & 1
-                              for a in range(1 << rect.w)], dtype=bool)
-            left &= table[entries]
-            rtab = np.array([(restricted.tables[i] >> a) & 1
-                             for a in range(1 << restricted.w)], dtype=bool)
-            right &= rtab[blocks[:, i]]
+            left &= rect.accepts_at(i, matrix[blocks[:, i], i])
+            right &= restricted.accepts_at(i, blocks[:, i])
         assert (left == right).all()
+
+
+def test_restrict_rect_refuses_a_matrix_it_cannot_gather():
+    # m columns, 2^v rows and entries in [0, 2^w); a negative entry
+    # would otherwise read pattern 0 of the clipped gather
+    rect = CombRect(2, 3, (0b10110001, 0b01111110))
+    good = np.arange(8, dtype=np.int64).reshape(4, 2)
+    assert restrict_rect(rect, good).w == 2
+    for bad, match in ((good[:, :1], "columns"), (np.zeros((4, 3), np.int64), "columns"),
+                       (np.zeros((6, 2), np.int64), "power of two"),
+                       (np.zeros((0, 2), np.int64), "power of two"),
+                       (np.where(good == 5, -3, good), r"\[0, 2\^3\)"),
+                       (np.where(good == 5, 8, good), r"\[0, 2\^3\)")):
+        with pytest.raises(ValueError, match=match):
+            restrict_rect(rect, bad)
 
 
 def test_composition_identity_matches_sample_cr():
@@ -182,10 +184,11 @@ def test_deeper_chain_identity():
     for _ in range(25):
         seed = rng.randrange(1 << params.seed_bits)
         rect = random_rect(rng, 2, 16)
+        mats = _stage_matrices(params, seed)
         chain = [rect]
-        for m in _stage_matrices(params, seed):
+        for m in mats:
             chain.append(restrict_rect(chain[-1], m))
-        levels = _materialized_levels(params, seed)  # innermost first
+        levels = _materialized_levels(params, seed, mats)  # innermost first
         values = {all(level_rect.coordinate_accepts(i, block) for i, block in enumerate(blocks))
                   for level_rect, blocks in zip(reversed(chain), levels)}
         assert len(values) == 1
@@ -267,10 +270,10 @@ def test_seed_split_and_errors():
     assert (params.seed_widths, params.stage_shapes) == ((6, 8), ((64, 8), (1, 6)))
     rng = random.Random(60)
     for seed in [rng.getrandbits(14) for _ in range(20)]:
-        matrix = materialize_matrix(params.stage_specs[0], seed & 63, 64, 8, 8)
+        matrix = pack_matrix(generate_biased(params.stage_specs[0], seed & 63).values, 64, 8, 8)
         direct = generate_biased(params.stage_specs[1], seed >> 6).values
         rows = [pack_block(direct[6 * i:6 * i + 6]) for i in range(8)]
-        assert _packed_output(params, seed) == [int(matrix.packed[row, i])
+        assert _packed_output(params, seed) == [int(matrix[row, i])
                                                 for i, row in enumerate(rows)]
     with pytest.raises(ValueError):
         sample_cr(params, 1 << params.seed_bits)
@@ -283,7 +286,8 @@ def test_lookup_path_matches_materialized_entries():
     rng = random.Random(59)
     for _ in range(30):
         seed = rng.randrange(1 << params.seed_bits)
-        assert _materialized_levels(params, seed)[-1] == _packed_output(params, seed)
+        levels = _materialized_levels(params, seed, _stage_matrices(params, seed))
+        assert levels[-1] == _packed_output(params, seed)
 
 
 def test_stage_shapes_give_every_stage_length():

@@ -12,7 +12,7 @@ from derand.harness import random_read_once_cnf, random_width3, random_xorcnf
 from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
                            and_chain_program, apply_restriction, batch_prefix_slots,
                            bias_function, parity_program, tribes)
-from derand.signs import all_bit_rows, all_sign_rows
+from derand.signs import all_bit_rows, all_sign_rows, pack_block, pack_blocks
 
 
 def all_signs(n):
@@ -178,6 +178,35 @@ def test_rect_eval_and_expectation():
         r = CombRect(m, w, tuple(rng.getrandbits(1 << w) for _ in range(m)))
         bf = sum(r.evaluate(x) for x in all_signs(m * w))
         assert r.exact_expectation() == Fraction(bf, 1 << (m * w))
+
+
+def test_pack_blocks_equals_pack_block_row_by_row():
+    rng = np.random.default_rng(14)
+    for w in (0, 1, 6, 16):
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, 5, w))
+        got = pack_blocks(signs)
+        assert got.dtype == np.int64 and got.shape == (3, 5)
+        assert [[pack_block(block) for block in row] for row in signs] == got.tolist()
+
+
+def test_accepts_at_equals_coordinate_accepts_at_every_pattern():
+    # tables 0 and all-ones, and ones whose top bits are clear, so that
+    # patterns past the unpacked bits are read through the clip
+    rng = random.Random(15)
+    for w in range(6):
+        full = (1 << (1 << w)) - 1
+        tables = (0, full, 1, full >> ((1 << w) // 2), rng.getrandbits(1 << w))
+        rect = CombRect(len(tables), w, tables)
+        patterns = np.arange(1 << w)
+        for i in range(rect.m):
+            want = [rect.coordinate_accepts(i, int(a)) for a in patterns]
+            got = rect.accepts_at(i, patterns)
+            assert got.dtype == bool and got.tolist() == want, (w, i)
+
+
+def test_wide_rect_repr_leaves_the_tables_out():
+    rect = CombRect(1, 20, ((1 << (1 << 20)) - 1,))
+    assert repr(rect) == "CombRect(m=1, w=20)"
 
 
 def test_robp_and_chain():
