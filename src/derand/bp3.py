@@ -52,21 +52,23 @@ def _require(ok: bool, bound: str) -> None:
 # Program surgery helpers
 # ---------------------------------------------------------------------------
 
-def relabel_layers(prog: Robp, perms: List[List[int]]) -> Robp:
-    """Apply per-layer slot permutations (perms[t][old] = new).
+def relabel_layers(prog: Robp, perms: Dict[int, List[int]]) -> Robp:
+    """Apply the slot permutation perms[t] (perms[t][old] = new) to each
+    layer t in ``perms``; every other layer keeps its slots.
 
     The final layer's Acc slot must stay fixed; permuting layer 0
     changes which state acts as the start (used deliberately when
     re-rooting a program).
     """
-    if perms[prog.n][0] != 0:
+    perm = [perms.get(t, range(prog.d)) for t in range(prog.n + 1)]
+    if perm[prog.n][0] != 0:
         raise ValueError("relabeling must fix the accept slot")
     next0 = [[0] * prog.d for _ in range(prog.n)]
     next1 = [[0] * prog.d for _ in range(prog.n)]
     for t in range(prog.n):
         for i in range(prog.d):
-            next0[t][perms[t][i]] = perms[t + 1][prog.next0[t][i]]
-            next1[t][perms[t][i]] = perms[t + 1][prog.next1[t][i]]
+            next0[t][perm[t][i]] = perm[t + 1][prog.next0[t][i]]
+            next1[t][perm[t][i]] = perm[t + 1][prog.next1[t][i]]
     return Robp(prog.n, prog.d, next0, next1, prog.order)
 
 
@@ -83,16 +85,12 @@ def _redirect(prog: Robp, edges: Dict[Tuple[int, int], int]) -> Robp:
 def sort_interior_layers(prog: Robp, score) -> Robp:
     """Relabel interior layers so slots are ordered by descending score
     (score[t][i]); ties keep the original slot order."""
-    perms = []
-    for t in range(prog.n + 1):
-        if t == 0 or t == prog.n:
-            perms.append(list(range(prog.d)))
-            continue
+    perms = {}
+    for t in range(1, prog.n):
         ranked = sorted(range(prog.d), key=lambda i: (-score[t][i], i))
-        perm = [0] * prog.d
+        perms[t] = [0] * prog.d
         for new, old in enumerate(ranked):
-            perm[old] = new
-        perms.append(perm)
+            perms[t][old] = new
     return relabel_layers(prog, perms)
 
 
@@ -138,12 +136,11 @@ def normalize_sudden_death(prog: Robp) -> Robp:
         dead_slot[t] = bottom if c[t][bottom] == 0 else deads[0]
     rewired = _redirect(prog, {(t, dead_slot[t]): dead_slot[t + 1] if t + 1 < prog.n else bottom
                                for t in range(1, prog.n)})
-    perms = []
-    for t in range(prog.n + 1):
-        perm = list(range(prog.d))
-        if 0 < t < prog.n and dead_slot[t] != bottom:
-            perm[dead_slot[t]], perm[bottom] = bottom, dead_slot[t]
-        perms.append(perm)
+    perms = {}
+    for t in range(1, prog.n):
+        if dead_slot[t] != bottom:
+            perms[t] = list(range(prog.d))
+            perms[t][dead_slot[t]], perms[t][bottom] = bottom, dead_slot[t]
     out = relabel_layers(rewired, perms)
     _require(out.is_sudden_death(), "normalized program is not sudden-death")
     return out
@@ -157,9 +154,8 @@ def suffix_program(prog: Robp, k: int, start_slot: int) -> Robp:
     """
     perm0 = list(range(prog.d))
     perm0[start_slot], perm0[0] = 0, start_slot
-    perms = [perm0] + [list(range(prog.d)) for _ in range(prog.n - k)]
     shifted = Robp(n=prog.n - k, d=prog.d, next0=prog.next0[k:], next1=prog.next1[k:])
-    return relabel_layers(shifted, perms)
+    return relabel_layers(shifted, {0: perm0})
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,10 @@ def cmd_check(args) -> int:
 
 def cmd_report(args) -> int:
     reports = harness.desk_advantage_sweep()
-    harness.report(reports, args.csv, args.svg, keep_time=args.timing)
+    harness.write_csv(reports, args.csv, keep_time=args.timing)
+    if args.svg:
+        with open(args.svg, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(harness.render_report_svg(reports))
     print(f"wrote {args.csv}" + (f" and {args.svg}" if args.svg else ""))
     return 0
 

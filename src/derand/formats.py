@@ -77,8 +77,8 @@ def _load_cnf(no, fields, body):
     """A read-once CNF's body is a parity-CNF body with OR terms only."""
     kind = fields[0]
     try:
-        n, m = int(fields[1]), int(fields[2])
-    except (IndexError, ValueError):
+        n, m = map(int, fields[1:])
+    except ValueError:
         raise FormatError(no, f"header must be '{kind} n m'") from None
     terms = []
     for lno, line in body:
@@ -104,19 +104,19 @@ def _rect_hex_digits(w: int) -> int:
 
 def _load_rect(no, fields, body):
     try:
-        m, w = int(fields[1]), int(fields[2])
-    except (IndexError, ValueError):
+        m, w = map(int, fields[1:])
+    except ValueError:
         raise FormatError(no, "header must be 'rect m w'") from None
     if w < 0:
         raise FormatError(no, f"block width w must be at least 0, not {w}")
     digits = _rect_hex_digits(w)
     tables = []
     for lno, line in body:
-        tok = line.split()[0]
         try:
+            [tok] = line.split()
             val = int(tok, 16)
         except ValueError:
-            raise FormatError(lno, f"bad hex bitmap {tok!r}") from None
+            raise FormatError(lno, f"bad hex bitmap {line!r}") from None
         if len(tok) != digits:
             raise FormatError(lno, f"bitmap must have exactly {digits} hex digits")
         if val >> (1 << w):
@@ -129,8 +129,8 @@ def _load_rect(no, fields, body):
 
 def _load_robp(no, fields, body):
     try:
-        n, d = int(fields[1]), int(fields[2])
-    except (IndexError, ValueError):
+        n, d = map(int, fields[1:])
+    except ValueError:
         raise FormatError(no, "header must be 'robp n d'") from None
     next0 = [[None] * d for _ in range(n)]
     next1 = [[None] * d for _ in range(n)]
@@ -138,9 +138,14 @@ def _load_robp(no, fields, body):
     for lno, line in body:
         toks = line.split()
         if toks[0] == "order":
+            if order is not None:
+                raise FormatError(lno, "duplicate order line")
             if len(toks) != n + 1:
                 raise FormatError(lno, f"order line needs {n} variables")
-            order = tuple(int(t) - 1 for t in toks[1:])
+            try:
+                order = tuple(int(t) - 1 for t in toks[1:])
+            except ValueError:
+                raise FormatError(lno, "non-integer order variable") from None
             continue
         if len(toks) != 5 or toks[3] != "->":
             raise FormatError(lno, "expected 't state bit -> state'")

@@ -13,6 +13,9 @@ hitting sweep builds one such histogram, at its longest length, folds
 it to each shorter length, and walks each length's programs in one
 batched prefix doubling.  Seed spaces too large to walk fall back to a
 declared-size random sample.
+``advantage_report`` builds every ``AdvantageReport``, for the
+structured walk and both modes of the naive one; a report derives its
+advantage from its two expectations.
 ``advantage_sweep`` is the one landmark sweep: ``desk_advantage_sweep`` and the CLI's
 ``advantage`` command both run it.  ``cr_generator`` walks the rectangle
 generator seed by seed: criterion 6 holds the acceptance it sums over
@@ -91,12 +94,15 @@ class AdvantageReport:
     seed_bits: int
     exact_e: Fraction
     gen_e: Fraction
-    advantage: Fraction
     mode: str
     samples: int
     time_ms: int
     confidence: float = 1.0       # 1 for exhaustive runs
     ci_half_width: float = 0.0    # Hoeffding half-width in statistical mode
+
+    @property
+    def advantage(self) -> Fraction:
+        return abs(self.gen_e - self.exact_e)
 
     def csv_row(self, keep_time: bool = False) -> list:
         return [
@@ -115,15 +121,32 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _instance_shape(f) -> tuple:
+def advantage_report(f, name: str, eps: Fraction, seed_bits: int,
+                     walk: Callable[[], Tuple[int, int, str]]) -> AdvantageReport:
+    """The report of ``walk()``, which returns (accepted seeds, seeds
+    walked, mode) and alone is timed, over a read-once or parity formula
+    or a rectangle f; any other f is refused before the walk.  A
+    statistical walk gets confidence 0.99 and its Hoeffding half-width."""
     if isinstance(f, (ReadOnceCnf, XorCnf)):
         klass = "rcnf" if isinstance(f, ReadOnceCnf) else "xorcnf"
-        return klass, f.n, f.size, max((len(t.literals) for t in f.terms), default=0)
-    if isinstance(f, CombRect):
-        return "rect", f.n, f.m, f.w
-    if isinstance(f, Robp):
-        return "robp", f.n, f.d, 0
-    raise TypeError(type(f).__name__)
+        m, w = f.size, max((len(t.literals) for t in f.terms), default=0)
+    elif isinstance(f, CombRect):
+        klass, m, w = "rect", f.m, f.w
+    else:
+        raise TypeError(f"advantage needs a read-once or parity formula or a rectangle, "
+                        f"not {type(f).__name__}")
+    exact = f.exact_expectation()
+    t0 = time.monotonic()
+    hits, samples, mode = walk()
+    ms = int((time.monotonic() - t0) * 1000)
+    confidence, half = 1.0, 0.0
+    if mode == "statistical":
+        confidence = 0.99
+        half = math.sqrt(math.log(2 / (1 - confidence)) / (2 * samples))
+    return AdvantageReport(instance=name, klass=klass, n=f.n, m=m, w=w, eps=eps,
+                           seed_bits=seed_bits, exact_e=exact, gen_e=Fraction(hits, samples),
+                           mode=mode, samples=samples, time_ms=ms, confidence=confidence,
+                           ci_half_width=half)
 
 
 def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
@@ -137,37 +160,22 @@ def exhaustive_advantage(gen: GeneratorHandle, f, name: str = "",
     branch draws the same ``rng.getrandbits`` seeds in the same order as
     a one-at-a-time walk would.
     """
-    klass, n, m, w = _instance_shape(f)
-    exact = f.exact_expectation()
-
     def accepted(seeds) -> int:
         # longer generators serve narrower instances by prefix
         return int(f.eval_batch(gen.sample_batch(seeds)[:, :f.n]).sum())
 
-    t0 = time.monotonic()
-    if gen.seed_bits <= limit_bits:
-        total = 1 << gen.seed_bits
-        hits = sum(accepted(range(start, min(start + BATCH_SEEDS, total)))
-                   for start in range(0, total, BATCH_SEEDS))
-        mean = Fraction(hits, total)
-        mode, samples = "exhaustive", total
-        confidence, half = 1.0, 0.0
-    else:
+    def walk():
+        if gen.seed_bits <= limit_bits:
+            total = 1 << gen.seed_bits
+            batches = (range(start, min(start + BATCH_SEEDS, total))
+                       for start in range(0, total, BATCH_SEEDS))
+            return sum(map(accepted, batches)), total, "exhaustive"
         rng = random.Random(rng_seed)
-        samples = STATISTICAL_SAMPLES
-        hits = sum(accepted([rng.getrandbits(gen.seed_bits)
-                             for _ in range(min(BATCH_SEEDS, samples - done))])
-                   for done in range(0, samples, BATCH_SEEDS))
-        mean = Fraction(hits, samples)
-        mode = "statistical"
-        confidence = 0.99
-        half = math.sqrt(math.log(2 / (1 - confidence)) / (2 * samples))
-    ms = int((time.monotonic() - t0) * 1000)
-    return AdvantageReport(instance=name or gen.name, klass=klass, n=n, m=m, w=w,
-                           eps=Fraction(0), seed_bits=gen.seed_bits, exact_e=exact,
-                           gen_e=mean, advantage=abs(mean - exact), mode=mode,
-                           samples=samples, time_ms=ms, confidence=confidence,
-                           ci_half_width=half)
+        batches = ([rng.getrandbits(gen.seed_bits)
+                    for _ in range(min(BATCH_SEEDS, STATISTICAL_SAMPLES - done))]
+                   for done in range(0, STATISTICAL_SAMPLES, BATCH_SEEDS))
+        return sum(map(accepted, batches)), STATISTICAL_SAMPLES, "statistical"
+    return advantage_report(f, name or gen.name, Fraction(0), gen.seed_bits, walk)
 
 
 @dataclass(frozen=True)
@@ -278,16 +286,9 @@ def rcnf_structured_advantage(params: rcnf_prg.RcnfGenParams, f, name: str = "")
                          f"not {type(f).__name__}")
     if f.n > params.n:
         raise ValueError("formula is wider than the generator output")
-    klass, n, m, w = _instance_shape(f)
-    exact = f.exact_expectation()
-    t0 = time.monotonic()
-    count = 0 if f.is_false else _structured_count(f, round_tables(params))
-    mean = Fraction(count, 1 << params.seed_bits)
-    ms = int((time.monotonic() - t0) * 1000)
-    return AdvantageReport(instance=name, klass=klass, n=n, m=m, w=w,
-                           eps=params.epsilon, seed_bits=params.seed_bits,
-                           exact_e=exact, gen_e=mean, advantage=abs(mean - exact),
-                           mode="exhaustive", samples=1 << params.seed_bits, time_ms=ms)
+    return advantage_report(f, name, params.epsilon, params.seed_bits, lambda: (
+        0 if f.is_false else _structured_count(f, round_tables(params)),
+        1 << params.seed_bits, "exhaustive"))
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +632,6 @@ def render_report_svg(reports: Sequence[AdvantageReport]) -> str:
     parts += _scatter_panel(by_eps, "target error", "advantage", width, height, width)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def report(reports: Sequence[AdvantageReport], csv_path: str,
-           svg_path: Optional[str] = None, keep_time: bool = False) -> None:
-    write_csv(reports, csv_path, keep_time=keep_time)
-    if svg_path:
-        with open(svg_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(render_report_svg(reports))
 
 
 # ---------------------------------------------------------------------------

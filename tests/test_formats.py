@@ -7,7 +7,7 @@ from derand import formats
 from derand.formats import FormatError
 from derand.harness import (random_read_once_cnf, random_rect, random_width3,
                             random_xorcnf)
-from derand.models import CombRect, Literal, ReadOnceCnf
+from derand.models import CombRect, Literal, ReadOnceCnf, Robp
 
 
 def test_rcnf_roundtrip_text_and_json():
@@ -78,6 +78,74 @@ def test_robp_parser_rejects_incomplete_tables():
     text = "robp 1 2\n1 1 0 -> 1\n1 1 1 -> 2\n1 2 0 -> 1\n"
     with pytest.raises(FormatError):
         formats.loads(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("robdd 3 1\n", 1, "unknown header 'robdd'", id="unknown-header"),
+    pytest.param("rcnf 3\n", 1, "header must be 'rcnf n m'", id="rcnf-header-short"),
+    pytest.param("rcnf 3 1 99\n1 0\n", 1, "header must be 'rcnf n m'", id="rcnf-header-extra"),
+    pytest.param("xorcnf 3 x\n", 1, "header must be 'xorcnf n m'", id="xorcnf-header"),
+    pytest.param("rect 1\n", 1, "header must be 'rect m w'", id="rect-header-short"),
+    pytest.param("rect 1 2 7\nF\n", 1, "header must be 'rect m w'", id="rect-header-extra"),
+    pytest.param("robp a 3\n", 1, "header must be 'robp n d'", id="robp-header"),
+    pytest.param("robp 1 2 5\n", 1, "header must be 'robp n d'", id="robp-header-extra"),
+    pytest.param("rcnf 3 1\n1 y 0\n", 2, "non-integer literal 'y'", id="literal-not-int"),
+    pytest.param("rcnf 3 1\n0\n", 2, "empty clause", id="empty-clause"),
+    pytest.param("xorcnf 3 1\nx 0\n", 2, "empty clause", id="empty-parity-term"),
+    pytest.param("rcnf 3 2\n1 0\n", 1, "declared 2 clauses, found 1", id="clause-count"),
+    pytest.param("xorcnf 3 1\nx 1 0\n2 0\n", 1, "declared 1 terms, found 2", id="term-count"),
+    pytest.param("rect 1 2\nG\n", 2, "bad hex bitmap 'G'", id="bitmap-not-hex"),
+    pytest.param("rect 1 2\nF junk 17\n", 2, "bad hex bitmap 'F junk 17'",
+                 id="bitmap-extra-tokens"),
+    pytest.param("rect 1 3\nF\n", 2, "bitmap must have exactly 2 hex digits",
+                 id="bitmap-digit-count"),
+    pytest.param("rect 1 1\n7\n", 2, "bitmap wider than 2^w entries", id="bitmap-too-wide"),
+    pytest.param("rect 2 2\nF\n", 1, "declared 2 coordinates, found 1", id="coordinate-count"),
+    pytest.param("robp 1 2\n1 1 0 1\n", 2, "expected 't state bit -> state'",
+                 id="transition-shape"),
+    pytest.param("robp 1 2\n1 a 0 -> 1\n", 2, "non-integer transition field",
+                 id="transition-not-int"),
+    pytest.param("robp 1 2\n2 1 0 -> 1\n", 2, "layer 2 outside 1..1", id="transition-layer"),
+    pytest.param("robp 1 2\n1 3 0 -> 1\n", 2, "state outside 1..2", id="transition-state"),
+    pytest.param("robp 1 2\n1 1 2 -> 1\n", 2, "bit must be 0 or 1", id="transition-bit"),
+    pytest.param("robp 1 2\n1 1 0 -> 1\n1 1 0 -> 2\n", 3, "duplicate transition",
+                 id="transition-duplicate"),
+    pytest.param("robp 2 1\norder 1\n", 2, "order line needs 2 variables", id="order-length"),
+    pytest.param("robp 2 1\norder 1 x\n", 2, "non-integer order variable", id="order-not-int"),
+    pytest.param("robp 2 1\norder 2 1\nc the last order line once won\norder 1 2\n", 4,
+                 "duplicate order line", id="order-duplicate"),
+])
+def test_text_parser_refusals_name_their_line(text, line, message):
+    with pytest.raises(FormatError) as err:
+        formats.loads(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_from_json_refuses_an_unknown_type():
+    with pytest.raises(ValueError, match="unknown object type 'robdd'"):
+        formats.from_json({"type": "robdd", "n": 1})
+
+
+def test_blank_and_comment_lines_are_skipped():
+    f = formats.loads("c a comment\n\nrcnf 3 1\n   \nc 1 2 0\n-3 1 0\n")
+    assert f == ReadOnceCnf(3, ((Literal(2, True), Literal(0)),))
+    with pytest.raises(FormatError) as err:  # skipped lines still count
+        formats.loads("c header next\n\nrcnf 3 1\n1 9 0\n")
+    assert err.value.line == 4
+
+
+def test_robp_with_a_shuffled_order_roundtrips():
+    rng = random.Random(6)
+    for _ in range(20):
+        p = random_width3(rng, rng.randint(2, 8))
+        order = list(range(p.n))
+        rng.shuffle(order)
+        p = Robp(p.n, p.d, p.next0, p.next1, order)
+        text = formats.dumps(p)
+        assert ("order " in text) == (p.order != tuple(range(p.n)))
+        assert formats.loads(text) == p
+        assert formats.from_json(json.loads(formats.dump_json(p))) == p
 
 
 def test_load_path_dispatches_on_json(tmp_path):

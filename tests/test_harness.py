@@ -16,7 +16,7 @@ from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, GeneratorHandl
                             cr_generator, exhaustive_advantage, hsg_hit_stats,
                             landmark_formulas, random_program, random_read_once_cnf, random_width3,
                             random_xorcnf, rcnf_generator, rcnf_output_histogram,
-                            rcnf_structured_advantage, render_report_svg, report,
+                            rcnf_structured_advantage, render_report_svg,
                             round_tables, width3_corpus, write_csv)
 from derand.harness import OUTPUT_HISTOGRAM_MAX_N
 from derand.models import (CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf,
@@ -213,15 +213,14 @@ def test_csv_and_svg_reports(tmp_path):
     reports = [AdvantageReport(instance="x", klass="rcnf", n=4, m=2, w=2,
                                eps=Fraction(1, 4), seed_bits=8,
                                exact_e=Fraction(1, 2), gen_e=Fraction(5, 8),
-                               advantage=Fraction(1, 8), mode="exhaustive",
-                               samples=256, time_ms=123)]
+                               mode="exhaustive", samples=256, time_ms=123)]
+    assert reports[0].advantage == Fraction(1, 8)
     csv_path = tmp_path / "out.csv"
-    svg_path = tmp_path / "out.svg"
-    report(reports, str(csv_path), str(svg_path))
+    write_csv(reports, str(csv_path))
     text = csv_path.read_text()
     assert text.splitlines()[0].startswith("class,instance")
-    assert text.splitlines()[1].endswith(",0")  # time zeroed by default
-    assert svg_path.read_text().startswith("<svg")
+    assert text.splitlines()[1].endswith(",0.125,exhaustive,256,0")  # time zeroed by default
+    assert render_report_svg(reports).startswith("<svg")
     # empty report still writes the header and an axes-only plot
     empty_csv = tmp_path / "empty.csv"
     write_csv([], str(empty_csv))
@@ -396,6 +395,8 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
                  id="hit-corpus-n0"),
     pytest.param(["hit", "--corpus", "{hit_n25}"], "output histogram needs n <= 24",
                  id="hit-corpus-n25"),
+    pytest.param(["hit", "--corpus", "{no_programs}"],
+                 "no branching program files under {no_programs}", id="hit-corpus-no-programs"),
     pytest.param(["hit", "bp3"], "unrecognized arguments: bp3", id="hit-target"),
     pytest.param(["reduce", "--in", "{robp}", "--eps", "-1"], "--eps must be in (0, 1], not -1",
                  id="reduce-eps-negative"),
@@ -459,8 +460,9 @@ def test_cli_refuses_bad_input(tmp_path, capsys, argv, reason):
     (paths["stray"] / "robp.txt").write_text(formats.dumps(files["robp"]))
     (paths["stray"] / "stray.txt").write_text("")
     always = Robp(n=25, d=3, next0=((0, 0, 2),) * 25, next1=((0, 0, 2),) * 25)
-    for name, text in (("hit_n0", "robp 0 3\n"), ("hit_n25", formats.dumps(always))):
-        paths[name] = tmp_path / name  # a directory of one dense program
+    for name, text in (("hit_n0", "robp 0 3\n"), ("hit_n25", formats.dumps(always)),
+                       ("no_programs", formats.dumps(files["rcnf"]))):
+        paths[name] = tmp_path / name  # a directory of one model file
         paths[name].mkdir()
         (paths[name] / "prog.txt").write_text(text)
     try:
@@ -487,6 +489,18 @@ def test_structured_advantage_refuses_before_any_evaluation(tmp_path, monkeypatc
     path.write_text(formats.dumps(CombRect(m=2, w=3, tables=(0xF0, 0x3C))))
     assert cli.main(["advantage", "--formula", str(path)]) == 2
     assert "read-once or parity formula, not CombRect" in capsys.readouterr().err
+
+
+def test_naive_advantage_refuses_a_program_before_its_walk(monkeypatch):
+    # a program has no advantage report: it is refused before its exact
+    # expectation and before the generator expands a seed
+    def walked(self_or_seeds):
+        raise AssertionError("walked before the refusal")
+    monkeypatch.setattr(Robp, "exact_expectation", walked)
+    gen = GeneratorHandle(name="never", seed_bits=4, sample_batch=walked)
+    for limit_bits in (4, 2):  # the exhaustive and the statistical walk
+        with pytest.raises(TypeError, match="or a rectangle, not Robp"):
+            exhaustive_advantage(gen, and_chain_program(4), limit_bits=limit_bits)
 
 
 WIDE_RECT_UNDER_MEMORY_CAP = """

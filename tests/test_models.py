@@ -81,6 +81,8 @@ def test_apply_restriction_examples():
     assert sat.size == 1 and sat.exact_expectation() == Fraction(1, 2)
     dead = apply_restriction(ReadOnceCnf(3, ((Literal(2),),)), {2: -1})
     assert dead.is_false and dead.exact_expectation() == 0
+    for zero in (ReadOnceCnf.constant_zero(3), XorCnf.constant_zero(3)):
+        assert apply_restriction(zero, {0: 1, 2: -1}) is zero
 
 
 def test_apply_restriction_refuses_bad_keys_and_signs():
