@@ -12,17 +12,37 @@ Text format, one object per file:
 
 Lines whose first token is ``c`` are comments; ``dumps`` writes the
 rect bitmaps in upper-case hex, so a one-digit bitmap of 12 is ``C``
-and never reads as one.  Parsers reject read-once / disjointness
-violations with a line-numbered diagnostic.
+and never reads as one.  Numbers are read only as ``dumps`` spells
+them: counts and indices in ASCII decimal with no sign and no leading
+zero, literals (and a rect width, refused when negative) with at most
+one ``-``, bitmaps in ASCII hex of either case.  Parsers reject any
+other spelling, and read-once / disjointness violations, with a
+line-numbered diagnostic.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .models import CombRect, Literal, ReadOnceCnf, Robp, Term, XorCnf
 
 RECT_TEXT_MAX_W = 30  # widest rectangle dumps writes: a table line is 2^w / 4 hex digits, 256 MiB
+
+
+# the number spellings dumps writes; int() alone would also take '+3',
+# '1_0', '03', '0x1F' and non-ASCII digits
+_COUNT = re.compile(r"0|[1-9][0-9]*")
+_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_HEX = re.compile(r"[0-9A-Fa-f]+")
+
+
+def _number(tok: str, spelling: re.Pattern = _COUNT) -> int:
+    """The value of a token spelled as ``spelling`` allows; any other
+    spelling raises ValueError."""
+    if not spelling.fullmatch(tok):
+        raise ValueError(f"{tok!r} is not spelled as a number of the text format")
+    return int(tok, 16 if spelling is _HEX else 10)
 
 
 class FormatError(ValueError):
@@ -45,7 +65,7 @@ def _parse_literals(no: int, fields, n: int):
     lits = []
     for tok in fields[:-1]:
         try:
-            v = int(tok)
+            v = _number(tok, _LITERAL)
         except ValueError:
             raise FormatError(no, f"non-integer literal {tok!r}") from None
         if v == 0 or abs(v) > n:
@@ -77,7 +97,7 @@ def _load_cnf(no, fields, body):
     """A read-once CNF's body is a parity-CNF body with OR terms only."""
     kind = fields[0]
     try:
-        n, m = map(int, fields[1:])
+        n, m = map(_number, fields[1:])
     except ValueError:
         raise FormatError(no, f"header must be '{kind} n m'") from None
     terms = []
@@ -104,7 +124,8 @@ def _rect_hex_digits(w: int) -> int:
 
 def _load_rect(no, fields, body):
     try:
-        m, w = map(int, fields[1:])
+        _, m, w = fields
+        m, w = _number(m), _number(w, _LITERAL)  # a negative w is refused below, by name
     except ValueError:
         raise FormatError(no, "header must be 'rect m w'") from None
     if w < 0:
@@ -114,7 +135,7 @@ def _load_rect(no, fields, body):
     for lno, line in body:
         try:
             [tok] = line.split()
-            val = int(tok, 16)
+            val = _number(tok, _HEX)
         except ValueError:
             raise FormatError(lno, f"bad hex bitmap {line!r}") from None
         if len(tok) != digits:
@@ -129,7 +150,7 @@ def _load_rect(no, fields, body):
 
 def _load_robp(no, fields, body):
     try:
-        n, d = map(int, fields[1:])
+        n, d = map(_number, fields[1:])
     except ValueError:
         raise FormatError(no, "header must be 'robp n d'") from None
     next0 = [[None] * d for _ in range(n)]
@@ -143,14 +164,14 @@ def _load_robp(no, fields, body):
             if len(toks) != n + 1:
                 raise FormatError(lno, f"order line needs {n} variables")
             try:
-                order = tuple(int(t) - 1 for t in toks[1:])
+                order = tuple(_number(t) - 1 for t in toks[1:])
             except ValueError:
                 raise FormatError(lno, "non-integer order variable") from None
             continue
         if len(toks) != 5 or toks[3] != "->":
             raise FormatError(lno, "expected 't state bit -> state'")
         try:
-            t, st, bit, tgt = int(toks[0]), int(toks[1]), int(toks[2]), int(toks[4])
+            t, st, bit, tgt = map(_number, toks[:3] + toks[4:])
         except ValueError:
             raise FormatError(lno, "non-integer transition field") from None
         if not 1 <= t <= n:

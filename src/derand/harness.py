@@ -125,7 +125,8 @@ def advantage_report(f, name: str, eps: Fraction, seed_bits: int,
                      walk: Callable[[], Tuple[int, int, str]]) -> AdvantageReport:
     """The report of ``walk()``, which returns (accepted seeds, seeds
     walked, mode) and alone is timed, over a read-once or parity formula
-    or a rectangle f; any other f is refused before the walk.  A
+    or a rectangle f; any other f is refused with ValueError before the
+    walk, as the structured walk refuses a non-formula.  A
     statistical walk gets confidence 0.99 and its Hoeffding half-width."""
     if isinstance(f, (ReadOnceCnf, XorCnf)):
         klass = "rcnf" if isinstance(f, ReadOnceCnf) else "xorcnf"
@@ -133,8 +134,8 @@ def advantage_report(f, name: str, eps: Fraction, seed_bits: int,
     elif isinstance(f, CombRect):
         klass, m, w = "rect", f.m, f.w
     else:
-        raise TypeError(f"advantage needs a read-once or parity formula or a rectangle, "
-                        f"not {type(f).__name__}")
+        raise ValueError(f"advantage needs a read-once or parity formula or a rectangle, "
+                         f"not {type(f).__name__}")
     exact = f.exact_expectation()
     t0 = time.monotonic()
     hits, samples, mode = walk()

@@ -7,8 +7,10 @@ remaining indices are filled from one final small-bias string y.  The
 same generator serves formulas with parity terms unchanged.
 ``restriction_trace`` gives each round's restriction as a map from
 the indices of I_t to their signs, the form ``apply_restriction`` takes.
-``sample`` expands one seed; ``sample_batch`` gives the same rows for a
-batch of seeds, any number of rounds.
+``sample`` expands one seed, reading a round's z only at the indices
+that round covers first and y only when some index is left;
+``sample_batch`` gives the same rows for a batch of seeds, any number
+of rounds.
 
 Two parameterization paths exist:
 
@@ -47,9 +49,9 @@ from typing import Tuple
 import numpy as np
 
 from .signs import SignVector, split_seeds
-from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, SubsetSamplerSpec, floor_biases,
-                        generate_biased, powering_signs, sample_subset, subset_bias_budget,
-                        subset_members)
+from .smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed, SubsetSamplerSpec,
+                        floor_biases, generate_biased, powering_signs, sample_subset,
+                        subset_bias_budget, subset_members)
 
 BITS_PER_INDEX = 5  # signs per index in the subset sampler: alpha = 2^-5
 
@@ -257,17 +259,17 @@ def restriction_trace(params: RcnfGenParams, seed: int):
     None when the rounds cover every index.
 
     Reassembling the trace reproduces sample() exactly; the maps' key
-    sets are disjoint by construction.  A round's z is expanded only
-    when it covers a fresh index.
+    sets are disjoint by construction.  A round's z is read only at the
+    fresh indices it covers, and not at all when there are none.
     """
     z_seeds, j_seeds, (y_seed,) = split_seed(params, [seed])
     covered: set = set()
     trace = []
     for (z_seed,), (j_seed,) in zip(z_seeds, j_seeds):
         fresh = sample_subset(params.subset_spec, j_seed) - covered
-        z = generate_biased(params.z_spec, z_seed) if fresh else None
+        z = PoweringSeed(params.z_spec, z_seed) if fresh else None
         covered |= fresh
-        trace.append({i: z[i] for i in fresh})
+        trace.append({i: z.signs(i, 1)[0] for i in fresh})
     y = generate_biased(params.y_spec, y_seed) if len(covered) < params.n else None
     return trace, y
 

@@ -8,33 +8,39 @@ character expectation over the full seed space equals the fraction of s
 that are roots of sum_{i in S} s^i, a nonzero polynomial with at most
 n-1 roots, so the measured bias is at most (n-1)/2^k.
 
-Every string the generators draw (z, y and the subset strings) comes
-from such a space, and every reader takes the whole string: n signs for
-a spec of length n.  Subset samplers read b-sign blocks out of one
-shared biased string over n*b positions; index i is included exactly
-when all b signs of block i are -1, with probability 2^-b per index up
-to the bias of the space.
+Every string the generators draw (z, y, the subset strings and the
+rectangle stages) comes from such a space.  A reader takes a whole
+string, a run of it or single positions: the rcnf generator reads a
+round's z only where the round restricts.  Subset samplers read b-sign
+blocks out of one shared biased string over n*b positions; index i is
+included exactly when all b signs of block i are -1, with probability
+2^-b per index up to the bias of the space.
 
 Field elements are integers whose binary digits are polynomial
 coefficients over GF(2), reduced modulo the lexicographically smallest
 irreducible polynomial of the given degree (computed once and cached,
 so outputs are bit-exact across runs and platforms); degrees 1..64.
 
-One kernel maps (r, s) to <r, s^i>.  ``PoweringSeed`` (one seed) reads
-blocks of b signs: with u = s^b, sign c of block j is <r_c, u^j> for r_c
-the transpose of multiplying by s^c applied to r, so a block costs one
-multiply by u.  That map is tabulated once per seed, byte by byte (in
-one numpy pass above 8 bits); a read starting at block j jumps to u^j
-by square and multiply.  A batch or every seed builds one
-position-major power table, row i holding s^i for each distinct s, by
-doubling: the rows after s^h are the rows before it times s^h, one
-call of the array multiply ``GF2k.mul_vec``.
-``powering_signs`` gathers a batch's rows from it.  For every seed,
-``parity_bits_all_seeds`` gathers the 2^k x 2^k table of parity(a & r)
-by it once; the structured walk reads that as it is, ``subsets_all_seeds``
-ANDs its b rows per index and ``outputs_all_seeds`` is its seed-major
-sign view.  The bit-serial ``GF2k.mul`` and ``pow`` are the tests'
-oracles.
+One kernel maps (r, s) to <r, s^i>.  A small space, one whose
+every-seed table has at most SMALL_SPACE_ENTRIES = 2^18 entries
+(n << seed_bits), is expanded whole once per process by
+``outputs_all_seeds`` and kept read-only, keyed by (n, k) and never by
+seed: ``PoweringSeed`` reads its seed as a row slice and
+``powering_signs`` gathers a batch's rows.  Larger spaces are powered
+per read.  ``PoweringSeed`` (one seed) reads blocks of b signs: with
+u = s^b, sign c of block j is <r_c, u^j> for r_c the transpose of
+multiplying by s^c applied to r, so a block costs one multiply by u.
+That map is tabulated once per seed, byte by byte (in one numpy pass
+above 8 bits); a read starting at block j jumps to u^j by square and
+multiply.  A batch or every seed builds one position-major power
+table, row i holding s^i for each distinct s, by doubling: the rows
+after s^h are the rows before it times s^h, one call of the array
+multiply ``GF2k.mul_vec``.  ``powering_signs`` gathers a batch's rows
+from it.  For every seed, ``parity_bits_all_seeds`` gathers the
+2^k x 2^k table of parity(a & r) by it once; the structured walk reads
+that as it is, ``subsets_all_seeds`` ANDs its b rows per index and
+``outputs_all_seeds`` is its seed-major sign view.  The bit-serial
+``GF2k.mul`` and ``pow`` are the tests' oracles.
 
 ``exact_bias`` measures a space by the first paragraph's root counting.
 ``root_counts`` reads the power table for every set a at once: the a
@@ -242,6 +248,9 @@ class BiasedSpaceSpec:
 # ---------------------------------------------------------------------------
 
 HISTOGRAM_CHUNK = 1 << 20  # masks output_mask_histogram and root_counts hold at once
+# a space with at most this many outputs over every seed (spec.n << seed_bits,
+# 256 KB as int8) is read from its every-seed table, built once per process
+SMALL_SPACE_ENTRIES = 1 << 18
 _SIGN = np.array([1, -1], dtype=np.int8)  # parity bit -> sign
 
 
@@ -279,10 +288,27 @@ def _squaring_tables(k: int):
     return _byte_tables([_poly_mod(1 << (2 * j), mod) for j in range(k)])
 
 
+def _small_space_table(spec: BiasedSpaceSpec):
+    """The read-only every-seed sign table of a space of at most
+    SMALL_SPACE_ENTRIES entries, built once per process; None for a
+    larger space, whose seeds are powered one by one."""
+    if spec.n << spec.seed_bits > SMALL_SPACE_ENTRIES:
+        return None
+    return _output_table(spec.n, spec.field_degree)
+
+
+@lru_cache(maxsize=None)
+def _output_table(n: int, k: int) -> np.ndarray:
+    table = outputs_all_seeds(BiasedSpaceSpec.with_degree(n, k))
+    table.flags.writeable = False
+    return table
+
+
 class PoweringSeed:
     """One seed of a biased space, read in blocks of ``stride`` signs:
-    sign c of block j is position j * stride + c.  With u = s^stride it
-    is parity(r_c & u^j), where r_0 = r and bit i of r_(c+1) is
+    sign c of block j is position j * stride + c.  A small space's seed
+    is a row of its table.  Otherwise, with u = s^stride, the sign is
+    parity(r_c & u^j), where r_0 = r and bit i of r_(c+1) is
     parity(r_c & s x^i), so that <r_c, v> = <r, s^c v>.  The seed
     tabulates one map, times u, and a block costs one multiply."""
 
@@ -292,6 +318,10 @@ class PoweringSeed:
         if stride < 1:
             raise ValueError("stride must be positive")
         self.spec, self.seed, self.stride, self.blocks = spec, seed, stride, spec.n // stride
+        table = _small_space_table(spec)
+        self._row = None if table is None else table[seed]
+        if self._row is not None:
+            return
         k = spec.field_degree
         u = seed >> k
         times_s, self._r = _times_x_images(k, u), [seed & ((1 << k) - 1)]
@@ -331,11 +361,16 @@ class PoweringSeed:
         count = self.blocks - start if count is None else count
         if start < 0 or count < 0 or start + count > self.blocks:
             raise ValueError(f"blocks {start}..{start + count - 1} are outside 0..{self.blocks - 1}")
+        if self._row is not None:
+            return self._row[start * self.stride:(start + count) * self.stride].tolist()
         return [-1 if (r & power).bit_count() & 1 else 1
                 for power in self._powers(start, count) for r in self._r]
 
     def minus_blocks(self) -> list:
         """Blocks whose signs are all -1, each read up to its first +1."""
+        if self._row is not None:
+            blocks = self._row[:self.blocks * self.stride].reshape(self.blocks, self.stride)
+            return np.flatnonzero((blocks == -1).all(axis=1)).tolist()
         out = []
         for j, power in enumerate(self._powers(0, self.blocks)):
             for r in self._r:
@@ -371,12 +406,16 @@ def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
 def powering_signs(spec: BiasedSpaceSpec, seeds) -> np.ndarray:
     """Sign matrix (len(seeds) x n, int8) of a batch of seeds.
 
-    Row j agrees with generate_biased(spec, seeds[j]); the power table
-    is built once per distinct s in the batch and gathered.
+    Row j agrees with generate_biased(spec, seeds[j]).  A small space's
+    rows are gathered from its table; otherwise the power table is
+    built once per distinct s in the batch and gathered.
     """
     seeds, width = list(seeds), spec.seed_bits
     if any(seed < 0 or seed >> width for seed in seeds):
         raise ValueError(f"seeds must fit in {width} bits")
+    table = _small_space_table(spec)
+    if table is not None:
+        return table[np.array(seeds, dtype=np.intp)]
     k, n = spec.field_degree, spec.n
     r = np.array([seed & ((1 << k) - 1) for seed in seeds], dtype=np.uint64)
     row_of = {s: i for i, s in enumerate(dict.fromkeys(seed >> k for seed in seeds))}
@@ -458,7 +497,9 @@ def root_counts(spec: BiasedSpaceSpec) -> np.ndarray:
     shifted by i - d instead: leading bit i, so the same span.  Each
     lane's kernel is then enumerated by doubling over its basis, a
     lane's masks side by side, in chunks of at most HISTOGRAM_CHUNK
-    masks or one lane's kernel."""
+    masks or one lane's kernel.  The lanes s = 0 and s = 1, half of
+    every set each, are counted in closed form: s = 0 is a root of the
+    sets without index 0 (0^0 = 1), s = 1 of the sets of even size."""
     k, n = spec.field_degree, spec.n
     gf = GF2k(k)
     cols = min(n, k + 1)  # column k is dependent in every lane
@@ -469,6 +510,7 @@ def root_counts(spec: BiasedSpaceSpec) -> np.ndarray:
         image = square[image]
         np.minimum(orbit, image, out=orbit)
     lanes, weight = np.unique(orbit, return_counts=True)
+    lanes, weight = lanes[2:], weight[2:]  # drop s = 0 and s = 1, each its own orbit
     powers = table[:cols, lanes].astype(np.int64)
     slot_value = np.zeros((k, len(lanes)), dtype=np.int64)  # leading bit p, or 0 if empty
     slot_mask = np.zeros_like(slot_value)
@@ -488,7 +530,13 @@ def root_counts(spec: BiasedSpaceSpec) -> np.ndarray:
     kernel[cols:] = minpoly << (np.arange(cols, n)[:, None] - first)
     dims = np.count_nonzero(kernel, axis=0)
     basis = np.take_along_axis(kernel, np.argsort(kernel == 0, axis=0, kind="stable"), axis=0)
-    counts = np.zeros(1 << n, dtype=np.int64)
+    odd = np.zeros(1 << n, dtype=bool)  # odd[a]: a has an odd number of members
+    h = 1
+    while h < len(odd):
+        np.logical_not(odd[:h], out=odd[h:2 * h])
+        h *= 2
+    counts = (~odd).astype(np.int64)
+    counts[::2] += 1
     for d, w in set(zip(dims.tolist(), weight.tolist())):
         group = basis[:d, (dims == d) & (weight == w)].T  # (lanes, d)
         step = max(1, HISTOGRAM_CHUNK >> d)

@@ -122,6 +122,42 @@ def test_text_parser_refusals_name_their_line(text, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+# spellings int() reads but dumps never writes: a sign, a digit separator,
+# a leading zero, a base prefix and a non-ASCII digit
+NUMBER_SPELLINGS = ["+3", "1_0", "03", "0x1F", "+01F", "\u0663"]
+# (text with {} where the token goes, line, message with {} for its repr)
+DECIMAL_SLOTS = [
+    ("rcnf {} 1\n1 0\n", 1, "header must be 'rcnf n m'"),
+    ("xorcnf 3 {}\nx 1 0\n", 1, "header must be 'xorcnf n m'"),
+    ("rcnf 40 1\n1 {} 0\n", 2, "non-integer literal {}"),
+    ("rcnf 40 1\n-{} 0\n", 2, "non-integer literal '-{}'"),
+    ("rect 1 {}\nF\n", 1, "header must be 'rect m w'"),
+    ("robp {} 1\n", 1, "header must be 'robp n d'"),
+    ("robp 2 1\norder 1 {}\n", 2, "non-integer order variable"),
+    ("robp 1 2\n1 {} 0 -> 1\n", 2, "non-integer transition field"),
+    ("robp 1 2\n1 1 0 -> {}\n", 2, "non-integer transition field"),
+]
+
+
+@pytest.mark.parametrize("token", NUMBER_SPELLINGS)
+def test_number_tokens_are_read_only_as_dumps_spells_them(token):
+    for template, line, message in DECIMAL_SLOTS:
+        with pytest.raises(FormatError) as err:
+            formats.loads(template.format(token))
+        quoted = repr(token) if message.endswith("{}") else token
+        assert str(err.value) == f"line {line}: {message.format(quoted)}", template
+    # a bitmap of the stated digit count that int(tok, 16) reads; '03' is
+    # a valid two-digit bitmap and no width states three digits
+    w = {1: 2, 2: 3, 4: 4}.get(len(token))
+    if w is not None and token != "03":
+        with pytest.raises(FormatError) as err:
+            formats.loads(f"rect 1 {w}\n{token}\n")
+        assert str(err.value) == f"line 2: bad hex bitmap {token!r}"
+    # the spellings dumps writes still load, the hex in either case
+    assert formats.loads("rect 1 3\n0f\n") == formats.loads("rect 1 3\n0F\n")
+    assert formats.loads("rcnf 10 1\n-10 0\n") == ReadOnceCnf(10, ((Literal(9, True),),))
+
+
 def test_from_json_refuses_an_unknown_type():
     with pytest.raises(ValueError, match="unknown object type 'robdd'"):
         formats.from_json({"type": "robdd", "n": 1})

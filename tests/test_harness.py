@@ -485,6 +485,9 @@ def test_structured_advantage_refuses_before_any_evaluation(tmp_path, monkeypatc
     for f in (CombRect(m=1, w=12, tables=((1 << (1 << 12)) - 1,)), and_chain_program(4)):
         with pytest.raises(ValueError, match="read-once or parity formula, not"):
             rcnf_structured_advantage(params, f)
+    # the naive walk refuses the same program with the same type
+    with pytest.raises(ValueError, match="or a rectangle, not Robp"):
+        exhaustive_advantage(rcnf_generator(params), and_chain_program(4))
     path = tmp_path / "rect.txt"
     path.write_text(formats.dumps(CombRect(m=2, w=3, tables=(0xF0, 0x3C))))
     assert cli.main(["advantage", "--formula", str(path)]) == 2
@@ -499,7 +502,7 @@ def test_naive_advantage_refuses_a_program_before_its_walk(monkeypatch):
     monkeypatch.setattr(Robp, "exact_expectation", walked)
     gen = GeneratorHandle(name="never", seed_bits=4, sample_batch=walked)
     for limit_bits in (4, 2):  # the exhaustive and the statistical walk
-        with pytest.raises(TypeError, match="or a rectangle, not Robp"):
+        with pytest.raises(ValueError, match="or a rectangle, not Robp"):
             exhaustive_advantage(gen, and_chain_program(4), limit_bits=limit_bits)
 
 

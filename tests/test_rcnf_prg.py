@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from derand.models import Literal, Term, XorCnf, apply_restriction
 from derand.rcnf_prg import (BITS_PER_INDEX, GenConstants, derive_params, desk_preset,
                              explicit_params, restriction_trace, sample,
                              sample_batch, shrink_size_bound, split_seed)
-from derand.smallbias import GF2k
+from derand.smallbias import GF2k, sample_subset
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -290,9 +291,10 @@ def test_bias_function_is_fooled_at_the_small_bias_level():
 
 
 def test_sample_skips_strings_no_output_reads(monkeypatch):
-    # a round whose J adds no fresh index expands no z, and a seed whose
-    # rounds cover every index expands no y; outputs still equal
-    # sample_batch, which expands every string
+    # a round reads its z once at each index it covers first, so a round
+    # whose J adds no fresh index reads no z, and a seed whose rounds
+    # cover every index expands no y; outputs still equal sample_batch,
+    # which expands every string
     params = replace(explicit_params(12, Fraction(1, 4), k_subset=3, k_z=3, k_y=5,
                                      bits_per_index=1), rounds=2)
     every, empty = 1 | 1 << 3, 0  # J seeds (r, s) = (1, 1) and (0, 0)
@@ -304,19 +306,33 @@ def test_sample_skips_strings_no_output_reads(monkeypatch):
                 j = [rng.getrandbits(6) if v is None else v for v in (j1, j2)]
                 seeds.append(rng.getrandbits(12) | j[0] << 12 | j[1] << 18
                              | rng.getrandbits(10) << 24)
-    calls = []
+    reads = []
+
+    class Spy(rcnf_prg.PoweringSeed):
+        def signs(self, start=0, count=None):
+            reads.append((self.spec, self.seed, start, count))
+            return super().signs(start, count)
     real = rcnf_prg.generate_biased
+    monkeypatch.setattr(rcnf_prg, "PoweringSeed", Spy)
     monkeypatch.setattr(rcnf_prg, "generate_biased",
-                        lambda spec, seed: calls.append(spec) or real(spec, seed))
+                        lambda spec, seed: reads.append((spec, seed, 0, None)) or real(spec, seed))
     kinds = set()
     for seed, row in zip(seeds, sample_batch(params, seeds)):
-        calls.clear()
+        z_seeds, j_seeds, (y_seed,) = split_seed(params, [seed])
+        covered, fresh_sets, want = set(), [], []
+        for (z_seed,), (j_seed,) in zip(z_seeds, j_seeds):
+            fresh = sample_subset(params.subset_spec, j_seed) - covered
+            fresh_sets.append(fresh)
+            want += [(params.z_spec, z_seed, i, 1) for i in fresh]
+            kinds |= set() if fresh else {"empty round"}
+            covered |= fresh
+        if len(covered) < params.n:
+            want.append((params.y_spec, y_seed, 0, None))
+        reads.clear()
         trace, y = restriction_trace(params, seed)
-        want = [params.z_spec] * sum(1 for part in trace if part)
-        if sum(map(len, trace)) < params.n:
-            want.append(params.y_spec)
-        assert calls == want and (y is None) == (params.y_spec not in want)
-        kinds |= {"empty round" for part in trace if not part}
+        assert Counter(reads) == Counter(want)
+        assert [set(part) for part in trace] == fresh_sets
+        assert (y is None) == (len(covered) == params.n)
         kinds |= {"all covered"} if y is None else set()
         assert sample(params, seed).values == tuple(row)
     assert kinds == {"empty round", "all covered"}

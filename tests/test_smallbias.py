@@ -6,6 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from derand import smallbias
 from derand.smallbias import (BiasedSpaceSpec, GF2k, PoweringSeed,
                               SubsetSamplerSpec, _power_table, ceil_log2_fraction, exact_bias,
                               floor_biases, generate_biased, irreducible_poly,
@@ -209,22 +210,32 @@ def _oracle_signs(k, seed, start, count):
 KERNEL_DEGREES = [1, 2, 3, 7, 8, 9, 31, 34, 37, 63]
 
 
+def _both_paths(monkeypatch):
+    """Yield twice: first as configured, where a small space reads its
+    every-seed table, then with the table cap at 0, where every space
+    runs the powering arithmetic."""
+    yield "table"
+    monkeypatch.setattr(smallbias, "SMALL_SPACE_ENTRIES", 0)
+    yield "powering"
+
+
 @pytest.mark.parametrize("k", KERNEL_DEGREES)
-def test_powering_kernel_matches_mul_loop(k):
+def test_powering_kernel_matches_mul_loop(k, monkeypatch):
     spec = BiasedSpaceSpec.with_degree(70, k)
     rng = random.Random(k)
     seeds = [rng.getrandbits(2 * k) for _ in range(12)]
     seeds += [0, (1 << (2 * k)) - 1, 1 << k, ((1 << k) - 1) << k]  # s = 0 and s = 1 among them
-    for seed in seeds:
-        full = _oracle_signs(k, seed, 0, spec.n)
-        assert list(generate_biased(spec, seed).values) == full
-        expansion = PoweringSeed(spec, seed)
-        for start in (0, 1, 2, rng.randrange(3, 69), 69):
-            count = rng.randint(0, spec.n - start)
-            assert expansion.signs(start, count) == _oracle_signs(k, seed, start, count)
-    batch = powering_signs(BiasedSpaceSpec.with_degree(41, k), seeds)
-    assert batch.dtype == np.int8 and batch.shape == (len(seeds), 41)
-    assert [list(row) for row in batch] == [_oracle_signs(k, s, 0, 41) for s in seeds]
+    for _ in _both_paths(monkeypatch):
+        for seed in seeds:
+            full = _oracle_signs(k, seed, 0, spec.n)
+            assert list(generate_biased(spec, seed).values) == full
+            expansion = PoweringSeed(spec, seed)
+            for start in (0, 1, 2, rng.randrange(3, 69), 69):
+                count = rng.randint(0, spec.n - start)
+                assert expansion.signs(start, count) == _oracle_signs(k, seed, start, count)
+        batch = powering_signs(BiasedSpaceSpec.with_degree(41, k), seeds)
+        assert batch.dtype == np.int8 and batch.shape == (len(seeds), 41)
+        assert [list(row) for row in batch] == [_oracle_signs(k, s, 0, 41) for s in seeds]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9])
@@ -399,7 +410,7 @@ STRIDED_DEGREES = list(range(1, 13)) + [31, 34, 37, 63, 64]
 
 
 @pytest.mark.parametrize("k", STRIDED_DEGREES)
-def test_strided_reader_matches_pow_and_powering_signs(k):
+def test_strided_reader_matches_pow_and_powering_signs(k, monkeypatch):
     # blocks of every stride 1..8 against the batch rows and, at each
     # block start, against the bit-serial pow; 70 positions carry block
     # starts past 2^k - 1 in the small fields, where the jump is reduced
@@ -407,20 +418,76 @@ def test_strided_reader_matches_pow_and_powering_signs(k):
     rng = random.Random(200 + k)
     seeds = [rng.getrandbits(k), 1 << k, ((1 << k) - 1) << k]  # s = 0, s = 1, s = -1
     seeds += [rng.getrandbits(2 * k) for _ in range(3)]
-    rows = [list(row) for row in powering_signs(spec, seeds)]
-    for seed, full in zip(seeds, rows):
-        for stride in range(1, 9):
-            reader = PoweringSeed(spec, seed, stride)
-            blocks = spec.n // stride
-            assert reader.blocks == blocks
-            assert reader.signs() == full[:blocks * stride]
-            for start in (0, 1, rng.randrange(blocks)):
-                count = rng.randint(0, min(blocks - start, 3))
-                want = _oracle_signs(k, seed, start * stride, count * stride)
-                assert reader.signs(start, count) == want == \
-                    full[start * stride:(start + count) * stride]
-            assert reader.minus_blocks() == \
-                [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
+    for _ in _both_paths(monkeypatch):
+        rows = [list(row) for row in powering_signs(spec, seeds)]
+        for seed, full in zip(seeds, rows):
+            for stride in range(1, 9):
+                reader = PoweringSeed(spec, seed, stride)
+                blocks = spec.n // stride
+                assert reader.blocks == blocks
+                assert reader.signs() == full[:blocks * stride]
+                for start in (0, 1, rng.randrange(blocks)):
+                    count = rng.randint(0, min(blocks - start, 3))
+                    want = _oracle_signs(k, seed, start * stride, count * stride)
+                    assert reader.signs(start, count) == want == \
+                        full[start * stride:(start + count) * stride]
+                assert reader.minus_blocks() == \
+                    [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
+
+
+@pytest.mark.parametrize("n, k", [(9, 1), (12, 3), (20, 4), (70, 2), (40, 5)])
+def test_small_space_table_matches_powering_path(n, k, monkeypatch):
+    # every seed of a space small enough to tabulate reads the same signs
+    # from its table as from the powering arithmetic (cap 0): whole
+    # strings, runs at stride 1 and b, all-minus blocks and batches
+    spec = BiasedSpaceSpec.with_degree(n, k)
+    seeds = range(1 << spec.seed_bits)
+    rng = random.Random(n * 64 + k)
+    runs = []  # (stride, start block, block count)
+    for b in (1, 2, 3, 5):
+        start = rng.randrange(n // b)
+        runs.append((b, start, rng.randint(1, n // b - start)))
+
+    def reads():
+        out = []
+        for seed in seeds:
+            out.append(generate_biased(spec, seed).values)
+            out += [PoweringSeed(spec, seed, b).signs(start, count) for b, start, count in runs]
+            out += [PoweringSeed(spec, seed, b).minus_blocks() for b, _, _ in runs]
+        return out, powering_signs(spec, seeds), powering_signs(spec, [])
+    table = smallbias._small_space_table(spec)
+    assert table is not None
+    table_reads, table_batch, table_empty = reads()
+    monkeypatch.setattr(smallbias, "SMALL_SPACE_ENTRIES", 0)
+    assert smallbias._small_space_table(spec) is None
+    powered_reads, powered_batch, powered_empty = reads()
+    assert table_reads == powered_reads
+    assert table_batch.dtype == np.int8 and (table_batch == powered_batch).all()
+    assert table_empty.shape == powered_empty.shape == (0, n)
+    monkeypatch.undo()
+    # one read-only table per (n, k), whatever the spec's recorded epsilon;
+    # a batch is a writable copy
+    assert smallbias._small_space_table(BiasedSpaceSpec(n, Fraction(1, 3), k)) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    batch = powering_signs(spec, [0, 1])
+    batch[0, 0] = -batch[0, 0]
+    assert table[0, 0] == -batch[0, 0]
+    # a negative or oversized seed is refused, not gathered from the table
+    for bad in (-1, 1 << spec.seed_bits):
+        with pytest.raises(ValueError, match="seed must fit"):
+            PoweringSeed(spec, bad)
+        with pytest.raises(ValueError, match="seeds must fit"):
+            powering_signs(spec, [0, bad])
+
+
+def test_small_space_cap_counts_every_output():
+    # the cap is on n << seed_bits, 2^18 entries: desk y (64 << 14) powers
+    at_cap, over = BiasedSpaceSpec.with_degree(64, 6), BiasedSpaceSpec.with_degree(65, 6)
+    assert smallbias._small_space_table(at_cap).shape == (1 << 12, 64)
+    assert smallbias._small_space_table(over) is None
+    assert smallbias._small_space_table(BiasedSpaceSpec.with_degree(64, 7)) is None
 
 
 def test_strided_reader_refuses_bad_blocks():
