@@ -12,7 +12,7 @@ from derand.cr_prg import (bias_function_cr, derive_cr_params, desk_cr_preset,
                            width_schedule)
 from derand.harness import random_rect
 from derand.models import CombRect
-from derand.signs import pack_block, pack_blocks, split_seeds
+from derand.signs import pack_block, pack_blocks, parse_seed_hex, split_seeds
 from derand.smallbias import (DEFAULT_BIAS_FLOOR, BiasedSpaceSpec, PoweringSeed,
                               generate_biased, outputs_all_seeds)
 
@@ -89,6 +89,29 @@ def test_golden_desk_samples():
         out = sample_cr(params, seed)
         got.append(seed_hex + " " + "".join("+" if v == 1 else "-" for v in out.values))
     assert "\n".join(got) + "\n" == load_golden("cr_desk_samples.txt")
+
+
+def test_golden_derived_samples(capsys):
+    # the powered path at the recipe's degrees (stage 0 at k = 37, read
+    # in 8 runs of 8 signs out of 4096; stage 1 at k = 31), read through
+    # `derand gen rect --preset derived`.  Each line is a seed and the
+    # signs that command printed for it before the one-seed multiply
+    # took its slot-spread form.  The eight seeds: all zero; both stages
+    # at s = 1; stage 0 at s = 1 or s = 0 with stage 1 random; stage 0
+    # random with stage 1 at s = 1 (each fixed-s stage with a random odd
+    # r); four random seeds
+    from derand import cli
+    params = derive_cr_params(8, 8, Fraction(1, 16))
+    lines = load_golden("cr_derived_samples.txt").splitlines()
+    seeds = [line.split()[0] for line in lines]
+    got = []
+    for seed_hex in seeds:
+        assert cli.main(["gen", "rect", "--preset", "derived", "--seed", seed_hex]) == 0
+        got.append(seed_hex + " " + capsys.readouterr().out.rstrip("\n"))
+    assert got == lines
+    parts = split_seeds(params.seed_widths, [parse_seed_hex(h, params.seed_bits) for h in seeds])
+    for width, values in zip(params.seed_widths, parts):  # each stage at s = 0 and s = 1
+        assert {0, 1} <= {v >> width // 2 for v in values}
 
 
 def test_constant_matrix_forwards_the_block():

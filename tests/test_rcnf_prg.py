@@ -12,6 +12,7 @@ from derand import rcnf_prg
 from derand.harness import (exhaustive_advantage, random_read_once_cnf, rcnf_generator,
                             rcnf_structured_advantage)
 from derand.models import Literal, Term, XorCnf, apply_restriction
+from derand.signs import parse_seed_hex, split_seeds
 from derand.rcnf_prg import (BITS_PER_INDEX, GenConstants, derive_params, desk_preset,
                              explicit_params, restriction_trace, sample,
                              sample_batch, shrink_size_bound, split_seed)
@@ -132,6 +133,27 @@ def test_golden_desk_sample():
         got.append(seed_hex + " " + "".join("+" if v == 1 else "-" for v in out.values))
     assert "\n".join(got) + "\n" == load_golden("rcnf_desk_samples.txt")
 
+
+def test_golden_derived_samples(capsys):
+    # the powered path at the recipe's degrees (z and y at k = 31, J at
+    # k = 34), read through `derand gen rcnf --preset derived`.  Each
+    # line is a seed and the signs that command printed for it before
+    # the one-seed multiply took its slot-spread form.  The eight seeds:
+    # all zero; every field at s = 1; z and y at s = 1, J random; z at
+    # s = 0, J random, y at s = 1; z random, J at s = 1, y at s = 0
+    # (each fixed-s field with a random odd r); four random seeds
+    from derand import cli
+    params = derive_params(64, Fraction(1, 16))
+    lines = load_golden("rcnf_derived_samples.txt").splitlines()
+    seeds = [line.split()[0] for line in lines]
+    got = []
+    for seed_hex in seeds:
+        assert cli.main(["gen", "rcnf", "--preset", "derived", "--seed", seed_hex]) == 0
+        got.append(seed_hex + " " + capsys.readouterr().out.rstrip("\n"))
+    assert got == lines
+    fields = split_seeds(params.seed_widths, [parse_seed_hex(h, params.seed_bits) for h in seeds])
+    for width, values in zip(params.seed_widths, fields):  # each field at s = 0 and s = 1
+        assert {0, 1} <= {v >> width // 2 for v in values}
 
 def test_hand_traced_output_coordinate():
     # recompute output coordinates from raw field arithmetic, bypassing
