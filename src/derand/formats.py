@@ -248,6 +248,14 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _hex(value, field: str) -> int:
+    """A JSON hex string, spelled as ``to_json`` writes a table."""
+    try:
+        return _number(value, _HEX)
+    except (TypeError, ValueError):
+        raise FormatError(0, f"field {field!r} holds {json.dumps(value)}, not hex digits") from None
+
+
 def _lit_from_json(v, n: int, field: str) -> Literal:
     v = _int(v, field)
     if v == 0 or abs(v) > n:
@@ -291,7 +299,7 @@ def from_json(data: dict):
                 for t in data["terms"]))
         if kind == "rect":
             return CombRect(m=_int(data["m"], "m"), w=_int(data["w"], "w"),
-                            tables=tuple(int(t, 16) for t in data["tables"]))
+                            tables=tuple(_hex(t, "tables") for t in data["tables"]))
         if kind == "robp":  # order is optional, as in the text form
             return Robp(_int(data["n"], "n"), _int(data["d"], "d"),
                         [[_int(v, "next0") for v in r] for r in data["next0"]],

@@ -30,15 +30,18 @@ seed: ``PoweringSeed`` reads its seed as a row slice and
 per read.  ``PoweringSeed`` (one seed) reads blocks of b signs: with
 u = s^b, sign c of block j is <r_c, u^j> for r_c the transpose of
 multiplying by s^c applied to r, so a block costs one multiply by u.
-That map is tabulated once per seed, byte by byte (in one numpy pass
-above 8 bits); a read starting at block j jumps to u^j by square and
-multiply.  A batch or every seed builds one position-major power
-table, row i holding s^i for each distinct s, by doubling: the rows
-after s^h are the rows before it times s^h, one call of the array
-multiply ``GF2k.mul_vec``.  ``powering_signs`` gathers a batch's rows
-from it.  For every seed, ``parity_bits_all_seeds`` gathers the
-2^k x 2^k table of parity(a & r) by it once; the structured walk reads
-that as it is, ``subsets_all_seeds`` ANDs its b rows per index and
+That multiply uses no table: bit i of an element sits at bit slot * i
+with 2^slot > k, so one integer product leaves every carryless
+coefficient's parity in the low bit of its slot, and the slots from
+x^k up fold back through the spread modulus.  A read starting at
+block j jumps to u^j through the seed's ladder of u^(2^i).  A batch or
+every seed builds one position-major power table, row i holding s^i
+for each distinct s, by doubling: the rows after s^h are the rows
+before it times s^h, one call of the array multiply ``GF2k.mul_vec``.
+``powering_signs`` gathers a batch's rows from it.  For every seed,
+``parity_bits_all_seeds`` gathers the 2^k x 2^k table of parity(a & r)
+by it once; the structured walk reads that as it is,
+``subsets_all_seeds`` ANDs its b rows per index and
 ``outputs_all_seeds`` is its seed-major sign view.  The bit-serial
 ``GF2k.mul`` and ``pow`` are the tests' oracles.
 
@@ -57,8 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,25 +256,6 @@ SMALL_SPACE_ENTRIES = 1 << 18
 _SIGN = np.array([1, -1], dtype=np.int8)  # parity bit -> sign
 
 
-def _byte_tables(images: list):
-    """Flat table of the GF(2)-linear map sending basis bit j to images[j]:
-    entry 256 q + v is the image of byte q of the operand when it is v.
-    Up to 8 images, a list; wider maps, one numpy pass that doubles the
-    bits an entry covers (1, 2, 4, 8), read through a memoryview."""
-    if len(images) <= 8:
-        table = [0]
-        for image in images:
-            table += [v ^ image for v in table]
-        return table
-    level = np.zeros((-(-len(images) // 8) * 8, 2), dtype=np.uint64)  # [j, bit j]
-    level[:len(images), 1] = images
-    level = level.reshape(-1, 8, 2)
-    while level.shape[1] > 1:  # entry h * size + l of a pair is high[h] ^ low[l]
-        level = level[:, 1::2, :, None] ^ level[:, 0::2, None, :]
-        level = level.reshape(len(level), level.shape[1], -1)
-    return memoryview(level.reshape(-1))
-
-
 def _times_x_images(k: int, a: int) -> list:
     """a x^j mod the degree-k modulus, j = 0..k-1."""
     mod, top, images = irreducible_poly(k), 1 << (k - 1), [a]
@@ -283,9 +266,33 @@ def _times_x_images(k: int, a: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _squaring_tables(k: int):
-    mod = irreducible_poly(k)
-    return _byte_tables([_poly_mod(1 << (2 * j), mod) for j in range(k)])
+def _spread_field(k: int) -> tuple:
+    """GF(2^k) in slot form, 2^slot > k, as two closures over the slot
+    width, the byte spreader, the masks and the spread modulus:
+    spread(a), and mul(a, b), whose product holds each carryless
+    coefficient, a count of at most k, in its own slot; the slots from
+    top up, hi, fold back as hi times the modulus less x^k."""
+    slot, spreader = k.bit_length(), [0]
+    for i in range(8):
+        spreader += [v | 1 << slot * i for v in spreader]
+    low = sum(1 << slot * i for i in range(2 * k - 1))  # the low bit of 2k - 1 slots
+    top, below = slot * k, (1 << slot * k) - 1
+
+    def spread(a: int) -> int:
+        out, shift = 0, 0
+        while a:
+            out |= spreader[a & 0xFF] << shift
+            a, shift = a >> 8, shift + 8 * slot
+        return out
+
+    def mul(a: int, b: int) -> int:
+        c = a * b & low
+        while hi := c >> top:
+            c = (c & below) + hi * mod & low
+        return c
+
+    mod = spread(irreducible_poly(k) ^ 1 << k)
+    return spread, mul
 
 
 def _small_space_table(spec: BiasedSpaceSpec):
@@ -309,8 +316,9 @@ class PoweringSeed:
     sign c of block j is position j * stride + c.  A small space's seed
     is a row of its table.  Otherwise, with u = s^stride, the sign is
     parity(r_c & u^j), where r_0 = r and bit i of r_(c+1) is
-    parity(r_c & s x^i), so that <r_c, v> = <r, s^c v>.  The seed
-    tabulates one map, times u, and a block costs one multiply."""
+    parity(r_c & s x^i), so that <r_c, v> = <r, s^c v>.  A block costs
+    one slot-form multiply by u, and a read from block j multiplies the
+    rungs u^(2^i) of the set bits of j; the seed keeps its rungs."""
 
     def __init__(self, spec: BiasedSpaceSpec, seed: int, stride: int = 1):
         if seed < 0 or seed >> spec.seed_bits:
@@ -323,37 +331,31 @@ class PoweringSeed:
         if self._row is not None:
             return
         k = spec.field_degree
-        u = seed >> k
-        times_s, self._r = _times_x_images(k, u), [seed & ((1 << k) - 1)]
-        for _ in range(stride - 1):
-            r = self._r[-1]
-            self._r.append(sum(((r & a).bit_count() & 1) << i for i, a in enumerate(times_s)))
-            u = reduce(xor, (a for i, a in enumerate(times_s) if u >> i & 1), 0)  # u s
-        self._u, self._times_u = u, _byte_tables(_times_x_images(k, u) if stride > 1 else times_s)
+        spread, self._mul = _spread_field(k)
+        s, rs = seed >> k, [seed & ((1 << k) - 1)]
+        u = spread(s)
+        if stride > 1:
+            times_s, spread_s = _times_x_images(k, s), u
+            for _ in range(stride - 1):
+                rs.append(sum(((rs[-1] & a).bit_count() & 1) << i for i, a in enumerate(times_s)))
+                u = self._mul(u, spread_s)  # u s
+        self._r, self._ladder = [spread(r) for r in rs], [u]
 
     def _powers(self, start: int, count: int):
-        """u^start .. u^(start + count - 1)."""
-        k, u, t = self.spec.field_degree, self._u, self._times_u
-        power = 1
-        if start:  # square and multiply, left to right: u^(2e), then u^(2e+1)
-            square = _squaring_tables(k)
-            for bit in bin(start % ((1 << k) - 1) if u else start)[2:]:
-                for table in (square, t) if bit == "1" else (square,):
-                    v, power, q = power, 0, 0
-                    while v:
-                        power ^= table[q | v & 0xFF]
-                        v, q = v >> 8, q + 256
-        if k <= 8:
-            for _ in range(count):
-                yield power
-                power = t[power]
-        else:
-            for _ in range(count):
-                yield power
-                v, power, q = power, 0, 0
-                while v:
-                    power ^= t[q | v & 0xFF]
-                    v, q = v >> 8, q + 256
+        """u^start .. u^(start + count - 1), in slot form.  The jump to
+        u^start multiplies the rungs u^(2^i) of the set bits of start,
+        the ladder built as far as a read needs it and kept."""
+        mul, ladder = self._mul, self._ladder
+        u, power = ladder[0], 1
+        e = start % ((1 << self.spec.field_degree) - 1) if u else start
+        while len(ladder) < e.bit_length():
+            ladder.append(mul(ladder[-1], ladder[-1]))
+        for i in range(e.bit_length()):
+            if e >> i & 1:
+                power = mul(power, ladder[i])
+        for _ in range(count):
+            yield power
+            power = mul(power, u)
 
     def signs(self, start: int = 0, count: int | None = None) -> list:
         """Signs of blocks start..start+count-1 in position order (count

@@ -82,7 +82,6 @@ def test_derived_params_match_golden():
 
 def test_golden_desk_samples():
     params = desk_cr_preset()
-    from derand.signs import parse_seed_hex
     got = []
     for seed_hex in ("0000", "1234", "ff3f"):
         seed = parse_seed_hex(seed_hex, params.seed_bits)

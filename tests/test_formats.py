@@ -163,6 +163,19 @@ def test_from_json_refuses_an_unknown_type():
         formats.from_json({"type": "robdd", "n": 1})
 
 
+@pytest.mark.parametrize("table", ["0x1F", "+1f", "1_0", "\u0663", 31, None, ["1f"]])
+def test_from_json_reads_tables_only_as_to_json_spells_them(table):
+    # int(t, 16) would read the first four as 0x1F, 0x1F, 0x10 and 3
+    with pytest.raises(FormatError) as err:
+        formats.from_json({"type": "rect", "m": 2, "w": 3, "tables": ["0f", table]})
+    assert str(err.value) == f"line 0: field 'tables' holds {json.dumps(table)}, not hex digits"
+    # the spellings to_json writes still load, the hex in either case
+    rect = CombRect(m=2, w=3, tables=(0x0F, 0xA1))
+    assert formats.from_json({"type": "rect", "m": 2, "w": 3, "tables": ["f", "A1"]}) == rect
+    assert formats.to_json(rect)["tables"] == ["f", "a1"]
+    assert formats.from_json(json.loads(formats.dump_json(rect))) == rect
+
+
 def test_blank_and_comment_lines_are_skipped():
     f = formats.loads("c a comment\n\nrcnf 3 1\n   \nc 1 2 0\n-3 1 0\n")
     assert f == ReadOnceCnf(3, ((Literal(2, True), Literal(0)),))

@@ -416,7 +416,8 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
                  "--count must be at least 0, not -3", id="corpus-count-negative"),
     pytest.param(["eval", "{json_no_n}", "++"], "rcnf object has no 'n' field",
                  id="json-rcnf-no-n"),
-    pytest.param(["eval", "{json_tables}", "++"], "malformed rect object", id="json-rect-tables"),
+    pytest.param(["eval", "{json_tables}", "++"], "field 'tables' holds 1, not hex digits",
+                 id="json-rect-tables"),
     pytest.param(["advantage", "--formula", "{json_no_lits}"], "xorcnf object has no 'lits' field",
                  id="json-xorcnf-no-lits"),
     pytest.param(["eval", "{json_float_lit}", "++"], "field 'clauses' holds 1.5, not an integer",

@@ -127,7 +127,6 @@ def test_golden_desk_sample():
     params = desk_preset()
     got = []
     for seed_hex in ("00fab102", "04234501", "ffffff03"):
-        from derand.signs import parse_seed_hex
         seed = parse_seed_hex(seed_hex, params.seed_bits)
         out = sample(params, seed)
         got.append(seed_hex + " " + "".join("+" if v == 1 else "-" for v in out.values))

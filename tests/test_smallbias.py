@@ -435,6 +435,59 @@ def test_strided_reader_matches_pow_and_powering_signs(k, monkeypatch):
                     [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
 
 
+def _slot_form(k):
+    """The one-seed field's spread and mul, and its inverse of spread:
+    the slot positions are read off the spread basis, and a value with
+    a bit off those positions is refused."""
+    spread, mul = smallbias._spread_field(k)
+    places = [spread(1 << i).bit_length() - 1 for i in range(k)]
+
+    def unspread(x):
+        a = sum((x >> p & 1) << i for i, p in enumerate(places))
+        assert spread(a) == x, "bits outside the slots' low bits"
+        return a
+    return spread, mul, unspread
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_slot_form_multiply_matches_mul_loop(k, monkeypatch):
+    # random operands, and all-ones operands, whose middle coefficient
+    # is a count of k: the slot width is tight at k = 32 and 64
+    monkeypatch.setattr(smallbias, "SMALL_SPACE_ENTRIES", 0)
+    gf, (spread, mul, unspread) = GF2k(k), _slot_form(k)
+    rng = random.Random(900 + k)
+    ones = (1 << k) - 1
+    pairs = [(ones, ones), (ones, 1), (0, ones), (ones, rng.getrandbits(k))]
+    pairs += [(rng.getrandbits(k), rng.getrandbits(k)) for _ in range(40)]
+    for a, b in pairs:
+        assert unspread(spread(a)) == a
+        assert unspread(mul(spread(a), spread(b))) == gf.mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_jumps_match_pow(k, monkeypatch):
+    # u^start from the seed's ladder against the bit-serial pow, for s = 0,
+    # s = 1, s all ones and a random s, at strides 1 and 3, the ladder
+    # grown by rising starts and then reused.  Fields up to k = 7 read
+    # starts at and past 2^k - 1, where a nonzero u's exponent is reduced
+    # and a zero u's is not; a nonzero u's ladder stays within k rungs
+    monkeypatch.setattr(smallbias, "SMALL_SPACE_ENTRIES", 0)
+    gf, unspread = GF2k(k), _slot_form(k)[2]
+    rng = random.Random(1000 + k)
+    order = (1 << k) - 1
+    spec = BiasedSpaceSpec.with_degree(3 * min(1 << k, 64), k)
+    for s in (0, 1, order, rng.getrandbits(k)):
+        seed = rng.getrandbits(k) | s << k
+        for stride in (1, 3):
+            reader, u = PoweringSeed(spec, seed, stride), gf.pow(s, stride)
+            starts = {0, 1, reader.blocks - 1, rng.randrange(reader.blocks)}
+            starts |= {order, order + 1} & set(range(reader.blocks))
+            for start in sorted(starts) + sorted(starts, reverse=True):
+                power, = reader._powers(start, 1)
+                assert unspread(power) == gf.pow(u, start), (s, stride, start)
+                assert u == 0 or len(reader._ladder) <= k
+
+
 @pytest.mark.parametrize("n, k", [(9, 1), (12, 3), (20, 4), (70, 2), (40, 5)])
 def test_small_space_table_matches_powering_path(n, k, monkeypatch):
     # every seed of a space small enough to tabulate reads the same signs
