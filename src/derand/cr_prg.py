@@ -175,10 +175,9 @@ def sample_cr(params: CrGenParams, seed: int) -> SignVector:
     width = params.stage_shapes[-1][1]
     for stage in range(params.stages - 2, -1, -1):
         rows, entry_w = params.stage_shapes[stage]
-        stage_seed = PoweringSeed(params.stage_specs[stage], parts[stage])
+        stage_seed = PoweringSeed(params.stage_specs[stage], parts[stage], entry_w)
         picked = [pack_block(signs[i * width:(i + 1) * width]) for i in range(params.m)]
-        signs = [v for i, row in enumerate(picked)
-                 for v in stage_seed.signs((i * rows + row) * entry_w, entry_w)]
+        signs = [v for i, row in enumerate(picked) for v in stage_seed.signs(i * rows + row, 1)]
         width = entry_w
     return SignVector(tuple(signs))
 

@@ -263,6 +263,14 @@ def _lit_from_json(v, n: int, field: str) -> Literal:
     return Literal(abs(v) - 1, v < 0)
 
 
+def _known(obj: dict, fields: str, what: str) -> dict:
+    """obj, once it holds no field but ``fields``, those ``to_json`` writes."""
+    for key in obj:
+        if key not in fields.split():
+            raise FormatError(0, f"{what} has an unknown field {key!r}")
+    return obj
+
+
 def to_json(obj) -> dict:
     if isinstance(obj, ReadOnceCnf):
         return {"type": "rcnf", "n": obj.n,
@@ -284,23 +292,27 @@ def to_json(obj) -> dict:
 
 
 def from_json(data: dict):
-    """Inverse of ``to_json``; a missing or ill-typed field raises FormatError."""
+    """Inverse of ``to_json``; a missing, unknown or ill-typed field raises FormatError."""
     kind = data.get("type")
     try:
         if kind == "rcnf":
-            n = _int(data["n"], "n")
+            n = _int(_known(data, "type n clauses", "rcnf object")["n"], "n")
             return ReadOnceCnf(n=n, clauses=tuple(
                 tuple(_lit_from_json(v, n, "clauses") for v in c) for c in data["clauses"]))
         if kind == "xorcnf":
-            n = _int(data["n"], "n")
+            n = _int(_known(data, "type n terms", "xorcnf object")["n"], "n")
+            terms = [_known(t, "kind lits target" if t["kind"] == "xor" else "kind lits", "term")
+                     for t in data["terms"]]
             return XorCnf(n=n, terms=tuple(
                 Term(t["kind"], tuple(_lit_from_json(v, n, "lits") for v in t["lits"]),
-                     _int(t.get("target", 1), "target"))
-                for t in data["terms"]))
+                     _int(t["target"], "target") if t["kind"] == "xor" else 1)
+                for t in terms))
         if kind == "rect":
+            _known(data, "type m w tables", "rect object")
             return CombRect(m=_int(data["m"], "m"), w=_int(data["w"], "w"),
                             tables=tuple(_hex(t, "tables") for t in data["tables"]))
         if kind == "robp":  # order is optional, as in the text form
+            _known(data, "type n d order next0 next1", "robp object")
             return Robp(_int(data["n"], "n"), _int(data["d"], "d"),
                         [[_int(v, "next0") for v in r] for r in data["next0"]],
                         [[_int(v, "next1") for v in r] for r in data["next1"]],

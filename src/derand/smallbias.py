@@ -29,12 +29,11 @@ seed: ``PoweringSeed`` reads its seed as a row slice and
 ``powering_signs`` gathers a batch's rows.  Larger spaces are powered
 per read.  ``PoweringSeed`` (one seed) reads blocks of b signs: with
 u = s^b, sign c of block j is <r_c, u^j> for r_c the transpose of
-multiplying by s^c applied to r, so a block costs one multiply by u.
-That multiply uses no table: bit i of an element sits at bit slot * i
-with 2^slot > k, so one integer product leaves every carryless
-coefficient's parity in the low bit of its slot, and the slots from
-x^k up fold back through the spread modulus.  A read starting at
-block j jumps to u^j through the seed's ladder of u^(2^i).  A batch or
+multiplying by s^c applied to r.  Held in slot form, bit i at bit
+slot * i with 2^slot > k, a multiply by u and each r_c is one integer
+product, and a read from block j jumps to u^j through the seed's
+ladder of u^(2^i).  Strings are read at b = isqrt(n), subsets two
+indices to a block and rectangle stages an entry to a block.  A batch or
 every seed builds one position-major power table, row i holding s^i
 for each distinct s, by doubling: the rows after s^h are the rows
 before it times s^h, one call of the array multiply ``GF2k.mul_vec``.
@@ -58,9 +57,10 @@ tests, which count ``sample_subset``'s patterns over every seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -256,15 +256,6 @@ SMALL_SPACE_ENTRIES = 1 << 18
 _SIGN = np.array([1, -1], dtype=np.int8)  # parity bit -> sign
 
 
-def _times_x_images(k: int, a: int) -> list:
-    """a x^j mod the degree-k modulus, j = 0..k-1."""
-    mod, top, images = irreducible_poly(k), 1 << (k - 1), [a]
-    for _ in range(k - 1):
-        a = a << 1 ^ mod if a & top else a << 1
-        images.append(a)
-    return images
-
-
 @lru_cache(maxsize=None)
 def _spread_field(k: int) -> tuple:
     """GF(2^k) in slot form, 2^slot > k, as two closures over the slot
@@ -295,6 +286,29 @@ def _spread_field(k: int) -> tuple:
     return spread, mul
 
 
+@lru_cache(maxsize=None)
+def _transposer(k: int):
+    """transposes(r, ws): for each w, r_w with <r_w, v> = <r, w v>, all
+    in slot form.  Bit i of r_w is sum_j w_j a_(i+j) for a_n = <r, x^n>
+    mod m, n < 2k - 1: a obeys m's recurrence, so it is the power series
+    (r m* mod x^k) / m*, m* the reversed modulus, and r_w is a times w
+    reversed, read from the slot where w's slot 0 lands."""
+    spread, _ = _spread_field(k)
+    low_k, low = spread((1 << k) - 1), spread((1 << 2 * k - 1) - 1)
+    recip, inverse = int(f"{irreducible_poly(k):b}"[::-1], 2), 1
+    for n in range(1, 2 * k - 1):  # 1 / m* mod x^(2k - 1), a coefficient at a time
+        inverse |= (_clmul(recip, inverse) >> n & 1) << n
+    recip, inverse = spread(recip), spread(inverse)
+    size = k.bit_length() * (k - 1) // 8 + 1  # bytes of a slot-form element
+    flip = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+    def transposes(r: int, ws) -> list:
+        a = (r * recip & low_k) * inverse & low
+        return [a * int.from_bytes(w.to_bytes(size, "little").translate(flip), "big")
+                >> 8 * size - 1 & low_k for w in ws]
+    return transposes
+
+
 def _small_space_table(spec: BiasedSpaceSpec):
     """The read-only every-seed sign table of a space of at most
     SMALL_SPACE_ENTRIES entries, built once per process; None for a
@@ -315,10 +329,11 @@ class PoweringSeed:
     """One seed of a biased space, read in blocks of ``stride`` signs:
     sign c of block j is position j * stride + c.  A small space's seed
     is a row of its table.  Otherwise, with u = s^stride, the sign is
-    parity(r_c & u^j), where r_0 = r and bit i of r_(c+1) is
-    parity(r_c & s x^i), so that <r_c, v> = <r, s^c v>.  A block costs
-    one slot-form multiply by u, and a read from block j multiplies the
-    rungs u^(2^i) of the set bits of j; the seed keeps its rungs."""
+    parity(r_c & u^j) for r_c the transpose of multiplying by s^c
+    applied to r, <r_c, v> = <r, s^c v>: one integer product each, by
+    ``_transposer``.  A block costs one slot-form multiply by u, and a
+    read from block j multiplies the rungs u^(2^i) of the set bits of j;
+    the seed keeps its rungs."""
 
     def __init__(self, spec: BiasedSpaceSpec, seed: int, stride: int = 1):
         if seed < 0 or seed >> spec.seed_bits:
@@ -332,30 +347,28 @@ class PoweringSeed:
             return
         k = spec.field_degree
         spread, self._mul = _spread_field(k)
-        s, rs = seed >> k, [seed & ((1 << k) - 1)]
-        u = spread(s)
-        if stride > 1:
-            times_s, spread_s = _times_x_images(k, s), u
-            for _ in range(stride - 1):
-                rs.append(sum(((rs[-1] & a).bit_count() & 1) << i for i, a in enumerate(times_s)))
-                u = self._mul(u, spread_s)  # u s
-        self._r, self._ladder = [spread(r) for r in rs], [u]
+        r, s = spread(seed & ((1 << k) - 1)), spread(seed >> k)
+        powers = [s]  # s^1 .. s^stride
+        while len(powers) < stride:
+            powers.append(self._mul(powers[-1], s))
+        self._r = [r, *_transposer(k)(r, powers[:-1])] if stride > 1 else [r]
+        self._ladder = powers[-1:]
 
     def _powers(self, start: int, count: int):
-        """u^start .. u^(start + count - 1), in slot form.  The jump to
-        u^start multiplies the rungs u^(2^i) of the set bits of start,
-        the ladder built as far as a read needs it and kept."""
-        mul, ladder = self._mul, self._ladder
-        u, power = ladder[0], 1
+        """u^start .. u^(start + count - 1), in slot form: a jump that
+        multiplies the rungs u^(2^i) of start's set bits, the ladder built
+        as far as a read needs it and kept, then count - 1 multiplies."""
+        if count <= 0:
+            return
+        mul, ladder, u = self._mul, self._ladder, self._ladder[0]
         e = start % ((1 << self.spec.field_degree) - 1) if u else start
         while len(ladder) < e.bit_length():
             ladder.append(mul(ladder[-1], ladder[-1]))
-        for i in range(e.bit_length()):
-            if e >> i & 1:
-                power = mul(power, ladder[i])
-        for _ in range(count):
+        power = reduce(mul, [ladder[i] for i in range(e.bit_length()) if e >> i & 1] or [1])
+        for _ in range(count - 1):
             yield power
             power = mul(power, u)
+        yield power
 
     def signs(self, start: int = 0, count: int | None = None) -> list:
         """Signs of blocks start..start+count-1 in position order (count
@@ -363,29 +376,43 @@ class PoweringSeed:
         count = self.blocks - start if count is None else count
         if start < 0 or count < 0 or start + count > self.blocks:
             raise ValueError(f"blocks {start}..{start + count - 1} are outside 0..{self.blocks - 1}")
-        if self._row is not None:
-            return self._row[start * self.stride:(start + count) * self.stride].tolist()
-        return [-1 if (r & power).bit_count() & 1 else 1
-                for power in self._powers(start, count) for r in self._r]
+        return self._read(start * self.stride, (start + count) * self.stride)
 
-    def minus_blocks(self) -> list:
-        """Blocks whose signs are all -1, each read up to its first +1."""
+    def string(self) -> list:
+        """All n signs, the last n % stride of them a part of one block."""
+        return self._read(0, self.spec.n)
+
+    def _read(self, lo: int, hi: int) -> list:
+        """Signs of positions lo..hi-1, lo at the start of a block."""
         if self._row is not None:
-            blocks = self._row[:self.blocks * self.stride].reshape(self.blocks, self.stride)
-            return np.flatnonzero((blocks == -1).all(axis=1)).tolist()
+            return self._row[lo:hi].tolist()
+        start = lo // self.stride
+        return [-1 if (r & power).bit_count() & 1 else 1
+                for power in self._powers(start, -(-hi // self.stride) - start)
+                for r in self._r][:hi - lo]
+
+    def minus_blocks(self, width: int | None = None) -> list:
+        """Runs of ``width`` signs (the stride by default, or a divisor of
+        it) in whole blocks that are all -1, each read to its first +1."""
+        width = width or self.stride
+        if self._row is not None:
+            runs = self._row[:self.blocks * self.stride].reshape(-1, width)
+            return np.flatnonzero((runs == -1).all(axis=1)).tolist()
+        groups = [self._r[c:c + width] for c in range(0, self.stride, width)]
         out = []
         for j, power in enumerate(self._powers(0, self.blocks)):
-            for r in self._r:
-                if not (r & power).bit_count() & 1:
-                    break
-            else:
-                out.append(j)
+            for g, rs in enumerate(groups, j * len(groups)):
+                for r in rs:
+                    if not (r & power).bit_count() & 1:
+                        break
+                else:
+                    out.append(g)
         return out
 
 
 def generate_biased(spec: BiasedSpaceSpec, seed: int) -> SignVector:
-    """Deterministically expand a seed into n signs."""
-    return SignVector(tuple(PoweringSeed(spec, seed).signs()))
+    """Deterministically expand a seed into n signs, read at stride isqrt(n)."""
+    return SignVector(tuple(PoweringSeed(spec, seed, max(1, math.isqrt(spec.n))).string()))
 
 
 def _power_table(gf: GF2k, s: np.ndarray, count: int) -> np.ndarray:
@@ -622,8 +649,10 @@ class SubsetSamplerSpec:
 
 
 def sample_subset(spec: SubsetSamplerSpec, seed: int) -> frozenset:
-    """The indices whose b-sign block is all -1, one multiply per index."""
-    return frozenset(PoweringSeed(spec.base, seed, spec.bits_per_index).minus_blocks())
+    """The indices whose b-sign block is all -1, two indices to a
+    multiply when their count is even."""
+    b = spec.bits_per_index
+    return frozenset(PoweringSeed(spec.base, seed, (2 - spec.n % 2) * b).minus_blocks(b))
 
 
 def subset_members(spec: SubsetSamplerSpec, seeds) -> np.ndarray:

@@ -488,6 +488,64 @@ def test_jumps_match_pow(k, monkeypatch):
                 assert u == 0 or len(reader._ladder) <= k
 
 
+@pytest.mark.parametrize("k", range(1, 65))
+def test_transposes_match_bit_serial_definition(k, monkeypatch):
+    # bit i of r_c is <r, s^c x^i>, through the bit-serial GF2k.mul, for
+    # every c below strides 1..9: s = 0, s = 1, all-ones r and random seeds
+    monkeypatch.setattr(smallbias, "SMALL_SPACE_ENTRIES", 0)
+    gf, (spread, _, unspread) = GF2k(k), _slot_form(k)
+    rng = random.Random(1100 + k)
+    ones = (1 << k) - 1
+    spec = BiasedSpaceSpec.with_degree(9, k)
+    for r, s in ((rng.getrandbits(k), 0), (ones, 1), (ones, rng.getrandbits(k)),
+                 (rng.getrandbits(k), rng.getrandbits(k))):
+        want = []
+        for c in range(9):
+            power = gf.pow(s, c)
+            want.append(sum((bin(r & gf.mul(power, 1 << i)).count("1") & 1) << i
+                            for i in range(k)))
+        for stride in range(1, 10):
+            reader = PoweringSeed(spec, r | s << k, stride)
+            assert [unspread(rc) for rc in reader._r] == want[:stride], (r, s, stride)
+            assert reader._ladder[:1] == [spread(gf.pow(s, stride))]
+
+
+@pytest.mark.parametrize("k", [3, 7, 31, 34, 37, 64])
+def test_string_and_window_reads_match_powering_signs(k, monkeypatch):
+    # whole strings at strides that leave a tail of n % stride signs,
+    # generate_biased at isqrt(n), and one-block windows at a stage's
+    # entry width, all against the batch rows
+    monkeypatch.setattr(smallbias, "SMALL_SPACE_ENTRIES", 0)
+    rng = random.Random(1200 + k)
+    for n in (1, 5, 48, 50, 63, 64, 65):
+        spec = BiasedSpaceSpec.with_degree(n, k)
+        seeds = [rng.getrandbits(2 * k), rng.getrandbits(k), rng.getrandbits(k) | 1 << k]
+        for seed, row in zip(seeds, powering_signs(spec, seeds).tolist()):
+            assert list(generate_biased(spec, seed).values) == row
+            for stride in (1, 2, 3, 7, 8, 9, n + 1):
+                assert PoweringSeed(spec, seed, stride).string() == row, (n, seed, stride)
+    for rows, width in ((64, 8), (16, 6), (4, 5)):
+        spec = BiasedSpaceSpec.with_degree(rows * 8 * width, k)
+        seeds = [rng.getrandbits(2 * k) for _ in range(2)]
+        for seed, row in zip(seeds, powering_signs(spec, seeds).tolist()):
+            reader = PoweringSeed(spec, seed, width)
+            for block in [0, reader.blocks - 1] + rng.sample(range(reader.blocks), 6):
+                assert reader.signs(block, 1) == row[block * width:(block + 1) * width]
+
+
+def test_reads_make_no_wasted_multiply():
+    # a jump to block 5 squares twice and multiplies once (u^1 u^4), a run
+    # of 64 from block 0 multiplies 63 times, and a read of block 0 none
+    spec = BiasedSpaceSpec.with_degree(64, 31)
+    seed = random.Random(1300).getrandbits(62)
+    for start, count, muls in ((5, 1, 3), (0, 64, 63), (0, 1, 0), (5, 4, 6), (3, 0, 0)):
+        reader, calls = PoweringSeed(spec, seed), []
+        mul = reader._mul
+        reader._mul = lambda a, b: calls.append((a, b)) or mul(a, b)
+        assert reader.signs(start, count) == _oracle_signs(31, seed, start, count)
+        assert len(calls) == muls, (start, count)
+
+
 @pytest.mark.parametrize("n, k", [(9, 1), (12, 3), (20, 4), (70, 2), (40, 5)])
 def test_small_space_table_matches_powering_path(n, k, monkeypatch):
     # every seed of a space small enough to tabulate reads the same signs
