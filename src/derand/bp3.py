@@ -19,9 +19,9 @@ chain reads a program's integer path counts (``Robp.accept_counts``
 and ``Robp.reach_counts``); a ``Fraction`` is formed only for a
 reported value or a checked bound.  Every edge the chain rewires goes
 through one step, ``_redirect``.  ``bad_visit_counts``, how many bad
-states each input visits, runs on ``Robp.prefix_slots`` and is kept
-for criterion 7, which checks the lemma Pr[Bad(x) >= t] <= 2^(1-t) and
-the bound on E[Bad(x) | accepted] on it.
+states each input visits, runs on ``models.batch_prefix_slots`` over a
+batch of one and is kept for criterion 7, which checks the lemma
+Pr[Bad(x) >= t] <= 2^(1-t) and the bound on E[Bad(x) | accepted] on it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .models import Literal, Robp, Term, XorCnf
+from .models import Literal, Robp, Term, XorCnf, batch_prefix_slots
 from .rcnf_prg import hsg_inner_preset, sample
 from .signs import SignVector, all_sign_rows, split_seeds
 
@@ -287,7 +287,7 @@ def bad_visit_counts(prog: Robp) -> np.ndarray:
     (an input extends its low t read bits), summed in read order."""
     bad = bad_states(prog)
     counts = np.zeros(1 << prog.n, dtype=np.int16)
-    for t, slots in enumerate(prog.prefix_slots()):
+    for t, (slots,) in enumerate(batch_prefix_slots((prog,))):
         is_bad = np.array([(t, i) in bad for i in range(prog.d)])
         counts += np.tile(is_bad[slots], 1 << (prog.n - t))
     return prog.in_variable_order(counts)

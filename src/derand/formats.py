@@ -201,15 +201,9 @@ def dumps(obj) -> str:
             raise ValueError("the constant-0 formula has no file form")
         kind = "rcnf" if isinstance(obj, ReadOnceCnf) else "xorcnf"
         lines = [f"{kind} {obj.n} {obj.size}"]
-        for term in obj.terms:
-            lits = term.literals
-            if term.kind == "xor" and term.target == 0:
-                # the text form fixes target 1; flipping one literal's
-                # negation complements the parity
-                first = lits[0]
-                lits = (Literal(first.index, not first.negated),) + lits[1:]
+        for term in obj.terms:  # the text form fixes target 1
             prefix = "x " if term.kind == "xor" else ""
-            lines.append(prefix + " ".join(str(lit) for lit in lits) + " 0")
+            lines.append(prefix + " ".join(map(str, term.target_one_literals)) + " 0")
         return "\n".join(lines) + "\n"
     if isinstance(obj, CombRect):
         if obj.w > RECT_TEXT_MAX_W:

@@ -224,14 +224,14 @@ def _ones_where(flags: np.ndarray) -> np.ndarray:
 
 def _term_rows(f, tables: RoundTables) -> list:
     """Per OR or parity term: its reduction (bitwise OR or XOR), its
-    literals' bits and their truth rows in z and in packed y.  A parity
-    term with target 0 is read as one with target 1 and its first
-    literal negated, so every term is satisfied when its reduction is 1."""
+    literals' bits and their truth rows in z and in packed y.  Each term
+    is read with target 1 (``Term.target_one_literals``), so it is
+    satisfied when its reduction is 1."""
     rows = []
     for term in f.terms:
-        var = np.array([l.index for l in term.literals], dtype=np.intp)
-        neg = np.array([l.negated for l in term.literals], dtype=bool)
-        neg[0] ^= term.kind == "xor" and term.target == 0
+        lits = term.target_one_literals
+        var = np.array([l.index for l in lits], dtype=np.intp)
+        neg = np.array([l.negated for l in lits], dtype=bool)
         rows.append((np.bitwise_or if term.kind == "or" else np.bitwise_xor,
                      np.uint64(1) << var.astype(np.uint64),
                      tables.z[var] ^ neg[:, None], tables.y[var] ^ _ones_where(neg)[:, None]))

@@ -80,6 +80,16 @@ class Term:
         if self.target not in (0, 1):
             raise ValueError("xor target must be 0 or 1")
 
+    @property
+    def target_one_literals(self) -> Tuple[Literal, ...]:
+        """The literals of the same conjunct read with target 1: a
+        parity term with target 0 has its first literal negated, which
+        complements its parity; any other term keeps its literals."""
+        if self.kind == "or" or self.target == 1:
+            return self.literals
+        first, *rest = self.literals
+        return (Literal(first.index, not first.negated), *rest)
+
 
 # The term engine both formula classes name in their bodies (so that each
 # class owns the methods it runs): a conjunction of ``self.terms``, the
@@ -346,12 +356,6 @@ class Robp:
             state = np.where(bits[:, var], next1[t][state], next0[t][state])
             yield state
 
-    def prefix_slots(self):
-        """Yield, for t = 0..n, the slots of the 2^t prefixes read by
-        layers 0..t-1: ``batch_prefix_slots`` over a batch of one."""
-        for slots in batch_prefix_slots((self,)):
-            yield slots[0]
-
     def in_variable_order(self, table: np.ndarray) -> np.ndarray:
         """Reindex a table over the read-order packings (bit t = the bit
         layer t read) by the variable packing (bit i = variable i): a
@@ -365,9 +369,9 @@ class Robp:
         """Accept flags for every input, indexed by the little-endian
         bit packing of the assignment (bit i = variable i, 1 = true): the
         last prefix layer, in variable order.  The walk is the oracle."""
-        for state in self.prefix_slots():
+        for slots in batch_prefix_slots((self,)):
             pass
-        return self.in_variable_order(state == self.ACC)
+        return self.in_variable_order(slots[0] == self.ACC)
 
     def eval_batch(self, signs: np.ndarray) -> np.ndarray:
         if signs.shape[1] != self.n:

@@ -240,8 +240,8 @@ def desk_preset() -> RcnfGenParams:
 
 @lru_cache(maxsize=None)
 def hsg_inner_preset(n: int) -> RcnfGenParams:
-    """Small preset used inside the width-3 hitting generator (n <= 16),
-    built once per n: every hsg_sample call reads it."""
+    """Small preset used inside the width-3 hitting generator at any
+    length n, built once per n: every hsg_sample call reads it."""
     return explicit_params(n, Fraction(1, 4), k_subset=2, k_z=3, k_y=6, preset=f"hsg{n}")
 
 

@@ -231,7 +231,9 @@ class BiasedSpaceSpec:
     @classmethod
     def with_degree(cls, n: int, k: int) -> "BiasedSpaceSpec":
         """Explicit field degree; epsilon records the bound (n-1)/2^k as-is."""
-        return cls(n=n, epsilon=Fraction(max(n - 1, 0), 1 << k), field_degree=k)
+        if n < 1:
+            raise ValueError("n must be positive")
+        return cls(n=n, epsilon=Fraction(n - 1, 1 << k), field_degree=k)
 
     @property
     def seed_bits(self) -> int:
@@ -333,7 +335,8 @@ class PoweringSeed:
     applied to r, <r_c, v> = <r, s^c v>: one integer product each, by
     ``_transposer``.  A block costs one slot-form multiply by u, and a
     read from block j multiplies the rungs u^(2^i) of the set bits of j;
-    the seed keeps its rungs."""
+    the seed keeps its rungs.  A read checks its arguments once, before
+    it takes either path."""
 
     def __init__(self, spec: BiasedSpaceSpec, seed: int, stride: int = 1):
         if seed < 0 or seed >> spec.seed_bits:
@@ -370,10 +373,9 @@ class PoweringSeed:
             power = mul(power, u)
         yield power
 
-    def signs(self, start: int = 0, count: int | None = None) -> list:
-        """Signs of blocks start..start+count-1 in position order (count
-        defaults to the rest); at stride 1 a block is one position."""
-        count = self.blocks - start if count is None else count
+    def signs(self, start: int, count: int) -> list:
+        """Signs of blocks start..start+count-1 in position order; at
+        stride 1 a block is one position."""
         if start < 0 or count < 0 or start + count > self.blocks:
             raise ValueError(f"blocks {start}..{start + count - 1} are outside 0..{self.blocks - 1}")
         return self._read(start * self.stride, (start + count) * self.stride)
@@ -391,10 +393,11 @@ class PoweringSeed:
                 for power in self._powers(start, -(-hi // self.stride) - start)
                 for r in self._r][:hi - lo]
 
-    def minus_blocks(self, width: int | None = None) -> list:
-        """Runs of ``width`` signs (the stride by default, or a divisor of
-        it) in whole blocks that are all -1, each read to its first +1."""
-        width = width or self.stride
+    def minus_blocks(self, width: int) -> list:
+        """Runs of ``width`` signs, a divisor of the stride, in whole
+        blocks that are all -1, each read to its first +1."""
+        if width < 1 or self.stride % width:
+            raise ValueError(f"run width must divide the stride {self.stride}, not {width}")
         if self._row is not None:
             runs = self._row[:self.blocks * self.stride].reshape(-1, width)
             return np.flatnonzero((runs == -1).all(axis=1)).tolist()
@@ -627,6 +630,8 @@ class SubsetSamplerSpec:
     @classmethod
     def with_degree(cls, n: int, bits_per_index: int, k: int,
                     delta=Fraction(1)) -> "SubsetSamplerSpec":
+        if bits_per_index < 1:
+            raise ValueError(f"bits_per_index must be at least 1, not {bits_per_index}")
         return cls(n=n, bits_per_index=bits_per_index, delta=Fraction(delta),
                    base=BiasedSpaceSpec.with_degree(n * bits_per_index, k))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derand import bp3, cli, cr_prg, formats, harness, rcnf_prg
+from derand import approx, bp3, cli, cr_prg, formats, harness, rcnf_prg, sympoly
 from derand.harness import (STATISTICAL_SAMPLES, AdvantageReport, GeneratorHandle,
                             advantage_sweep, check_models, corpus_generate,
                             cr_generator, exhaustive_advantage, hsg_hit_stats,
@@ -287,6 +288,47 @@ def test_cli_check_runs_each_suite_at_its_own_seed(capsys):
     assert json.loads(capsys.readouterr().out) == [check_models(seed=5)]
 
 
+def _third_call_fault(monkeypatch, owner, name, corrupt):
+    """Plant a fault in ``owner.name``: its third call returns
+    corrupt(args, result).  The returned list of calls plants the fault
+    again once cleared."""
+    real, calls = getattr(owner, name), []
+
+    def fault(*args):
+        calls.append(args)
+        out = real(*args)
+        return corrupt(args, out) if len(calls) == 3 else out
+    monkeypatch.setattr(owner, name, fault)
+    return calls
+
+
+@pytest.mark.parametrize("suite, owner, name, corrupt, detail", [
+    pytest.param("smallbias", harness, "exact_bias",
+                 lambda args, out: (args[0].bias_bound + Fraction(1, 1 << 12), out[1]),
+                 "n={0.n} k={0.field_degree}: bias ", id="smallbias"),
+    pytest.param("sym", sympoly, "newton_girard_residual", lambda args, out: Fraction(1, 3),
+                 "newton residual at trial 2", id="sym"),
+    pytest.param("models", CombRect, "exact_expectation", lambda args, out: out + 1,
+                 "rect mismatch 2", id="models"),
+    pytest.param("approx", approx, "verify_sandwich",
+                 lambda args, out: dataclasses.replace(out, pointwise_ok=False),
+                 "pointwise failure 2", id="approx"),
+])
+def test_check_suites_fail_on_a_planted_fault(monkeypatch, capsys, suite, owner, name,
+                                              corrupt, detail):
+    # one kernel of each suite goes wrong on its third call: the suite
+    # fails, names that case, and `derand check` exits 1 with the result
+    check = {"smallbias": harness.check_smallbias, "sym": harness.check_sympoly,
+             "models": harness.check_models, "approx": harness.check_approx}[suite]
+    calls = _third_call_fault(monkeypatch, owner, name, corrupt)
+    result = check()
+    assert result["pass"] is False
+    assert result["detail"].startswith(detail.format(*calls[2])), result["detail"]
+    calls.clear()
+    assert cli.main(["check", suite]) == 1
+    assert json.loads(capsys.readouterr().out) == [result]
+
+
 def test_cli_advantage_refuses_unenumerable_seed_space():
     # one-round derived parameters with 54-bit z and y seed spaces
     proc = subprocess.run([sys.executable, "-m", "derand.cli", "advantage",
@@ -369,6 +411,10 @@ def test_cli_hit_corpus_with_wide_program(tmp_path, capsys):
                  "argument --dump-params: not allowed with argument --seed",
                  id="gen-seed-and-dump"),
     pytest.param(["gen", "rect", "--m", "0", "--seed", "00"], "need m, w >= 1", id="gen-rect-m0"),
+    pytest.param(["gen", "rect", "--preset", "derived", "--delta", "2"],
+                 "need m, w >= 1 and delta in (0,1)", id="gen-rect-derived-delta2"),
+    pytest.param(["gen", "rcnf", "--preset", "derived", "--n", "1"],
+                 "need n >= 2 and epsilon in (0,1)", id="gen-rcnf-derived-n1"),
     pytest.param(["gen", "rect", "--w", "0", "--dump-params"], "need m, w >= 1",
                  id="gen-rect-w0"),
     pytest.param(["advantage", "--eps", "1/2"], "--eps: read only under --preset derived",

@@ -143,6 +143,21 @@ def test_xorcnf_restriction_folds_parity_target():
     assert dead.is_false
 
 
+def test_target_one_literals_keep_every_term_and_its_truth():
+    # a parity term read with target 1 through its rewritten literals
+    # accepts exactly the points the term accepts; an OR term and a
+    # target-1 parity term keep their literals as they are
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        lits = tuple(Literal(i, rng.random() < 0.5) for i in rng.sample(range(n), rng.randint(1, n)))
+        for term in (Term("xor", lits, 0), Term("xor", lits, 1), Term("or", lits)):
+            rewritten = XorCnf(n, (Term(term.kind, term.target_one_literals, 1),))
+            for x in product((-1, 1), repeat=n):
+                assert rewritten.evaluate(x) == XorCnf(n, (term,)).evaluate(x)
+            assert (term.target_one_literals == lits) == (term.kind == "or" or term.target == 1)
+
+
 def test_read_once_cnf_runs_as_its_or_terms():
     rng = random.Random(14)
     for _ in range(30):

@@ -77,6 +77,13 @@ def test_desk_preset_is_enumerable():
     assert params.seed_bits <= 26
 
 
+def test_explicit_params_refuse_indices_of_no_bits():
+    # at bits_per_index = 0 the record was built, and sample, sample_batch
+    # and round_tables each failed on it in its own way
+    with pytest.raises(ValueError, match="bits_per_index must be at least 1, not 0"):
+        explicit_params(4, Fraction(1, 4), 2, 2, 2, bits_per_index=0)
+
+
 def test_partition_property():
     params = desk_preset()
     rng = random.Random(41)
@@ -330,7 +337,7 @@ def test_sample_skips_strings_no_output_reads(monkeypatch):
     reads = []
 
     class Spy(rcnf_prg.PoweringSeed):
-        def signs(self, start=0, count=None):
+        def signs(self, start, count):
             reads.append((self.spec, self.seed, start, count))
             return super().signs(start, count)
     real = rcnf_prg.generate_biased

@@ -77,6 +77,19 @@ def test_seed_length_validation():
         generate_biased(spec, 1 << spec.seed_bits)
 
 
+def test_with_degree_refuses_an_empty_space():
+    # at n = 0 generate_biased failed inside numpy's reshape at k = 3
+    # and as a seed space too large to enumerate at k = 40
+    for k in (3, 40):
+        with pytest.raises(ValueError, match="n must be positive"):
+            BiasedSpaceSpec.with_degree(0, k)
+
+
+def test_subset_spec_refuses_indices_of_no_bits():
+    with pytest.raises(ValueError, match="bits_per_index must be at least 1, not 0"):
+        SubsetSamplerSpec.with_degree(4, 0, 2)
+
+
 def test_exact_bias_examples():
     # n=5, k=3: the measured maximum stays below (n-1)/2^k = 1/2
     bias, witness = exact_bias(BiasedSpaceSpec.with_degree(5, 3))
@@ -425,13 +438,13 @@ def test_strided_reader_matches_pow_and_powering_signs(k, monkeypatch):
                 reader = PoweringSeed(spec, seed, stride)
                 blocks = spec.n // stride
                 assert reader.blocks == blocks
-                assert reader.signs() == full[:blocks * stride]
+                assert reader.signs(0, blocks) == full[:blocks * stride]
                 for start in (0, 1, rng.randrange(blocks)):
                     count = rng.randint(0, min(blocks - start, 3))
                     want = _oracle_signs(k, seed, start * stride, count * stride)
                     assert reader.signs(start, count) == want == \
                         full[start * stride:(start + count) * stride]
-                assert reader.minus_blocks() == \
+                assert reader.minus_blocks(stride) == \
                     [j for j in range(blocks) if set(full[j * stride:(j + 1) * stride]) == {-1}]
 
 
@@ -564,7 +577,7 @@ def test_small_space_table_matches_powering_path(n, k, monkeypatch):
         for seed in seeds:
             out.append(generate_biased(spec, seed).values)
             out += [PoweringSeed(spec, seed, b).signs(start, count) for b, start, count in runs]
-            out += [PoweringSeed(spec, seed, b).minus_blocks() for b, _, _ in runs]
+            out += [PoweringSeed(spec, seed, b).minus_blocks(b) for b, _, _ in runs]
         return out, powering_signs(spec, seeds), powering_signs(spec, [])
     table = smallbias._small_space_table(spec)
     assert table is not None
@@ -604,13 +617,70 @@ def test_small_space_cap_counts_every_output():
 def test_strided_reader_refuses_bad_blocks():
     spec = BiasedSpaceSpec.with_degree(20, 5)
     reader = PoweringSeed(spec, 3, stride=3)  # six whole blocks, positions 18, 19 unread
-    assert len(reader.signs()) == 18
+    assert len(reader.signs(0, 6)) == 18
     for start, count in ((5, 2), (6, 1), (-1, 1), (0, 7), (2, -1)):
         with pytest.raises(ValueError, match="outside"):
             reader.signs(start, count)
     assert reader.signs(6, 0) == []
     with pytest.raises(ValueError):
         PoweringSeed(spec, 3, stride=0)
+
+
+def _block_ranges(blocks, rng):
+    """(start, count) pairs for a reader of ``blocks`` blocks: whole,
+    empty and one-past-the-edge ranges, negative ones and three seeded
+    ranges that fit."""
+    ranges = [(0, blocks), (0, 0), (blocks, 0), (blocks, 1), (0, blocks + 1), (-1, 1), (1, -1)]
+    for _ in range(3):
+        start = rng.randrange(blocks + 1)
+        ranges.append((start, rng.randint(0, blocks - start)))
+    return ranges
+
+
+@pytest.mark.parametrize("n, k", [(12, 2), (9, 3), (20, 4), (16, 5), (30, 6)])
+def test_every_read_agrees_on_both_paths(n, k, monkeypatch):
+    # every public read of a seed, refusals included, gives the same on
+    # the table path and on the powering path (cap 0), and what the
+    # bit-serial oracle gives: every stride up to n + 1, every run width
+    # from -1 to the stride + 1, and edge and seeded block ranges
+    spec = BiasedSpaceSpec.with_degree(n, k)
+    rng = random.Random(1400 + n * 64 + k)
+    seeds = [0, (1 << spec.seed_bits) - 1] + rng.sample(range(1 << spec.seed_bits), 4)
+
+    def outcome(read, *args):
+        try:
+            return read(*args)
+        except ValueError as exc:
+            return f"refused: {exc}"
+
+    def reads():
+        out = []
+        for seed in seeds:
+            for stride in range(1, n + 2):
+                reader = PoweringSeed(spec, seed, stride)
+                out.append(reader.string())
+                out += [outcome(reader.minus_blocks, width) for width in range(-1, stride + 2)]
+                out += [outcome(reader.signs, start, count) for start, count
+                        in _block_ranges(reader.blocks, random.Random(seed * 97 + stride))]
+        return out
+
+    want = []
+    for seed in seeds:
+        row = _oracle_signs(k, seed, 0, n)
+        for stride in range(1, n + 2):
+            blocks = n // stride
+            want.append(row)
+            for width in range(-1, stride + 2):
+                runs = range(blocks * stride // width) if width > 0 and stride % width == 0 else None
+                want.append("refused" if runs is None else
+                            [g for g in runs if set(row[g * width:(g + 1) * width]) == {-1}])
+            for start, count in _block_ranges(blocks, random.Random(seed * 97 + stride)):
+                fits = 0 <= start and 0 <= count and start + count <= blocks
+                want.append(row[start * stride:(start + count) * stride] if fits else "refused")
+    assert smallbias._small_space_table(spec) is not None
+    table, powered = [reads() for _ in _both_paths(monkeypatch)]
+    assert table == powered
+    assert ["refused" if isinstance(read, str) else read for read in table] == want
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 34])
