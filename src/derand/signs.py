@@ -38,6 +38,9 @@ class SignVector:
         if not all(v in (-1, 1) for v in self.values):
             raise ValueError("sign vector entries must be -1 or +1")
 
+    def __len__(self):
+        return len(self.values)
+
     def __getitem__(self, i):
         return self.values[i]
 
